@@ -3,13 +3,13 @@
 //! ```text
 //! figures [--quick] [--json <path>] [--bench-jsonl <path>] [ids...]
 //! ids: table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 rpc ablation batch_sweep
+//!      shard_scale
 //! ```
 //!
 //! `--json <path>` additionally writes the whole run — every series
 //! row, every paper-vs-measured anchor with its ratio, and per
-//! experiment wall-clock — as one machine-readable JSON document (the
-//! repo's `BENCH_3.json`; CI archives it so the perf trajectory is
-//! tracked). `--bench-jsonl <path>` merges ns/iter lines captured from
+//! experiment wall-clock — as one machine-readable JSON document (CI
+//! archives it per run). `--bench-jsonl <path>` merges ns/iter lines captured from
 //! the criterion-stub benches (see `AMOEBA_BENCH_JSON`) into that
 //! document under `"benches"`.
 //!

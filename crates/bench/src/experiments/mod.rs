@@ -1,4 +1,5 @@
-//! The experiments, one per table/figure of the paper's §4.
+//! The experiments, one per table/figure of the paper's §4, plus the
+//! two that go beyond it (`batch_sweep`, `shard_scale`).
 //!
 //! Shared conventions (from the paper): all members on one quiet
 //! 10 Mbit/s Ethernet; message sizes 0, 1024, 2048, 4096 and 8000
@@ -12,6 +13,7 @@ mod batch_sweep;
 mod delay;
 mod parallel;
 mod rpc;
+mod shard_scale;
 mod table3;
 mod throughput;
 
@@ -20,6 +22,7 @@ pub use batch_sweep::batch_sweep;
 pub use delay::{fig1_delay_pb, fig3_delay_bb, fig7_delay_resilience};
 pub use parallel::fig6_parallel_groups;
 pub use rpc::rpc_baseline;
+pub use shard_scale::shard_scale;
 pub use table3::table3_breakdown;
 pub use throughput::{fig4_throughput_pb, fig5_throughput_bb, fig8_throughput_resilience};
 
@@ -123,9 +126,9 @@ pub(crate) fn measure_throughput_cfg(
 /// `figures` binary and [`all`] both iterate, so a newly registered
 /// experiment cannot be silently missing from the default run or the
 /// archived bench JSON.
-pub const IDS: [&str; 11] = [
+pub const IDS: [&str; 12] = [
     "table3", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "rpc", "ablation",
-    "batch_sweep",
+    "batch_sweep", "shard_scale",
 ];
 
 /// Every experiment, in paper order.
@@ -147,6 +150,7 @@ pub fn by_id(id: &str, scale: Scale) -> Option<Figure> {
         "rpc" => rpc_baseline(scale),
         "ablation" => ablation_method_switch(scale),
         "batch_sweep" | "batch" => batch_sweep(scale),
+        "shard_scale" => shard_scale(scale),
         _ => return None,
     })
 }

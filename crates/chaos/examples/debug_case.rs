@@ -3,28 +3,22 @@
 //! state for protocol triage. Combine with `AMOEBA_TRACE_STAMPS=1` for
 //! a stamp/transmit/admission trace on stderr.
 
-use amoeba_chaos::{gen_case, run_case_world};
+use amoeba_chaos::gen_case;
+use amoeba_scenario::run_plan_world;
 
 fn main() {
     let case: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0);
     let seed: u64 = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(1);
-    let plan = gen_case(seed, case);
-    println!(
-        "case {case}: nodes={} method={:?} r={} batching={} window={} msgs={} payload={} auto_reset={} noise=[drop {:.3} dup {:.3} reorder {:.3} until {}ms] partitions={:?} crashes={:?} restarts={:?}",
-        plan.nodes, plan.method, plan.resilience, plan.batching, plan.send_window,
-        plan.msgs_per_node, plan.payload, plan.auto_reset,
-        plan.chaos.link.drop, plan.chaos.link.duplicate, plan.chaos.link.reorder,
-        plan.chaos.noise_until_us / 1000, plan.chaos.partitions, plan.crashes, plan.restarts,
-    );
-    let mut plan = plan;
-    if let Some(us) = std::env::var("AMOEBA_RUN_US").ok().and_then(|v| v.parse().ok()) {
-        plan.run_us = us; // triage knob: truncate/extend the run
+    let mut plan = gen_case(seed, case);
+    if let Some(us) = std::env::var("AMOEBA_RUN_US").ok().and_then(|v| v.parse::<u64>().ok()) {
+        plan.run.limit_ms = us / 1_000; // triage knob: truncate/extend the run
     }
-    let (out, w) = run_case_world(&plan);
+    print!("{}", plan.to_toml());
+    let (out, w) = run_plan_world(&plan);
     for v in &out.violations {
         println!("violation: {v}");
     }
-    println!("fates: {:?}  fingerprint: {:016x}", out.fates, out.fingerprint);
+    println!("fates: {:?}  digest: {:016x}", out.fates, out.digest);
     for (n, log) in out.logs.iter().enumerate() {
         let line: Vec<String> =
             log.iter().map(|d| format!("{}:{}", d.origin, d.index)).collect();

@@ -3,642 +3,301 @@
 //! The paper's central claims are about what the protocol guarantees
 //! *under failure* — lost, duplicated and reordered packets, crashed
 //! members, a dead sequencer. This crate turns the deterministic
-//! simulator into a systematic adversary: a root seed expands into an
-//! unbounded family of [`CasePlan`]s (workload × configuration ×
-//! [`ChaosPlan`] fault schedule), each case runs the full simulated
-//! kernel stack under its schedule, and a
-//! [`amoeba_core::audit::DeliveryAudit`] checks the protocol's
-//! invariants over every member's delivery log afterwards. Everything
-//! is a pure function of `(root seed, case index)`, so a red case
-//! replays bit-exactly from two integers — and a failing plan is
-//! [`minimize`]d by greedily dropping fault events before it is
-//! reported.
+//! simulator into a systematic adversary, and it does so as a **plan
+//! generator and minimiser** over the one scenario runner
+//! (`amoeba_scenario`, DESIGN.md §10): a root seed expands into an
+//! unbounded family of scenario plans (workload × configuration ×
+//! fault schedule), [`amoeba_scenario::run_plan`] runs each through
+//! the full simulated kernel stack and audits every member's delivery
+//! log, and a failing plan is [`minimize`]d by greedily dropping fault
+//! events before it is written out — as an ordinary scenario file that
+//! `scenario <file>` replays to the same digest.
 //!
-//! The `chaos` binary (same crate) is the command-line face: CI runs a
-//! bounded smoke (`chaos --cases 64`), a nightly soak runs thousands,
-//! and `chaos --seed S --case K` reproduces any failure. The [`shard`]
-//! module applies the same discipline to the sharded serving layer
-//! (`chaos --shard-cases N`): sequencer crashes under routed load,
-//! splits racing partitions, and a no-acked-write-lost audit across
-//! every rebalance.
+//! Everything is a pure function of `(root seed, case index)`; each
+//! plan's `name` is the command that regenerates it (`chaos --seed S
+//! --case K`). [`gen_shard_case`] applies the same discipline to the
+//! sharded serving layer (`chaos --shard-cases N`, DESIGN.md §11):
+//! sequencer crashes under routed load and splits racing partitions,
+//! audited for delivery invariants and zero lost acked writes.
 
-pub mod shard;
-
-pub use shard::{gen_shard_case, run_shard_case, ShardCaseOutcome, ShardCasePlan, ShardFault};
-
-use std::sync::{Arc, Mutex};
-
-use amoeba_app::{AppEvent, Ctx, GroupApp, TimerId};
-use amoeba_core::audit::{AuditDelivery, DeliveryAudit, EndFate, MemberRecord, Violation};
-use amoeba_core::{BatchPolicy, GroupConfig, GroupEvent, GroupId, Method, ViewId};
-use amoeba_kernel::{CostModel, SimWorld};
-use amoeba_net::{ChaosPlan, ChaosStats, HostSet, LinkFaults, Partition};
-use amoeba_sim::{SimDuration, SplitMix64};
-use bytes::Bytes;
+use amoeba_scenario::{
+    run_plan, Admission, ConfigBase, Expect, FaultSpec, GroupSpec, Knobs, MethodSpec, ReshardGoalSpec,
+    ReshardStep, RunSpec, ScenarioPlan, ShardConfig, ShardExpect, ShardFault, ShardPlan,
+    WorkloadSpec,
+};
+use amoeba_sim::SplitMix64;
 
 /// The group every chaos case forms.
-const GROUP: GroupId = GroupId(7);
+const GROUP: u64 = 7;
 
 /// Settle time appended after the last scheduled fault: long enough
 /// for send retries, nack cycles, sync-round expulsions and a full
-/// recovery to run to quiescence on the case's (snappy) timers.
-const SETTLE_US: u64 = 20_000_000;
+/// recovery to run to quiescence on the fault-tolerant timers.
+const SETTLE_MS: u64 = 20_000;
 
-// ---------------------------------------------------------------------
-// Case plans
-// ---------------------------------------------------------------------
-
-/// A scripted processor failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crash {
-    /// The node that dies.
-    pub node: usize,
-    /// Simulated instant of death, µs.
-    pub at_us: u64,
-}
-
-/// A scripted rejoin of a crashed node (as a brand-new member).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Restart {
-    /// The node that comes back.
-    pub node: usize,
-    /// Simulated instant of the rejoin attempt, µs.
-    pub at_us: u64,
-}
-
-/// One complete chaos case: everything needed to run (and re-run)
-/// one adversarial schedule deterministically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CasePlan {
-    /// The explorer seed this case came from.
-    pub root_seed: u64,
-    /// The case index under that seed.
-    pub case: u64,
-    /// Derived per-case seed (drives the world and the chaos RNG).
-    pub seed: u64,
-    /// Group size.
-    pub nodes: usize,
-    /// Broadcast method under test.
-    pub method: Method,
-    /// Resilience degree r.
-    pub resilience: u32,
-    /// Sequencer batching + sender pipelining on?
-    pub batching: bool,
-    /// Sender pipelining window (1 = the paper's blocking loop).
-    pub send_window: usize,
-    /// Messages each node's application submits.
-    pub msgs_per_node: u64,
-    /// Payload bytes per message (0 = the null broadcast; large values
-    /// exercise BB selection and fragmentation).
-    pub payload: u32,
-    /// Survivors run `ResetGroup` automatically on sequencer suspicion
-    /// (on for crash scenarios; off for partition scenarios, where a
-    /// quorumless reset could split the brain — the paper leaves
-    /// recovery policy to the user, and so does the generator).
-    pub auto_reset: bool,
-    /// The network fault schedule.
-    pub chaos: ChaosPlan,
-    /// Scripted crashes (possibly of the sequencer).
-    pub crashes: Vec<Crash>,
-    /// Scripted rejoins of crashed nodes.
-    pub restarts: Vec<Restart>,
-    /// Total simulated run time, µs (last fault + settle).
-    pub run_us: u64,
-}
-
-impl CasePlan {
-    /// The group configuration this case runs with: the protocol
-    /// defaults, with failure-detection and retry timers tightened so
-    /// a full crash-detect-recover-converge cycle fits the run budget.
-    pub fn group_config(&self) -> GroupConfig {
-        GroupConfig {
-            resilience: self.resilience,
-            method: self.method,
-            batch: if self.batching {
-                BatchPolicy::On { max_batch: self.send_window.max(2), flush_us: 200 }
-            } else {
-                BatchPolicy::Off
-            },
-            send_window: self.send_window,
-            send_retransmit_us: 40_000,
-            send_max_retries: 5,
-            nack_retry_us: 25_000,
-            sync_interval_us: 500_000,
-            sync_round_us: 100_000,
-            sync_max_retries: 4,
-            robust_repair: true,
-            recovery_watchdog_us: 1_000_000,
-            auto_reset: self.auto_reset,
-            auto_reset_min_members: 1,
-            ..GroupConfig::default()
-        }
-    }
-
-    /// The one-line command reproducing this case from scratch.
-    pub fn repro(&self) -> String {
-        format!("chaos --seed {} --case {}", self.root_seed, self.case)
-    }
+/// Messages held back for the post-fault phase. Pinned explicitly (the
+/// runner's default depends on whether any fault is scheduled) so that
+/// dropping faults during minimization leaves the workload unchanged.
+fn late(messages: u64) -> u64 {
+    (messages / 3).min(2)
 }
 
 /// Expands `(root_seed, case)` into a concrete plan. Pure: the same
 /// pair always yields the same plan, which is what makes
 /// `chaos --seed S --case K` a complete bug report.
-pub fn gen_case(root_seed: u64, case: u64) -> CasePlan {
+pub fn gen_case(root_seed: u64, case: u64) -> ScenarioPlan {
     let mut rng = SplitMix64::new(root_seed).fork(case.wrapping_add(1));
-    // Scenario family: 0 = link noise only, 1 = partitions (+noise),
+    // The world seed, inside the scenario format's signed-integer range.
+    let seed = rng.next_u64() >> 1;
+    // Fault family: 0 = link noise only, 1 = partitions (+noise),
     // 2 = crashes (+noise, auto-reset recovery).
-    let scenario = rng.gen_range(3);
+    let family = rng.gen_range(3);
     let resilience = [0u32, 1, 4][rng.gen_range(3) as usize];
     // r ackers must exist besides the sequencer, surviving one crash.
-    let min_nodes: u64 = match resilience {
-        4 => 6,
-        _ => 3,
-    };
+    let min_nodes: u64 = if resilience == 4 { 6 } else { 3 };
     let nodes = (min_nodes + rng.gen_range(3)).min(8) as usize;
     let method = match rng.gen_range(3) {
-        0 => Method::Pb,
-        1 => Method::Bb,
-        _ => Method::Dynamic { bb_threshold: 256 },
+        0 => MethodSpec::Pb,
+        1 => MethodSpec::Bb,
+        _ => MethodSpec::Dynamic { bb_threshold: 256 },
     };
     let batching = rng.gen_bool(0.4);
     let send_window = if batching { 4 } else { [1usize, 1, 4][rng.gen_range(3) as usize] };
-    let msgs_per_node = 4 + rng.gen_range(9);
+    let messages = 4 + rng.gen_range(9);
     let payload = [0u32, 0, 48, 400, 1600, 4000][rng.gen_range(6) as usize];
 
-    // Link noise: present in most cases, active from t = 0 until a few
-    // simulated seconds in; the rest of the run is the convergence
-    // window the audit leans on.
-    let noisy = rng.gen_bool(0.8);
-    let link = if noisy {
-        LinkFaults {
+    // Link noise: present in most cases, active from workload start
+    // until a few simulated seconds in; the rest of the run is the
+    // convergence window the audit leans on.
+    let mut faults = Vec::new();
+    if rng.gen_bool(0.8) {
+        faults.push(FaultSpec::Noise {
             drop: 0.02 + rng.gen_f64() * 0.28,
             duplicate: if rng.gen_bool(0.6) { rng.gen_f64() * 0.15 } else { 0.0 },
             reorder: if rng.gen_bool(0.6) { rng.gen_f64() * 0.20 } else { 0.0 },
             reorder_min_us: 200,
             reorder_max_us: 1_000 + rng.gen_range(20_000),
-        }
-    } else {
-        LinkFaults::none()
-    };
-    let noise_until_us = if noisy { 3_000_000 + rng.gen_range(3_000_000) } else { 0 };
-
-    let mut partitions = Vec::new();
-    let mut crashes = Vec::new();
-    let mut restarts = Vec::new();
+            from_ms: 0,
+            until_ms: 3_000 + rng.gen_range(3_000),
+        });
+    }
+    // Survivors run `ResetGroup` automatically on sequencer suspicion:
+    // on for crash cases, off for partition cases, where a quorumless
+    // reset could split the brain — the paper leaves recovery policy
+    // to the user, and so does the generator.
     let mut auto_reset = false;
-    match scenario {
+    match family {
         1 => {
+            // One or two windows, back to back (the scenario format
+            // rejects overlapping cuts).
+            let mut healed_ms = 0;
             for _ in 0..1 + rng.gen_range(2) {
                 // A random proper, non-empty subset of hosts on side
                 // A: gen_range(all - 1) is exclusive of its bound, so
-                // this yields 1..=all-1 — never empty, never everyone.
+                // the mask is in 1..=all-1 — never empty, never everyone.
                 let all = (1u64 << nodes) - 1;
-                let side_a = rng.gen_range(all - 1) + 1;
-                let from_us = 1_000_000 + rng.gen_range(4_000_000);
-                let dur = 300_000 + rng.gen_range(1_500_000);
-                partitions.push(Partition {
-                    side_a: HostSet::from_mask(side_a),
-                    from_us,
-                    until_us: from_us + dur,
+                let mask = rng.gen_range(all - 1) + 1;
+                let from_ms = healed_ms + 1_000 + rng.gen_range(2_000);
+                healed_ms = from_ms + 300 + rng.gen_range(1_500);
+                faults.push(FaultSpec::Partition {
+                    side_a: (0..nodes).filter(|h| (mask >> h) & 1 == 1).collect(),
+                    from_ms,
+                    until_ms: healed_ms,
                 });
             }
         }
         2 => {
             auto_reset = true;
             // Half the crash cases kill the founding sequencer.
-            let node = if rng.gen_bool(0.5) { 0 } else { 1 + rng.gen_range(nodes as u64 - 1) as usize };
-            let at_us = 1_000_000 + rng.gen_range(3_000_000);
-            crashes.push(Crash { node, at_us });
+            let node =
+                if rng.gen_bool(0.5) { 0 } else { 1 + rng.gen_range(nodes as u64 - 1) as usize };
+            let at_ms = 1_000 + rng.gen_range(3_000);
+            faults.push(FaultSpec::Crash { node, at_ms });
             if rng.gen_bool(0.4) {
-                restarts.push(Restart { node, at_us: at_us + 2_500_000 + rng.gen_range(1_000_000) });
+                faults.push(FaultSpec::Restart {
+                    node,
+                    at_ms: at_ms + 2_500 + rng.gen_range(1_000),
+                });
             }
         }
         _ => {}
     }
 
-    let chaos = ChaosPlan { link, noise_from_us: 0, noise_until_us, partitions };
-    let last_fault = chaos
-        .quiescent_after_us()
-        .max(crashes.iter().map(|c| c.at_us).max().unwrap_or(0))
-        .max(restarts.iter().map(|r| r.at_us).max().unwrap_or(0));
-    CasePlan {
-        root_seed,
-        case,
-        seed: SplitMix64::new(root_seed).fork(case.wrapping_add(1)).next_u64(),
+    let last_fault_ms = faults.iter().map(FaultSpec::end_ms).max().unwrap_or(0);
+    ScenarioPlan {
+        name: format!("chaos --seed {root_seed} --case {case}"),
+        seed,
         nodes,
-        method,
-        resilience,
-        batching,
-        send_window,
-        msgs_per_node,
-        payload,
-        auto_reset,
-        chaos,
-        crashes,
-        restarts,
-        run_us: last_fault + SETTLE_US,
+        admission: Admission::Immediate,
+        groups: vec![GroupSpec {
+            id: GROUP,
+            members: (0..nodes).collect(),
+            // Failure-detection and retry timers tight enough that a
+            // full crash-detect-recover-converge cycle fits the budget.
+            base: ConfigBase::FaultTolerant,
+            knobs: Knobs {
+                method: Some(method),
+                resilience: Some(resilience),
+                send_window: Some(send_window),
+                batching: Some(batching),
+                batch_max: batching.then_some(send_window),
+                auto_reset: Some(auto_reset),
+                ..Knobs::default()
+            },
+        }],
+        workloads: vec![WorkloadSpec {
+            group: GROUP,
+            senders: (0..nodes).collect(),
+            messages,
+            payload,
+            late: Some(late(messages)),
+        }],
+        faults,
+        run: RunSpec { limit_ms: last_fault_ms + SETTLE_MS, warmup_ms: None, window_ms: None },
+        expect: Expect { audit: true, ..Expect::default() },
     }
 }
 
-// ---------------------------------------------------------------------
-// The workload application
-// ---------------------------------------------------------------------
-
-/// Shared (app ↔ harness) record of one node's run.
-#[derive(Debug, Default)]
-struct NodeTrace {
-    /// Every application message delivered, in order, parsed back to
-    /// `(origin node, submission index)`.
-    deliveries: Vec<AuditDelivery>,
-    /// Messages this node's app submitted.
-    submitted: u64,
-    /// `SendDone(Err)` completions observed.
-    send_errs: u64,
-}
-
-type SharedTrace = Arc<Mutex<NodeTrace>>;
-
-/// The chaos workload: streams `total` uniquely-tagged messages,
-/// keeping the pipelining window full; logs every delivery; halts on a
-/// send failure (Amoeba's failure semantics make retrying the same
-/// payload ambiguous) and resumes when a recovery installs a new view.
+/// Expands `(root_seed, case)` into a concrete shard case. Pure, and
+/// deliberately a *different* stream from [`gen_case`]: the two
+/// families explore independent spaces under the same root seed.
 ///
-/// The last [`ChaosApp::late`] messages are held back and sent on a
-/// timer *after* every scheduled fault: the paper leaves failure
-/// detection to traffic (a member that never sends never suspects a
-/// dead sequencer), so an idle tail would let a crashed-sequencer
-/// group sit divergent forever without any invariant being at fault.
-/// Late traffic both exercises post-fault service and drives the
-/// suspicion → `ResetGroup` cycle the audit's convergence check
-/// depends on.
-struct ChaosApp {
-    node: u32,
-    total: u64,
-    /// Messages reserved for the post-fault phase.
-    late: u64,
-    payload_pad: u32,
-    sent: u64,
-    outstanding: u64,
-    halted: bool,
-    /// The early-phase send limit (`total - late`), lifted when the
-    /// late timer fires.
-    limit: u64,
-    late_after: std::time::Duration,
-    trace: SharedTrace,
-}
-
-const LATE_TIMER: TimerId = TimerId(1);
-
-impl ChaosApp {
-    fn new(
-        node: u32,
-        total: u64,
-        payload_pad: u32,
-        late_after: std::time::Duration,
-        trace: SharedTrace,
-    ) -> Self {
-        let late = (total / 3).min(2);
-        ChaosApp {
-            node,
-            total,
-            late,
-            payload_pad,
-            sent: 0,
-            outstanding: 0,
-            halted: false,
-            limit: total - late,
-            late_after,
-            trace,
-        }
-    }
-
-    fn payload(&self, index: u64) -> Bytes {
-        let mut text = format!("m{}-{}", self.node, index);
-        let pad = self.payload_pad as usize;
-        if text.len() < pad {
-            text.extend(std::iter::repeat_n('x', pad - text.len()));
-        }
-        Bytes::from(text.into_bytes())
-    }
-
-    fn top_up(&mut self, ctx: &mut dyn Ctx) {
-        let window = ctx.config().send_window.max(1) as u64;
-        while !self.halted && self.sent < self.limit && self.outstanding < window {
-            let payload = self.payload(self.sent);
-            self.sent += 1;
-            self.outstanding += 1;
-            self.trace.lock().expect("trace lock").submitted = self.sent;
-            ctx.send(payload);
-        }
-    }
-}
-
-/// Parses `"m<node>-<index>…padding"` back into an [`AuditDelivery`].
-fn parse_payload(payload: &[u8]) -> Option<AuditDelivery> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let rest = text.strip_prefix('m')?;
-    let (node, tail) = rest.split_once('-')?;
-    let digits: String = tail.chars().take_while(|c| c.is_ascii_digit()).collect();
-    Some(AuditDelivery { origin: node.parse().ok()?, index: digits.parse().ok()? })
-}
-
-impl GroupApp for ChaosApp {
-    fn on_start(&mut self, ctx: &mut dyn Ctx) {
-        if self.late > 0 {
-            ctx.set_timer(LATE_TIMER, self.late_after);
-        }
-        self.top_up(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Ctx, timer: TimerId) {
-        if timer == LATE_TIMER {
-            self.limit = self.total;
-            // The fault window is over: if an earlier failure halted
-            // us, probing again is what surfaces a dead sequencer.
-            self.halted = false;
-            self.top_up(ctx);
-        }
-    }
-
-    fn on_event(&mut self, ctx: &mut dyn Ctx, event: AppEvent) {
-        match event {
-            AppEvent::Group(GroupEvent::Message { payload, .. }) => {
-                let d = parse_payload(&payload)
-                    .expect("chaos payloads always parse; a garbled one is a harness bug");
-                self.trace.lock().expect("trace lock").deliveries.push(d);
-            }
-            AppEvent::SendDone(Ok(_)) => {
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.top_up(ctx);
-            }
-            AppEvent::SendDone(Err(_)) => {
-                // Ambiguous failure: the payload may or may not have
-                // been ordered. Never resubmit (exactly-once is the
-                // audit's to check, not ours to blur); stop issuing
-                // until a recovered view restores service.
-                self.outstanding = self.outstanding.saturating_sub(1);
-                self.halted = true;
-                self.trace.lock().expect("trace lock").send_errs += 1;
-            }
-            AppEvent::Group(GroupEvent::ViewInstalled { .. }) if self.halted => {
-                self.halted = false;
-                self.top_up(ctx);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Running a case
-// ---------------------------------------------------------------------
-
-/// Everything one case run produced.
-#[derive(Debug, Clone)]
-pub struct CaseOutcome {
-    /// Invariant violations (empty = the protocol held).
-    pub violations: Vec<Violation>,
-    /// Order-sensitive digest of the run: per-node logs, fates, event
-    /// and delivery counts. Bit-equal across replays of the same plan.
-    pub fingerprint: u64,
-    /// Per-node delivery-log lengths (diagnostics).
-    pub log_lens: Vec<usize>,
-    /// The full per-node delivery logs (triage; the fingerprint covers
-    /// them).
-    pub logs: Vec<Vec<AuditDelivery>>,
-    /// Total messages submitted across nodes.
-    pub submitted: u64,
-    /// Send failures observed by the apps.
-    pub send_errs: u64,
-    /// What the fault layer did.
-    pub chaos: ChaosStats,
-    /// Discrete events the simulation executed.
-    pub events: u64,
-    /// Each node's end-of-run fate as the audit saw it.
-    pub fates: Vec<EndFate>,
-}
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
-    }
-}
-
-/// Runs one plan through the simulated kernel and audits the result.
-/// Deterministic: the same plan always returns the same outcome.
-pub fn run_case(plan: &CasePlan) -> CaseOutcome {
-    run_case_world(plan).0
-}
-
-/// [`run_case`], additionally returning the finished world for triage
-/// (per-node core state inspection via `GroupCore::debug_state`).
-pub fn run_case_world(plan: &CasePlan) -> (CaseOutcome, SimWorld) {
-    let config = plan.group_config();
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), plan.seed);
-    for _ in 0..plan.nodes {
-        w.add_node();
-    }
-    w.create_group(0, GROUP, config.clone());
-    for n in 1..plan.nodes {
-        w.join_group(n, GROUP, config.clone());
-    }
-    w.run_until_ready();
-
-    let traces: Vec<SharedTrace> =
-        (0..plan.nodes).map(|_| Arc::new(Mutex::new(NodeTrace::default()))).collect();
-    // The late phase opens shortly after the last scheduled fault
-    // (`run_us` is that instant plus the settle window).
-    let late_after =
-        std::time::Duration::from_micros(plan.run_us.saturating_sub(SETTLE_US) + 2_000_000);
-    for (n, trace) in traces.iter().enumerate() {
-        w.set_app(
-            n,
-            Box::new(ChaosApp::new(
-                n as u32,
-                plan.msgs_per_node,
-                plan.payload,
-                late_after,
-                Arc::clone(trace),
-            )),
-        );
-    }
-    // Group formation consumed a little simulated time; the schedule's
-    // instants are effectively absolute (formation is sub-millisecond
-    // against multi-second fault times), clamped to stay in the future.
-    let now_us = w.now().as_micros();
-    w.set_chaos(plan.chaos.clone(), plan.seed ^ 0xC4A0_5EED);
-    for c in &plan.crashes {
-        w.crash_at(c.node, c.at_us.max(now_us + 1));
-    }
-    for r in &plan.restarts {
-        w.restart_at(r.node, GROUP, config.clone(), r.at_us.max(now_us + 2));
-    }
-    w.kick();
-    w.run_for(SimDuration::from_micros(plan.run_us));
-
-    // End-of-run fates. Ground truth for "still a member" is the
-    // surviving sequencer's view: a member silently expelled during a
-    // partition may not have learned about it yet.
-    let crashed: Vec<bool> = (0..plan.nodes)
-        .map(|n| plan.crashes.iter().any(|c| c.node == n))
-        .collect();
-    // Under a (transient) split brain two sequencers can coexist; the
-    // one with the highest view id leads the surviving lineage.
-    let seq_view: Option<Vec<amoeba_flip::FlipAddress>> = (0..plan.nodes)
-        .filter(|&n| !crashed[n] || plan.restarts.iter().any(|r| r.node == n))
-        .filter_map(|n| {
-            let core = w.sim.world.nodes[n].core.as_ref()?;
-            (core.is_sequencer() && core.is_member()).then(|| {
-                let info = core.info();
-                (info.view, info.members.iter().map(|m| m.addr).collect::<Vec<_>>())
-            })
-        })
-        .max_by_key(|(view, _)| *view)
-        .map(|(_, members)| members);
-    let mut max_view = ViewId::INITIAL;
-    let fates: Vec<EndFate> = (0..plan.nodes)
-        .map(|n| {
-            if crashed[n] {
-                // Restarted nodes rejoin as fresh members but their
-                // (ended) app log is frozen at the crash: audit them
-                // as crashed.
-                return EndFate::Crashed;
-            }
-            let Some(core) = w.sim.world.nodes[n].core.as_ref() else {
-                return EndFate::Crashed;
-            };
-            let info = core.info();
-            if info.view > max_view {
-                max_view = info.view;
-            }
-            if !core.is_member() {
-                return EndFate::Expelled;
-            }
-            match &seq_view {
-                Some(view) if !view.contains(&w.sim.world.nodes[n].addr) => EndFate::Expelled,
-                _ => EndFate::Live,
-            }
-        })
-        .collect();
-
-    let mut audit = DeliveryAudit::new()
-        .require_convergence(true)
-        // Only the original incarnation pins expelled members' prefixes
-        // (see amoeba_core::audit docs).
-        .strict_expelled(max_view == ViewId::INITIAL);
-    let mut submitted = 0;
-    let mut send_errs = 0;
-    let mut log_lens = Vec::with_capacity(plan.nodes);
-    for (n, trace) in traces.iter().enumerate() {
-        let t = trace.lock().expect("trace lock");
-        audit.submitted(n as u32, t.submitted);
-        submitted += t.submitted;
-        send_errs += t.send_errs;
-        log_lens.push(t.deliveries.len());
-        audit.member(MemberRecord { fate: fates[n], deliveries: t.deliveries.clone() });
-    }
-    let violations = audit.check();
-
-    let mut fnv = Fnv::new();
-    for (n, trace) in traces.iter().enumerate() {
-        let t = trace.lock().expect("trace lock");
-        fnv.u64(t.submitted);
-        for d in &t.deliveries {
-            fnv.u64(d.origin as u64);
-            fnv.u64(d.index);
-        }
-        fnv.u64(match fates[n] {
-            EndFate::Live => 0,
-            EndFate::Crashed => 1,
-            EndFate::Expelled => 2,
+/// - **Sequencer crash under routed load** — the owning data group's
+///   founding sequencer dies mid-stream; the fault-tolerant knob set
+///   auto-resets the group and the router's retry loop (fresh `gseq`
+///   per re-send) must carry every acked write through. Half of these
+///   cases then rebalance the wounded group's whole range onto the
+///   spare group.
+/// - **Split racing a partition** — a range split runs its
+///   freeze → install → commit → retire pipeline while a follower
+///   replica of the source group is partitioned away; after the heal
+///   it must repair the ops it missed (including the freeze and the
+///   retire) into the identical total order.
+pub fn gen_shard_case(root_seed: u64, case: u64) -> ShardPlan {
+    let mut rng = SplitMix64::new(root_seed ^ 0x5AAD_CA5E).fork(case.wrapping_add(1));
+    let seed = rng.next_u64() >> 1;
+    let shards = 2 + rng.gen_range(2) as usize;
+    let members = 3 + rng.gen_range(2) as usize;
+    let ops = 48 + rng.gen_range(49);
+    let keys = 8 + rng.gen_range(17);
+    let window = [2usize, 4, 8][rng.gen_range(3) as usize];
+    let spare = shards as u64 + 1;
+    let (config, fault, reshard) = if rng.gen_bool(0.5) {
+        let group = 1 + rng.gen_range(shards as u64);
+        let at_op = 8 + rng.gen_range(ops / 3);
+        let reshard = rng.gen_bool(0.5).then(|| ReshardStep {
+            goal: ReshardGoalSpec::Rebalance { shard: group as usize - 1, to: spare },
+            at_op: at_op + 8 + rng.gen_range(ops / 4),
         });
-    }
-    fnv.u64(w.sim.events_executed());
-    fnv.u64(w.now().as_micros());
-    let chaos = w.chaos_stats();
-    for v in [chaos.dropped, chaos.duplicated, chaos.reordered, chaos.partitioned] {
-        fnv.u64(v);
-    }
-    fnv.u64(violations.len() as u64);
-
-    let outcome = CaseOutcome {
-        violations,
-        fingerprint: fnv.0,
-        log_lens,
-        logs: traces
-            .iter()
-            .map(|t| t.lock().expect("trace lock").deliveries.clone())
-            .collect(),
-        submitted,
-        send_errs,
-        chaos,
-        events: w.sim.events_executed(),
-        fates,
+        // A dead sequencer must be detected and the group auto-reset
+        // inside the run budget.
+        (ShardConfig::FaultTolerant, ShardFault::Crash { group, member: 0, at_op }, reshard)
+    } else {
+        let shard = rng.gen_range(shards as u64) as usize;
+        let at_op = 8 + rng.gen_range(ops / 3);
+        // Neither the sequencer (member 0) nor the gateway (member 1):
+        // a pure follower, so the group keeps serving while it is gone.
+        let member = 2 + rng.gen_range(members as u64 - 2) as usize;
+        let from_ms = 50 + rng.gen_range(150);
+        let until_ms = from_ms + 200 + rng.gen_range(400);
+        (
+            ShardConfig::Default,
+            ShardFault::Partition { group: shard as u64 + 1, member, from_ms, until_ms },
+            Some(ReshardStep { goal: ReshardGoalSpec::Split { shard, to: spare }, at_op }),
+        )
     };
-    (outcome, w)
+    ShardPlan {
+        name: format!("chaos --seed {root_seed} --shard-case {case}"),
+        seed,
+        shards,
+        members,
+        meta_members: 3,
+        spares: 1,
+        config,
+        ops,
+        keys,
+        value_len: 8,
+        window,
+        reshards: reshard.into_iter().collect(),
+        faults: vec![fault],
+        limit_ms: 120_000,
+        expect: ShardExpect { audit: true, min_acked: ops, final_shards: None },
+    }
 }
 
-// ---------------------------------------------------------------------
-// Minimization
-// ---------------------------------------------------------------------
+/// Runs one case, turning a panic anywhere in the simulated stack into
+/// a finding (its message) instead of the end of the exploration: a
+/// reachable `panic!` in the protocol is exactly what the explorer is
+/// for, and the plan that reaches it must still be minimized and
+/// written out.
+pub fn guarded<T>(run: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_err(|p| {
+        let msg = p
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| p.downcast_ref::<&str>().copied())
+            .unwrap_or("(non-string payload)");
+        format!("panic: {msg}")
+    })
+}
 
 /// Shrinks a failing plan by greedily dropping fault events — each
-/// partition, restart and crash in turn, then each noise knob, then
-/// the workload size — keeping a reduction only if the reduced plan
-/// still violates an invariant. Deterministic, so the minimized plan
-/// is itself reproducible from the original `--seed`/`--case` pair.
-pub fn minimize(plan: &CasePlan) -> CasePlan {
-    let fails = |p: &CasePlan| !run_case(p).violations.is_empty();
+/// fault in turn (a crash takes its restart with it), then each noise
+/// probability, then the workload size — keeping a reduction only if
+/// the reduced plan still fails its audit (or still panics). Every
+/// candidate stays a valid scenario, so the result serializes and
+/// replays like any other file.
+pub fn minimize(plan: &ScenarioPlan) -> ScenarioPlan {
+    let fails = |p: &ScenarioPlan| {
+        guarded(|| run_plan(p)).map_or(true, |out| !out.expect_failures.is_empty())
+    };
     let mut best = plan.clone();
     if !fails(&best) {
         return best; // not failing: nothing to minimize
     }
+    let keep = |best: &mut ScenarioPlan, cand: ScenarioPlan| {
+        let red = fails(&cand);
+        if red {
+            *best = cand;
+        }
+        red
+    };
     for _pass in 0..4 {
         let mut reduced = false;
-        let try_keep = |best: &mut CasePlan, cand: CasePlan| {
-            if fails(&cand) {
-                *best = cand;
-                true
-            } else {
-                false
+        for i in (0..best.faults.len()).rev() {
+            if i >= best.faults.len() {
+                continue; // a crash below took its restart along
             }
-        };
-        for i in (0..best.chaos.partitions.len()).rev() {
             let mut cand = best.clone();
-            cand.chaos.partitions.remove(i);
-            reduced |= try_keep(&mut best, cand);
-        }
-        for i in (0..best.restarts.len()).rev() {
-            let mut cand = best.clone();
-            cand.restarts.remove(i);
-            reduced |= try_keep(&mut best, cand);
-        }
-        for i in (0..best.crashes.len()).rev() {
-            let mut cand = best.clone();
-            cand.crashes.remove(i);
-            reduced |= try_keep(&mut best, cand);
+            if let FaultSpec::Crash { node, .. } = cand.faults.remove(i) {
+                cand.faults
+                    .retain(|f| !matches!(f, FaultSpec::Restart { node: n, .. } if *n == node));
+            }
+            reduced |= keep(&mut best, cand);
         }
         for knob in 0..3 {
             let mut cand = best.clone();
-            match knob {
-                0 => cand.chaos.link.duplicate = 0.0,
-                1 => cand.chaos.link.reorder = 0.0,
-                _ => cand.chaos.link.drop = 0.0,
+            let Some(FaultSpec::Noise { drop, duplicate, reorder, .. }) =
+                cand.faults.iter_mut().find(|f| matches!(f, FaultSpec::Noise { .. }))
+            else {
+                break;
+            };
+            let p = match knob {
+                0 => duplicate,
+                1 => reorder,
+                _ => drop,
+            };
+            if *p > 0.0 {
+                *p = 0.0;
+                reduced |= keep(&mut best, cand);
             }
-            reduced |= try_keep(&mut best, cand);
         }
-        while best.msgs_per_node > 1 {
+        while best.workloads[0].messages > 1 {
             let mut cand = best.clone();
-            cand.msgs_per_node /= 2;
-            if !try_keep(&mut best, cand) {
+            let w = &mut cand.workloads[0];
+            w.messages /= 2;
+            w.late = Some(late(w.messages));
+            if !keep(&mut best, cand) {
                 break;
             }
             reduced = true;
@@ -653,38 +312,38 @@ pub fn minimize(plan: &CasePlan) -> CasePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn payload_round_trips_through_parse() {
-        let trace = Arc::new(Mutex::new(NodeTrace::default()));
-        let app = ChaosApp::new(3, 10, 64, std::time::Duration::from_secs(1), trace);
-        let p = app.payload(7);
-        assert_eq!(p.len(), 64, "padded to the plan's payload size");
-        assert_eq!(parse_payload(&p), Some(AuditDelivery { origin: 3, index: 7 }));
-        let tiny = ChaosApp::new(0, 1, 0, std::time::Duration::from_secs(1), Arc::new(Mutex::new(NodeTrace::default()))).payload(0);
-        assert_eq!(parse_payload(&tiny), Some(AuditDelivery { origin: 0, index: 0 }));
-        assert_eq!(parse_payload(b"garbage"), None);
-    }
+    use amoeba_core::audit::EndFate;
+    use amoeba_net::ChaosStats;
+    use amoeba_scenario::run_shard_plan;
 
     #[test]
     fn gen_case_is_pure_and_varies_by_index() {
         assert_eq!(gen_case(1, 5), gen_case(1, 5));
-        let plans: Vec<CasePlan> = (0..40).map(|k| gen_case(1, k)).collect();
-        assert!(plans.iter().any(|p| !p.chaos.partitions.is_empty()), "partitions generated");
-        assert!(plans.iter().any(|p| !p.crashes.is_empty()), "crashes generated");
-        assert!(plans.iter().any(|p| p.crashes.iter().any(|c| c.node == 0)), "sequencer dies too");
-        assert!(plans.iter().any(|p| p.batching), "batching-on cases");
-        assert!(plans.iter().any(|p| !p.batching), "batching-off cases");
-        assert!(plans.iter().any(|p| matches!(p.method, Method::Bb)), "BB cases");
-        assert!(plans.iter().any(|p| p.resilience == 4), "r = 4 cases");
+        let plans: Vec<ScenarioPlan> = (0..40).map(|k| gen_case(1, k)).collect();
+        let any_fault = |pred: fn(&FaultSpec) -> bool| {
+            plans.iter().any(|p| p.faults.iter().any(pred))
+        };
+        assert!(any_fault(|f| matches!(f, FaultSpec::Partition { .. })), "partitions generated");
+        assert!(any_fault(|f| matches!(f, FaultSpec::Crash { .. })), "crashes generated");
+        assert!(any_fault(|f| matches!(f, FaultSpec::Crash { node: 0, .. })), "sequencer dies too");
+        let knobs = |p: &ScenarioPlan| p.groups[0].knobs.clone();
+        assert!(plans.iter().any(|p| knobs(p).batching == Some(true)), "batching-on cases");
+        assert!(plans.iter().any(|p| knobs(p).batching == Some(false)), "batching-off cases");
+        assert!(plans.iter().any(|p| knobs(p).method == Some(MethodSpec::Bb)), "BB cases");
+        assert!(plans.iter().any(|p| knobs(p).resilience == Some(4)), "r = 4 cases");
         for p in &plans {
             assert!(p.nodes >= 3 && p.nodes <= 8);
-            assert!(p.run_us >= SETTLE_US, "the settle window is always present");
-            for part in &p.chaos.partitions {
-                assert!(!part.side_a.is_empty(), "side A is non-empty");
-                assert!(part.side_a.len() < p.nodes, "proper subset");
-                assert!(part.side_a.iter().all(|h| h < p.nodes), "hosts in range");
-                assert!(part.until_us > part.from_us);
+            assert!(
+                p.run.limit_ms >= p.last_fault_ms() + SETTLE_MS,
+                "the settle window is always present"
+            );
+            for f in &p.faults {
+                if let FaultSpec::Partition { side_a, from_ms, until_ms } = f {
+                    assert!(!side_a.is_empty(), "side A is non-empty");
+                    assert!(side_a.len() < p.nodes, "proper subset");
+                    assert!(side_a.iter().all(|&h| h < p.nodes), "hosts in range");
+                    assert!(until_ms > from_ms);
+                }
             }
         }
     }
@@ -694,21 +353,75 @@ mod tests {
         // A hand-built fault-free case: every node delivers everything.
         let mut plan = gen_case(1, 0);
         plan.nodes = 3;
-        plan.resilience = 0;
-        plan.method = Method::Pb;
-        plan.batching = false;
-        plan.send_window = 1;
-        plan.msgs_per_node = 3;
-        plan.payload = 0;
-        plan.chaos = ChaosPlan::quiet();
-        plan.crashes.clear();
-        plan.restarts.clear();
-        plan.run_us = 10_000_000;
-        let out = run_case(&plan);
+        plan.groups[0].members = vec![0, 1, 2];
+        plan.groups[0].knobs = Knobs::default();
+        plan.workloads[0] = WorkloadSpec {
+            group: GROUP,
+            senders: vec![0, 1, 2],
+            messages: 3,
+            payload: 0,
+            late: Some(1),
+        };
+        plan.faults.clear();
+        plan.run.limit_ms = 10_000;
+        let out = run_plan(&plan);
         assert!(out.violations.is_empty(), "{:?}", out.violations);
         assert_eq!(out.submitted, 9);
-        assert_eq!(out.log_lens, vec![9, 9, 9]);
+        assert_eq!(out.logs.iter().map(Vec::len).collect::<Vec<_>>(), vec![9, 9, 9]);
         assert!(out.fates.iter().all(|f| *f == EndFate::Live));
         assert_eq!(out.chaos, ChaosStats::default());
+    }
+
+    #[test]
+    fn gen_shard_case_is_pure_and_varies() {
+        assert_eq!(gen_shard_case(1, 3), gen_shard_case(1, 3));
+        let plans: Vec<ShardPlan> = (0..24).map(|k| gen_shard_case(1, k)).collect();
+        let crash = |p: &ShardPlan| matches!(p.faults[0], ShardFault::Crash { .. });
+        assert!(plans.iter().any(crash));
+        assert!(
+            plans.iter().any(|p| crash(p) && !p.reshards.is_empty()),
+            "some crashes are followed by a rebalance"
+        );
+        assert!(plans.iter().any(|p| !crash(p)));
+        for p in &plans {
+            assert!(p.shards >= 2 && p.members >= 3 && p.spares == 1);
+            match p.faults[0] {
+                ShardFault::Crash { group, member, .. } => {
+                    assert!(group >= 1 && group <= p.shards as u64);
+                    assert_eq!(member, 0, "the sequencer dies");
+                }
+                ShardFault::Partition { group, member, from_ms, until_ms } => {
+                    assert!(group >= 1 && group <= p.shards as u64);
+                    assert!(member >= 2 && member < p.members, "victim is a pure follower");
+                    assert!(until_ms > from_ms);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sequencer_crash_case_runs_clean() {
+        let plan = (0..64)
+            .map(|k| gen_shard_case(1, k))
+            .find(|p| matches!(p.faults[0], ShardFault::Crash { .. }) && !p.reshards.is_empty())
+            .expect("a crash+rebalance case in the first 64");
+        let out = run_shard_plan(&plan);
+        assert!(out.expect_failures.is_empty(), "{:?}", out.expect_failures);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert_eq!(out.acked, plan.ops);
+        assert_eq!(run_shard_plan(&plan).digest, out.digest, "replay is bit-equal");
+    }
+
+    #[test]
+    fn split_vs_partition_case_runs_clean() {
+        let plan = (0..64)
+            .map(|k| gen_shard_case(1, k))
+            .find(|p| matches!(p.faults[0], ShardFault::Partition { .. }))
+            .expect("a split-vs-partition case in the first 64");
+        let out = run_shard_plan(&plan);
+        assert!(out.expect_failures.is_empty(), "{:?}", out.expect_failures);
+        assert!(out.violations.is_empty(), "{:?}", out.violations);
+        assert_eq!(out.acked, plan.ops);
+        assert_eq!(out.final_ranges, plan.shards + 1, "the split landed");
     }
 }

@@ -6,19 +6,17 @@
 //! chaos --shard-cases N            explore N shard cases (sharded layer)
 //! chaos --seed S --shard-case K    replay exactly one shard case
 //! chaos --broken dup|retrans …     sabotage one protocol branch first
-//! chaos --out FILE                 where to write a failing report
+//! chaos --out FILE                 where to write a failing scenario
 //! chaos --no-minimize              report the raw failing plan as-is
 //! ```
 //!
 //! Exit status: 0 when every case upholds the protocol invariants,
-//! 1 on the first violation (after minimizing and writing the report),
-//! 2 on usage errors.
+//! 1 on the first red case — after minimizing it and writing it to
+//! `--out` as a scenario file that `scenario FILE` replays — and 2 on
+//! usage errors.
 
-use std::io::Write as _;
-
-use amoeba_chaos::{
-    gen_case, gen_shard_case, minimize, run_case, run_shard_case, CaseOutcome, CasePlan,
-};
+use amoeba_chaos::{gen_case, gen_shard_case, guarded, minimize};
+use amoeba_scenario::{run_plan, run_shard_plan};
 
 struct Args {
     seed: u64,
@@ -26,7 +24,8 @@ struct Args {
     case: Option<u64>,
     shard_cases: Option<u64>,
     shard_case: Option<u64>,
-    broken: Option<amoeba_core::sabotage::Sabotage>,
+    /// `--broken` mode: its flag spelling (for the repro line) and value.
+    broken: Option<(String, amoeba_core::sabotage::Sabotage)>,
     out: String,
     minimize: bool,
     quiet: bool,
@@ -40,39 +39,29 @@ fn parse_args() -> Result<Args, String> {
         shard_cases: None,
         shard_case: None,
         broken: None,
-        out: "chaos_failure.txt".into(),
+        out: "chaos_failure.toml".into(),
         minimize: true,
         quiet: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        let number = |name: &str, v: String| v.parse::<u64>().map_err(|e| format!("{name}: {e}"));
         match flag.as_str() {
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--cases" => {
-                args.cases = value("--cases")?.parse().map_err(|e| format!("--cases: {e}"))?
-            }
-            "--case" => {
-                args.case = Some(value("--case")?.parse().map_err(|e| format!("--case: {e}"))?)
-            }
+            "--seed" => args.seed = number("--seed", value("--seed")?)?,
+            "--cases" => args.cases = number("--cases", value("--cases")?)?,
+            "--case" => args.case = Some(number("--case", value("--case")?)?),
             "--shard-cases" => {
-                args.shard_cases = Some(
-                    value("--shard-cases")?.parse().map_err(|e| format!("--shard-cases: {e}"))?,
-                )
+                args.shard_cases = Some(number("--shard-cases", value("--shard-cases")?)?)
             }
             "--shard-case" => {
-                args.shard_case = Some(
-                    value("--shard-case")?.parse().map_err(|e| format!("--shard-case: {e}"))?,
-                )
+                args.shard_case = Some(number("--shard-case", value("--shard-case")?)?)
             }
             "--broken" => {
                 let name = value("--broken")?;
-                args.broken = Some(
-                    amoeba_core::sabotage::parse(&name)
-                        .ok_or_else(|| format!("--broken: unknown mode {name:?} (dup|retrans)"))?,
-                );
+                let mode = amoeba_core::sabotage::parse(&name)
+                    .ok_or_else(|| format!("--broken: unknown mode {name:?} (dup|retrans)"))?;
+                args.broken = Some((name, mode));
             }
             "--out" => args.out = value("--out")?,
             "--no-minimize" => args.minimize = false,
@@ -83,67 +72,29 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn describe(plan: &CasePlan) -> String {
-    format!(
-        "nodes={} method={:?} r={} batching={} window={} msgs={} payload={} auto_reset={} \
-         noise=[drop {:.3} dup {:.3} reorder {:.3} until {} ms] partitions={:?} crashes={:?} restarts={:?}",
-        plan.nodes,
-        plan.method,
-        plan.resilience,
-        plan.batching,
-        plan.send_window,
-        plan.msgs_per_node,
-        plan.payload,
-        plan.auto_reset,
-        plan.chaos.link.drop,
-        plan.chaos.link.duplicate,
-        plan.chaos.link.reorder,
-        plan.chaos.noise_until_us / 1_000,
-        plan.chaos.partitions,
-        plan.crashes,
-        plan.restarts,
-    )
-}
-
-fn report_failure(args: &Args, plan: &CasePlan, outcome: &CaseOutcome) {
-    eprintln!("VIOLATION seed={} case={}", plan.root_seed, plan.case);
-    for v in &outcome.violations {
-        eprintln!("  {v}");
+/// Reports a red case and exits 1: the findings go to stderr and, as
+/// comments, to the head of the scenario file written to `--out`.
+/// `name` is the plan's name, i.e. its repro line.
+fn fail(args: &Args, name: &str, findings: &[String], scenario: String) -> ! {
+    let broken = args.broken.as_ref().map(|(b, _)| format!(" --broken {b}")).unwrap_or_default();
+    eprintln!("VIOLATION {name}");
+    let mut body = format!("# repro: {name}{broken}\n# replay: scenario {}\n", args.out);
+    for f in findings {
+        eprintln!("  {f}");
+        body.push_str(&format!("#   {f}\n"));
     }
-    let minimized = if args.minimize {
-        let m = minimize(plan);
-        eprintln!("minimized plan: {}", describe(&m));
-        m
-    } else {
-        plan.clone()
-    };
-    let mut body = String::new();
-    body.push_str(&format!("chaos failure under root seed {}\n", plan.root_seed));
-    body.push_str(&format!("repro: {}\n", plan.repro()));
-    if let Some(b) = args.broken {
-        body.push_str(&format!("sabotage: {b:?}\n"));
-    }
-    body.push_str(&format!("original plan: {}\n", describe(plan)));
-    body.push_str(&format!("minimized plan: {}\n", describe(&minimized)));
-    body.push_str("violations:\n");
-    for v in &outcome.violations {
-        body.push_str(&format!("  {v}\n"));
-    }
-    match std::fs::File::create(&args.out).and_then(|mut f| f.write_all(body.as_bytes())) {
-        Ok(()) => eprintln!("report written to {}", args.out),
+    body.push_str(&scenario);
+    match std::fs::write(&args.out, body) {
+        Ok(()) => eprintln!("failing scenario written to {}", args.out),
         Err(e) => eprintln!("could not write {}: {e}", args.out),
     }
-    eprintln!("repro: {}{}", plan.repro(), match args.broken {
-        Some(amoeba_core::sabotage::Sabotage::SkipDupFilter) => " --broken dup",
-        Some(amoeba_core::sabotage::Sabotage::SkipRetransmit) => " --broken retrans",
-        _ => "",
-    });
+    eprintln!("repro: {name}{broken}");
+    std::process::exit(1);
 }
 
 /// Explores (or replays) shard cases: the sharded serving layer's
 /// fault families (sequencer crash under routed load, split racing a
 /// partition), audited for delivery invariants and lost acked writes.
-/// Exits 0 when clean, 1 on the first violation.
 fn run_shard_mode(args: &Args) {
     let cases: Vec<u64> = match args.shard_case {
         Some(k) => vec![k],
@@ -153,41 +104,29 @@ fn run_shard_mode(args: &Args) {
     let (mut acked, mut retries, mut refreshes) = (0u64, 0u64, 0u64);
     for (i, &k) in cases.iter().enumerate() {
         let plan = gen_shard_case(args.seed, k);
-        let outcome = run_shard_case(&plan);
-        acked += outcome.acked;
-        retries += outcome.retries;
-        refreshes += outcome.map_refreshes;
-        if !outcome.violations.is_empty() {
-            eprintln!("VIOLATION seed={} shard case={k}", args.seed);
-            for v in &outcome.violations {
-                eprintln!("  {v}");
+        let out = match guarded(|| run_shard_plan(&plan)) {
+            Ok(out) if out.expect_failures.is_empty() => out,
+            red => {
+                let findings = red.map_or_else(
+                    |panic| vec![panic],
+                    |out| out.violations.into_iter().chain(out.expect_failures).collect(),
+                );
+                fail(args, &plan.name, &findings, plan.to_toml())
             }
-            let mut body = format!(
-                "shard chaos failure under root seed {}\nrepro: {}\nplan: {plan:?}\nviolations:\n",
-                args.seed,
-                plan.repro()
-            );
-            for v in &outcome.violations {
-                body.push_str(&format!("  {v}\n"));
-            }
-            match std::fs::File::create(&args.out).and_then(|mut f| f.write_all(body.as_bytes())) {
-                Ok(()) => eprintln!("report written to {}", args.out),
-                Err(e) => eprintln!("could not write {}: {e}", args.out),
-            }
-            eprintln!("repro: {}", plan.repro());
-            std::process::exit(1);
-        }
+        };
+        acked += out.acked;
+        retries += out.retries;
+        refreshes += out.map_refreshes;
         if !args.quiet && args.shard_case.is_none() && (i + 1) % 10 == 0 {
             eprintln!("… {}/{} shard cases clean", i + 1, cases.len());
         }
         if args.shard_case.is_some() {
             println!(
-                "shard case {k}: clean; fingerprint {:016x}; {} acked, {} retried, \
+                "shard case {k}: clean; digest {:016x}; {} acked, {} retried, \
                  {} map refresh(es), {} final range(s)",
-                outcome.fingerprint, outcome.acked, outcome.retries, outcome.map_refreshes,
-                outcome.final_ranges
+                out.digest, out.acked, out.retries, out.map_refreshes, out.final_ranges
             );
-            println!("plan: {plan:?}");
+            print!("{}", plan.to_toml());
         }
     }
     println!(
@@ -210,7 +149,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Some(mode) = args.broken {
+    if let Some((_, mode)) = args.broken {
         amoeba_core::sabotage::set(mode);
         eprintln!("sabotage armed: {mode:?}");
     }
@@ -227,27 +166,32 @@ fn main() {
     let (mut dropped, mut duplicated, mut reordered, mut partitioned) = (0u64, 0u64, 0u64, 0u64);
     for (i, &k) in cases.iter().enumerate() {
         let plan = gen_case(args.seed, k);
-        let outcome = run_case(&plan);
-        submitted += outcome.submitted;
-        events += outcome.events;
-        errs += outcome.send_errs;
-        dropped += outcome.chaos.dropped;
-        duplicated += outcome.chaos.duplicated;
-        reordered += outcome.chaos.reordered;
-        partitioned += outcome.chaos.partitioned;
-        if !outcome.violations.is_empty() {
-            report_failure(&args, &plan, &outcome);
-            std::process::exit(1);
-        }
+        let out = match guarded(|| run_plan(&plan)) {
+            Ok(out) if out.expect_failures.is_empty() => out,
+            red => {
+                let findings = red.map_or_else(|panic| vec![panic], |out| out.violations);
+                let reported = if args.minimize { minimize(&plan) } else { plan };
+                fail(&args, &reported.name, &findings, reported.to_toml())
+            }
+        };
+        submitted += out.submitted;
+        events += out.events;
+        errs += out.sends_err;
+        dropped += out.chaos.dropped;
+        duplicated += out.chaos.duplicated;
+        reordered += out.chaos.reordered;
+        partitioned += out.chaos.partitioned;
         if !args.quiet && args.case.is_none() && (i + 1) % 50 == 0 {
             eprintln!("… {}/{} cases clean", i + 1, cases.len());
         }
         if args.case.is_some() {
             println!(
-                "case {k}: clean; fingerprint {:016x}; logs {:?}; fates {:?}",
-                outcome.fingerprint, outcome.log_lens, outcome.fates
+                "case {k}: clean; digest {:016x}; logs {:?}; fates {:?}",
+                out.digest,
+                out.logs.iter().map(Vec::len).collect::<Vec<_>>(),
+                out.fates
             );
-            println!("plan: {}", describe(&plan));
+            print!("{}", plan.to_toml());
         }
     }
     println!(

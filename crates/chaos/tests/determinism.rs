@@ -5,24 +5,27 @@
 //! report, and plan minimization (which re-runs candidate plans and
 //! compares outcomes) is meaningless.
 
-use amoeba_chaos::{gen_case, run_case};
+use amoeba_chaos::gen_case;
+use amoeba_scenario::{run_plan, FaultSpec};
 
-/// A case index from each scenario family under the default seed
+/// A case index from each fault family under the default seed
 /// (checked by the assertions below, so generator drift is caught).
-const CASES: [u64; 4] = [0, 3, 17, 20];
+const CASES: [u64; 4] = [0, 2, 7, 12];
 
 #[test]
 fn same_seed_same_run_bit_for_bit() {
     let mut families = (false, false, false);
     for &k in &CASES {
         let plan = gen_case(1, k);
-        families.0 |= !plan.crashes.is_empty();
-        families.1 |= !plan.chaos.partitions.is_empty();
-        families.2 |= plan.chaos.link.drop > 0.0;
+        for f in &plan.faults {
+            families.0 |= matches!(f, FaultSpec::Crash { .. });
+            families.1 |= matches!(f, FaultSpec::Partition { .. });
+            families.2 |= matches!(f, FaultSpec::Noise { drop, .. } if *drop > 0.0);
+        }
         assert_eq!(plan, gen_case(1, k), "case generation must be pure");
-        let a = run_case(&plan);
-        let b = run_case(&plan);
-        assert_eq!(a.fingerprint, b.fingerprint, "case {k}: fingerprints diverged");
+        let a = run_plan(&plan);
+        let b = run_plan(&plan);
+        assert_eq!(a.digest, b.digest, "case {k}: digests diverged");
         assert_eq!(a.logs, b.logs, "case {k}: delivery logs diverged");
         assert_eq!(a.events, b.events, "case {k}: event counts diverged");
         assert_eq!(a.chaos, b.chaos, "case {k}: fault statistics diverged");
@@ -49,8 +52,8 @@ fn thousand_node_scenario_replays_bit_for_bit() {
         .join("../../scenarios/multi_8x128.toml");
     let text = std::fs::read_to_string(&path).expect("scenarios/multi_8x128.toml");
     let plan = amoeba_scenario::ScenarioPlan::parse(&text).expect("pinned scenario parses");
-    let a = amoeba_scenario::run_plan(&plan);
-    let b = amoeba_scenario::run_plan(&plan);
+    let a = run_plan(&plan);
+    let b = run_plan(&plan);
     assert_eq!(a.digest, b.digest, "scenario digests diverged across replays");
     assert_eq!(a.events, b.events, "event counts diverged");
     assert_eq!(a.now_us, b.now_us, "final clocks diverged");
@@ -62,15 +65,15 @@ fn thousand_node_scenario_replays_bit_for_bit() {
 
 #[test]
 fn different_seeds_and_cases_diverge() {
-    let base = run_case(&gen_case(1, 0));
+    let base = run_plan(&gen_case(1, 0));
     assert_ne!(
-        base.fingerprint,
-        run_case(&gen_case(2, 0)).fingerprint,
+        base.digest,
+        run_plan(&gen_case(2, 0)).digest,
         "different root seeds must explore different runs"
     );
     assert_ne!(
-        base.fingerprint,
-        run_case(&gen_case(1, 1)).fingerprint,
+        base.digest,
+        run_plan(&gen_case(1, 1)).digest,
         "different case indices must explore different runs"
     );
 }

@@ -5,7 +5,8 @@
 //! invariant. CI runs a larger smoke via the `chaos` binary; the
 //! nightly soak runs thousands.
 
-use amoeba_chaos::{gen_case, run_case};
+use amoeba_chaos::gen_case;
+use amoeba_scenario::{run_plan, FaultSpec};
 
 #[test]
 fn a_spread_of_seeded_schedules_upholds_the_invariants() {
@@ -14,15 +15,16 @@ fn a_spread_of_seeded_schedules_upholds_the_invariants() {
     let mut delivered = 0usize;
     for k in 0..24 {
         let plan = gen_case(7, k);
-        crashes += plan.crashes.len();
-        partitions += plan.chaos.partitions.len();
-        let out = run_case(&plan);
+        let count = |pred: fn(&FaultSpec) -> bool| plan.faults.iter().filter(|f| pred(f)).count();
+        crashes += count(|f| matches!(f, FaultSpec::Crash { .. }));
+        partitions += count(|f| matches!(f, FaultSpec::Partition { .. }));
+        let out = run_plan(&plan);
         assert!(
             out.violations.is_empty(),
             "case {k} ({plan:?}) violated the protocol: {:?}",
             out.violations
         );
-        delivered += out.log_lens.iter().sum::<usize>();
+        delivered += out.logs.iter().map(Vec::len).sum::<usize>();
     }
     assert!(crashes > 0, "the slice exercised crashes");
     assert!(partitions > 0, "the slice exercised partitions");

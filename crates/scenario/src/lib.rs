@@ -21,9 +21,13 @@
 //!
 //! A second schema shares the format: files with a `[shard]` section
 //! describe a sharded serving cluster (DESIGN.md §11) — shard shape,
-//! routed workload, online reshard steps, crash faults — validated by
-//! [`ShardPlan::parse`] and executed by [`run_shard_plan`]. Use
-//! [`is_shard_scenario`] to dispatch.
+//! routed workload, online reshard steps, crash and partition faults —
+//! validated by [`ShardPlan::parse`] and executed by
+//! [`run_shard_plan`]. Use [`is_shard_scenario`] to dispatch.
+//!
+//! The chaos explorer (`crates/chaos`) is a generator of both plan
+//! types: it has no runner of its own, and a failing case is written
+//! out as an ordinary scenario file.
 
 #![warn(missing_docs)]
 
@@ -33,11 +37,14 @@ pub mod shard;
 pub mod toml;
 
 pub use plan::{
-    Admission, Expect, FaultSpec, GroupSpec, Knobs, MethodSpec, RunSpec, ScenarioPlan,
+    Admission, ConfigBase, Expect, FaultSpec, GroupSpec, Knobs, MethodSpec, RunSpec, ScenarioPlan,
     WorkloadSpec,
 };
-pub use run::{run_plan, Outcome};
-pub use shard::{is_shard_scenario, run_shard_plan, ShardOutcome, ShardPlan};
+pub use run::{run_plan, run_plan_world, Outcome};
+pub use shard::{
+    is_shard_scenario, run_shard_plan, ReshardGoalSpec, ReshardStep, ShardConfig, ShardExpect,
+    ShardFault, ShardOutcome, ShardPlan,
+};
 
 /// A scenario-file error: what went wrong and on which line.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -14,6 +14,7 @@
 //! `tests/parser_roundtrip.rs` hold the two directions together.
 
 use amoeba_core::{BatchPolicy, GroupConfig, Method};
+use amoeba_shard::fault_tolerant_config;
 
 use crate::toml::{self, Doc, Entry, Table, Value};
 use crate::Error;
@@ -109,6 +110,20 @@ pub struct Knobs {
     pub auto_reset_min_members: Option<usize>,
 }
 
+/// The configuration a group's knobs override.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigBase {
+    /// The paper defaults (`GroupConfig::default`).
+    Paper,
+    /// `GroupConfig::scaled_for_world` (`scaled = true`; the default
+    /// past 64 members).
+    Scaled,
+    /// [`fault_tolerant_config`] (`config = "fault_tolerant"`, the same
+    /// base the `[shard]` schema offers): scaled for the world, plus
+    /// snappy failure detection, robust repair and auto-reset.
+    FaultTolerant,
+}
+
 /// One group: identity, membership, and configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupSpec {
@@ -116,9 +131,8 @@ pub struct GroupSpec {
     pub id: u64,
     /// Member nodes; the first listed founds the group and sequences.
     pub members: Vec<usize>,
-    /// Base the configuration on `GroupConfig::scaled_for_world`
-    /// instead of the paper defaults.
-    pub scaled: bool,
+    /// The configuration the knobs are applied on top of.
+    pub base: ConfigBase,
     /// Explicit overrides applied on top of the base.
     pub knobs: Knobs,
 }
@@ -128,12 +142,12 @@ impl GroupSpec {
     /// the world's group count and `g` this group's index — both feed
     /// the scale policy (wire sharing, timer de-phasing).
     pub fn config(&self, groups: usize, g: usize, admission: Admission) -> GroupConfig {
-        let mut c = if self.scaled {
-            GroupConfig::scaled_for_world(self.members.len(), groups)
-        } else {
-            GroupConfig::default()
-        };
         let k = &self.knobs;
+        let mut c = match self.base {
+            ConfigBase::Paper => GroupConfig::default(),
+            ConfigBase::Scaled => GroupConfig::scaled_for_world(self.members.len(), groups),
+            ConfigBase::FaultTolerant => fault_tolerant_config(self.members.len(), groups, 1),
+        };
         if let Some(m) = k.method {
             c.method = m.to_method();
         }
@@ -200,7 +214,7 @@ pub struct WorkloadSpec {
     pub payload: u32,
     /// Messages per sender held back until after the last scheduled
     /// fault (the late-probe phase that drives failure detection; see
-    /// `crates/chaos`). Default: 2 when faults are scheduled, else 0.
+    /// `crate::run`). Default: 2 when faults are scheduled, else 0.
     pub late: Option<u64>,
 }
 
@@ -563,10 +577,35 @@ impl ScenarioPlan {
                 }
                 owner[m] = groups.len();
             }
-            let scaled = g.boolean("scaled")?.map(|(b, _)| b).unwrap_or(members.len() > 64);
+            let fault_tolerant = match g.string("config")? {
+                None | Some(("default", _)) => false,
+                Some(("fault_tolerant", _)) => true,
+                Some((other, line)) => {
+                    return Err(Error::at(
+                        line,
+                        format!(
+                            "`config` must be \"default\" or \"fault_tolerant\", got \"{other}\""
+                        ),
+                    ))
+                }
+            };
+            let base = match g.boolean("scaled")? {
+                Some((true, line)) if fault_tolerant => {
+                    return Err(Error::at(
+                        line,
+                        "`scaled = true` cannot combine with `config = \"fault_tolerant\"` \
+                         (that base already scales for the world)",
+                    ))
+                }
+                _ if fault_tolerant => ConfigBase::FaultTolerant,
+                Some((true, _)) => ConfigBase::Scaled,
+                Some((false, _)) => ConfigBase::Paper,
+                None if members.len() > 64 => ConfigBase::Scaled,
+                None => ConfigBase::Paper,
+            };
             let knobs = parse_knobs(&mut g, members.len())?;
             g.finish()?;
-            groups.push(GroupSpec { id, members, scaled, knobs });
+            groups.push(GroupSpec { id, members, base, knobs });
         }
 
         // [[workload]]
@@ -714,7 +753,7 @@ impl ScenarioPlan {
                             "`side_a` must be a proper subset of the topology",
                         ));
                     }
-                    let (from_ms, until_ms, until_line) = window(&mut f, ft.line)?;
+                    let (from_ms, until_ms, until_line) = fault_window(&mut f, ft.line)?;
                     for &(pf, pu, pline) in &partitions {
                         if from_ms < pu && pf < until_ms {
                             return Err(Error::at(
@@ -730,7 +769,7 @@ impl ScenarioPlan {
                     FaultSpec::Partition { side_a, from_ms, until_ms }
                 }
                 "noise" => {
-                    let (from_ms, until_ms, until_line) = window(&mut f, ft.line)?;
+                    let (from_ms, until_ms, until_line) = fault_window(&mut f, ft.line)?;
                     if let Some((nf, nu, nline)) = noise_window {
                         return Err(Error::at(
                             until_line,
@@ -943,7 +982,10 @@ impl ScenarioPlan {
             writeln!(p, "[[group]]").unwrap();
             writeln!(p, "id = {}", g.id).unwrap();
             writeln!(p, "members = {}", node_set(&g.members)).unwrap();
-            writeln!(p, "scaled = {}", g.scaled).unwrap();
+            writeln!(p, "scaled = {}", g.base == ConfigBase::Scaled).unwrap();
+            if g.base == ConfigBase::FaultTolerant {
+                writeln!(p, "config = \"fault_tolerant\"").unwrap();
+            }
             let k = &g.knobs;
             if let Some(m) = k.method {
                 match m {
@@ -1069,7 +1111,7 @@ impl ScenarioPlan {
 }
 
 /// Parses a fault's `from_ms`/`until_ms` window.
-fn window(f: &mut Keys, section_line: usize) -> Result<(u64, u64, usize), Error> {
+pub(crate) fn fault_window(f: &mut Keys, section_line: usize) -> Result<(u64, u64, usize), Error> {
     let (from_ms, _) =
         f.uint("from_ms")?.ok_or_else(|| Error::at(section_line, "fault window needs `from_ms`"))?;
     let (until_ms, until_line) = f

@@ -65,6 +65,12 @@ pub struct Outcome {
     /// `[expect]` assertions that did not hold (empty = scenario
     /// passed).
     pub expect_failures: Vec<String>,
+    /// Each member's end-of-run fate, group by group in file order,
+    /// members in listed order.
+    pub fates: Vec<EndFate>,
+    /// Each member's delivery log, in the order of `fates` (tagged
+    /// mode; empty in continuous mode). The digest covers them.
+    pub logs: Vec<Vec<AuditDelivery>>,
 }
 
 // ---------------------------------------------------------------------
@@ -76,13 +82,11 @@ pub struct Outcome {
 struct NodeTrace {
     deliveries: Vec<AuditDelivery>,
     submitted: u64,
-    send_errs: u64,
 }
 
 type SharedTrace = Arc<Mutex<NodeTrace>>;
 
-/// The tagged workload (the chaos explorer's, generalized to scenario
-/// shapes): streams `total` uniquely-tagged messages keeping the
+/// The tagged workload: streams `total` uniquely-tagged messages keeping the
 /// pipelining window full, records every delivery, halts on a send
 /// failure (ambiguous under Amoeba's semantics) and resumes when a
 /// recovered view restores service. The last `late` messages are held
@@ -188,7 +192,6 @@ impl GroupApp for ScenarioApp {
             AppEvent::SendDone(Err(_)) => {
                 self.outstanding = self.outstanding.saturating_sub(1);
                 self.halted = true;
-                self.trace.lock().expect("trace lock").send_errs += 1;
             }
             AppEvent::Group(GroupEvent::ViewInstalled { .. }) if self.halted => {
                 self.halted = false;
@@ -203,17 +206,51 @@ impl GroupApp for ScenarioApp {
 // Digest
 // ---------------------------------------------------------------------
 
-struct Fnv(u64);
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+/// What the classic runner has multiplied by since it was written: a
+/// one-digit typo of [`FNV_PRIME`]. Thirteen golden digests depend on
+/// it, so it stays until they are re-pinned on their own.
+const CLASSIC_PRIME: u64 = 0x1000_0000_01b3;
+
+/// The order-sensitive run digest both runners fold their outcome
+/// into.
+pub(crate) struct Fnv {
+    state: u64,
+    prime: u64,
+}
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+    /// The shard runner's digest (true FNV-1a).
+    pub(crate) fn new() -> Self {
+        Fnv { state: 0xcbf2_9ce4_8422_2325, prime: FNV_PRIME }
     }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
+    /// The classic runner's digest ([`CLASSIC_PRIME`]).
+    fn classic() -> Self {
+        Fnv { prime: CLASSIC_PRIME, ..Fnv::new() }
+    }
+    pub(crate) fn u64(&mut self, v: u64) {
+        self.raw(&v.to_le_bytes());
+    }
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
+        self.u64(v.len() as u64);
+        self.raw(v);
+    }
+    fn raw(&mut self, v: &[u8]) {
+        for &b in v {
+            self.state ^= b as u64;
+            self.state = self.state.wrapping_mul(self.prime);
         }
+    }
+    pub(crate) fn fate(&mut self, fate: EndFate) {
+        self.u64(match fate {
+            EndFate::Live => 0,
+            EndFate::Crashed => 1,
+            EndFate::Expelled => 2,
+        });
+    }
+    pub(crate) fn finish(self) -> u64 {
+        self.state
     }
 }
 
@@ -224,6 +261,12 @@ impl Fnv {
 /// Runs a validated plan through the simulated kernel stack.
 /// Deterministic: the same plan always returns the same outcome.
 pub fn run_plan(plan: &ScenarioPlan) -> Outcome {
+    run_plan_world(plan).0
+}
+
+/// [`run_plan`], additionally returning the finished world for triage
+/// (per-node core state via `GroupCore::debug_state`, NIC counters).
+pub fn run_plan_world(plan: &ScenarioPlan) -> (Outcome, SimWorld) {
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), plan.seed);
     for _ in 0..plan.nodes {
         w.add_node();
@@ -267,16 +310,16 @@ pub fn run_plan(plan: &ScenarioPlan) -> Outcome {
     }
     w.run_until_ready();
 
-    if plan.continuous() {
-        run_continuous(plan, w)
+    let out = if plan.continuous() {
+        run_continuous(plan, &mut w)
     } else {
-        run_tagged(plan, w)
-    }
+        run_tagged(plan, &mut w)
+    };
+    (out, w)
 }
 
 /// Schedules the plan's faults. `base_us` is workload start (fault
-/// instants are relative to it); returns the assembled chaos plan, if
-/// any network faults were scheduled.
+/// instants are relative to it).
 fn apply_faults(w: &mut SimWorld, plan: &ScenarioPlan, base_us: u64) {
     let mut chaos = ChaosPlan::quiet();
     let mut any_net = false;
@@ -331,9 +374,10 @@ fn apply_faults(w: &mut SimWorld, plan: &ScenarioPlan, base_us: u64) {
 }
 
 /// End-of-run fates per group, plus each group's maximum observed view.
-/// Same ground truth as the chaos explorer: a member is live iff the
-/// surviving sequencer's view (highest view id in the lineage) still
-/// lists it.
+/// Ground truth for "still a member" is the surviving sequencer's view
+/// (a member silently expelled during a partition may not have learned
+/// of it yet); under a transient split brain two sequencers coexist,
+/// and the one with the highest view id leads the surviving lineage.
 fn group_fates(w: &SimWorld, plan: &ScenarioPlan, g: usize) -> (Vec<EndFate>, ViewId) {
     let spec = &plan.groups[g];
     let crashed = |n: usize| {
@@ -386,7 +430,7 @@ fn group_fates(w: &SimWorld, plan: &ScenarioPlan, g: usize) -> (Vec<EndFate>, Vi
     (fates, max_view)
 }
 
-fn run_tagged(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
+fn run_tagged(plan: &ScenarioPlan, w: &mut SimWorld) -> Outcome {
     // Per-sender (messages, payload, late) from the workload tables;
     // everyone else in a group is a pure recorder.
     let sender_spec = |n: usize, gid: u64| -> (u64, u32, u64) {
@@ -429,63 +473,40 @@ fn run_tagged(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
         traces.push(group_traces);
     }
     let base_us = w.now().as_micros();
-    apply_faults(&mut w, plan, base_us);
+    apply_faults(w, plan, base_us);
     w.kick();
     w.run_for(SimDuration::from_millis(plan.run.limit_ms));
 
     // Fates, audit and digest, group by group in file order.
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv::classic();
     let mut violations = Vec::new();
     let mut submitted = 0u64;
     let mut delivered = 0u64;
-    let mut send_errs_apps = 0u64;
-    let mut live = 0usize;
-    let debug = std::env::var_os("AMOEBA_SCENARIO_DEBUG").is_some();
+    let mut all_fates = Vec::with_capacity(plan.nodes);
+    let mut logs = Vec::with_capacity(plan.nodes);
     for (g, spec) in plan.groups.iter().enumerate() {
-        let (fates, max_view) = group_fates(&w, plan, g);
-        live += fates.iter().filter(|f| **f == EndFate::Live).count();
-        if debug {
-            let lost: Vec<usize> = spec
-                .members
-                .iter()
-                .zip(&fates)
-                .filter(|(_, f)| **f != EndFate::Live)
-                .map(|(&m, _)| m)
-                .collect();
-            let stats = w.sim.world.nodes[spec.members[0]].core.as_ref().map(|c| c.stats);
-            eprintln!(
-                "group {}: {} live, max view {:?}, founder stats {:?}, lost {:?}",
-                spec.id,
-                fates.iter().filter(|f| **f == EndFate::Live).count(),
-                max_view,
-                stats,
-                &lost[..lost.len().min(16)]
-            );
-        }
+        let (fates, max_view) = group_fates(w, plan, g);
         let mut audit = DeliveryAudit::new()
             .require_convergence(true)
             .strict_expelled(max_view == ViewId::INITIAL);
         for (i, &m) in spec.members.iter().enumerate() {
-            let t = traces[g][i].lock().expect("trace lock");
+            let t = std::mem::take(&mut *traces[g][i].lock().expect("trace lock"));
             audit.submitted(m as u32, t.submitted);
             submitted += t.submitted;
             delivered += t.deliveries.len() as u64;
-            send_errs_apps += t.send_errs;
-            audit.member(MemberRecord { fate: fates[i], deliveries: t.deliveries.clone() });
             fnv.u64(t.submitted);
             for d in &t.deliveries {
                 fnv.u64(d.origin as u64);
                 fnv.u64(d.index);
             }
-            fnv.u64(match fates[i] {
-                EndFate::Live => 0,
-                EndFate::Crashed => 1,
-                EndFate::Expelled => 2,
-            });
+            fnv.fate(fates[i]);
+            audit.member(MemberRecord { fate: fates[i], deliveries: t.deliveries.clone() });
+            logs.push(t.deliveries);
         }
         for v in audit.check() {
             violations.push(format!("group {}: {v:?}", spec.id));
         }
+        all_fates.extend(fates);
     }
     fnv.u64(w.sim.events_executed());
     fnv.u64(w.now().as_micros());
@@ -499,33 +520,34 @@ fn run_tagged(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
     let sends_err = w.sim.world.metrics.sends_err.get();
     let mut out = Outcome {
         name: plan.name.clone(),
-        digest: fnv.0,
+        digest: fnv.finish(),
         events: w.sim.events_executed(),
         now_us: w.now().as_micros(),
         sends_ok,
         sends_err,
         submitted,
         delivered,
-        live_members: live,
+        live_members: live_count(&all_fates),
         chaos,
         violations,
         rate: None,
         utilization: None,
         expect_failures: Vec::new(),
+        fates: all_fates,
+        logs,
     };
-    let _ = send_errs_apps;
     check_expectations(plan, &mut out, Some(expected_submissions));
     out
 }
 
-fn run_continuous(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
+fn run_continuous(plan: &ScenarioPlan, w: &mut SimWorld) -> Outcome {
     for wl in &plan.workloads {
         for &s in &wl.senders {
             w.set_workload(s, Workload::Sender { size: wl.payload, remaining: u64::MAX });
         }
     }
     let base_us = w.now().as_micros();
-    apply_faults(&mut w, plan, base_us);
+    apply_faults(w, plan, base_us);
     let warmup_us = plan.run.warmup_ms.expect("validated: continuous has warmup") * 1_000;
     let window_us = plan.run.window_ms.expect("validated: continuous has window") * 1_000;
     w.kick();
@@ -539,12 +561,10 @@ fn run_continuous(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
     let rate = (after - before) as f64 / secs;
     let util = (util_after - util_before) as f64 / window_us as f64;
 
-    let mut live = 0usize;
-    for g in 0..plan.groups.len() {
-        let (fates, _) = group_fates(&w, plan, g);
-        live += fates.iter().filter(|f| **f == EndFate::Live).count();
-    }
-    let mut fnv = Fnv::new();
+    let fates: Vec<EndFate> =
+        (0..plan.groups.len()).flat_map(|g| group_fates(w, plan, g).0).collect();
+    let live = live_count(&fates);
+    let mut fnv = Fnv::classic();
     fnv.u64(after - before);
     fnv.u64(rate.to_bits());
     fnv.u64(util.to_bits());
@@ -558,7 +578,7 @@ fn run_continuous(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
 
     let mut out = Outcome {
         name: plan.name.clone(),
-        digest: fnv.0,
+        digest: fnv.finish(),
         events: w.sim.events_executed(),
         now_us: w.now().as_micros(),
         sends_ok: w.sim.world.metrics.sends_ok.get(),
@@ -571,9 +591,15 @@ fn run_continuous(plan: &ScenarioPlan, mut w: SimWorld) -> Outcome {
         rate: Some(rate),
         utilization: Some(util),
         expect_failures: Vec::new(),
+        fates,
+        logs: Vec::new(),
     };
     check_expectations(plan, &mut out, None);
     out
+}
+
+fn live_count(fates: &[EndFate]) -> usize {
+    fates.iter().filter(|f| **f == EndFate::Live).count()
 }
 
 /// Evaluates the plan's `[expect]` block against the outcome.
@@ -617,4 +643,21 @@ fn check_expectations(plan: &ScenarioPlan, out: &mut Outcome, expected_submissio
         }
     }
     out.expect_failures = fails;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn payload_round_trips_through_parse() {
+        let late_after = std::time::Duration::from_secs(1);
+        let app = |node, pad| ScenarioApp::new(node, 10, 0, pad, late_after, SharedTrace::default());
+        let p = app(3, 64).payload(7);
+        assert_eq!(p.len(), 64, "padded to the plan's payload size");
+        assert_eq!(parse_payload(&p), Some(AuditDelivery { origin: 3, index: 7 }));
+        let tiny = app(0, 0).payload(0);
+        assert_eq!(parse_payload(&tiny), Some(AuditDelivery { origin: 0, index: 0 }));
+        assert_eq!(parse_payload(b"garbage"), None);
+    }
 }

@@ -1,7 +1,7 @@
 //! The sharded-serving scenario schema and runner (DESIGN.md §11):
 //! declarative files describing a whole sharded cluster — shard count,
-//! replication, a routed write workload, online reshard steps and
-//! crash faults — executed deterministically on [`SimCluster`].
+//! replication, a routed write workload, online reshard steps, crash
+//! and partition faults — executed deterministically on [`SimCluster`].
 //!
 //! A shard scenario is recognized by its `[shard]` section; the
 //! classic schema ([`crate::plan`]) and this one share the file format
@@ -33,21 +33,30 @@
 //! group = 1         # data group id
 //! member = 2        # member index (never the gateway)
 //! at_op = 16
+//!
+//! [[fault]]
+//! kind = "partition" # cut one member off for a window
+//! group = 1
+//! member = 2
+//! from_ms = 50       # relative to workload start
+//! until_ms = 400
 //! ```
 //!
 //! Determinism contract: like [`crate::run::run_plan`], the outcome —
 //! including its digest — is a pure function of the file. The driver
 //! advances the world in 1 ms quanta and gates every action (submission
 //! refill, reshard steps, crashes) on deterministic counters, never on
-//! wall clock.
+//! wall clock; partition windows are simulated time from workload start.
 
 use amoeba_core::audit::EndFate;
+use amoeba_net::{ChaosPlan, HostSet, Partition};
 use amoeba_shard::{
     fault_tolerant_config, lost_acked_writes, Cluster, MoveController, ReshardGoal, ShardMap,
     ShardSpec, SimCluster,
 };
 
-use crate::plan::{Keys, MAX_MESSAGES, MAX_NODES};
+use crate::plan::{fault_window, Keys, MAX_MESSAGES, MAX_NODES};
+use crate::run::Fnv;
 use crate::toml::{self, Doc};
 use crate::Error;
 
@@ -58,7 +67,7 @@ pub enum ShardConfig {
     Default,
     /// The chaos-proven fault-tolerant knob set
     /// ([`fault_tolerant_config`]): snappy failure detection, robust
-    /// repair, auto-reset. Required when the scenario schedules faults.
+    /// repair, auto-reset. Required when the scenario schedules crashes.
     FaultTolerant,
 }
 
@@ -99,15 +108,31 @@ pub enum ReshardGoalSpec {
     },
 }
 
-/// One scheduled crash, gated on the acked-op counter.
+/// One scheduled fault against member `member` (never the gateway) of
+/// data group `group`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFault {
-    /// Data group id.
-    pub group: u64,
-    /// Member index within the group (never the gateway).
-    pub member: usize,
-    /// Crash once this many puts are acked.
-    pub at_op: u64,
+pub enum ShardFault {
+    /// The member dies silently once `at_op` puts are acked.
+    Crash {
+        /// Data group id.
+        group: u64,
+        /// Member index within the group.
+        member: usize,
+        /// Crash once this many puts are acked.
+        at_op: u64,
+    },
+    /// The member is cut off from every other host for a window of
+    /// simulated time, relative to workload start.
+    Partition {
+        /// Data group id.
+        group: u64,
+        /// Member index within the group.
+        member: usize,
+        /// Window start, ms.
+        from_ms: u64,
+        /// Window end (exclusive), ms.
+        until_ms: u64,
+    },
 }
 
 /// What the scenario asserts about its outcome.
@@ -149,7 +174,7 @@ pub struct ShardPlan {
     pub window: usize,
     /// Reshard steps, in file order.
     pub reshards: Vec<ReshardStep>,
-    /// Crash schedule, in file order.
+    /// Fault schedule, in file order.
     pub faults: Vec<ShardFault>,
     /// Simulated-time budget, ms (1 pump cycle per ms).
     pub limit_ms: u64,
@@ -332,22 +357,24 @@ impl ShardPlan {
             let mut f = Keys::new("[[fault]]", ft);
             let (kind, kind_line) =
                 f.string("kind")?.ok_or_else(|| Error::at(ft.line, "[[fault]] needs `kind`"))?;
-            if kind != "crash" {
+            if kind != "crash" && kind != "partition" {
                 return Err(Error::at(
                     kind_line,
-                    format!("unknown fault kind \"{kind}\" (shard scenarios support \"crash\")"),
+                    format!("unknown fault kind \"{kind}\" (crash, partition)"),
                 ));
             }
-            let (group, group_line) =
-                f.uint("group")?.ok_or_else(|| Error::at(ft.line, "crash needs `group`"))?;
+            let (group, group_line) = f
+                .uint("group")?
+                .ok_or_else(|| Error::at(ft.line, format!("{kind} needs `group`")))?;
             if group == 0 || group > data_groups {
                 return Err(Error::at(
                     group_line,
                     format!("`group` = {group} is not a data group (1..={data_groups})"),
                 ));
             }
-            let (member, member_line) =
-                f.uint("member")?.ok_or_else(|| Error::at(ft.line, "crash needs `member`"))?;
+            let (member, member_line) = f
+                .uint("member")?
+                .ok_or_else(|| Error::at(ft.line, format!("{kind} needs `member`")))?;
             let member = member as usize;
             if member >= members {
                 return Err(Error::at(
@@ -358,27 +385,36 @@ impl ShardPlan {
             if member == ShardSpec::gateway_member(members) {
                 return Err(Error::at(
                     member_line,
-                    format!("member {member} is the gateway; crashing it severs routing"),
+                    format!("member {member} is the gateway; a {kind} there severs routing"),
                 ));
             }
-            if config != ShardConfig::FaultTolerant {
-                return Err(Error::at(
-                    ft.line,
-                    "faults need `config = \"fault_tolerant\"` (the stock timers take ~13 \
-                     simulated seconds to give up on a dead member)",
-                ));
-            }
-            let at_op = match f.uint("at_op")? {
-                None => 0,
-                Some((v, line)) => {
-                    if v > ops {
-                        return Err(Error::at(line, format!("`at_op` = {v} exceeds `ops` = {ops}")));
-                    }
-                    v
+            let fault = if kind == "partition" {
+                let (from_ms, until_ms, _) = fault_window(&mut f, ft.line)?;
+                ShardFault::Partition { group, member, from_ms, until_ms }
+            } else {
+                if config != ShardConfig::FaultTolerant {
+                    return Err(Error::at(
+                        ft.line,
+                        "crashes need `config = \"fault_tolerant\"` (the stock timers take ~13 \
+                         simulated seconds to give up on a dead member)",
+                    ));
                 }
+                let at_op = match f.uint("at_op")? {
+                    None => 0,
+                    Some((v, line)) => {
+                        if v > ops {
+                            return Err(Error::at(
+                                line,
+                                format!("`at_op` = {v} exceeds `ops` = {ops}"),
+                            ));
+                        }
+                        v
+                    }
+                };
+                ShardFault::Crash { group, member, at_op }
             };
             f.finish()?;
-            faults.push(ShardFault { group, member, at_op });
+            faults.push(fault);
         }
 
         // [run]
@@ -488,10 +524,21 @@ impl ShardPlan {
         for f in &self.faults {
             writeln!(p).unwrap();
             writeln!(p, "[[fault]]").unwrap();
-            writeln!(p, "kind = \"crash\"").unwrap();
-            writeln!(p, "group = {}", f.group).unwrap();
-            writeln!(p, "member = {}", f.member).unwrap();
-            writeln!(p, "at_op = {}", f.at_op).unwrap();
+            match *f {
+                ShardFault::Crash { group, member, at_op } => {
+                    writeln!(p, "kind = \"crash\"").unwrap();
+                    writeln!(p, "group = {group}").unwrap();
+                    writeln!(p, "member = {member}").unwrap();
+                    writeln!(p, "at_op = {at_op}").unwrap();
+                }
+                ShardFault::Partition { group, member, from_ms, until_ms } => {
+                    writeln!(p, "kind = \"partition\"").unwrap();
+                    writeln!(p, "group = {group}").unwrap();
+                    writeln!(p, "member = {member}").unwrap();
+                    writeln!(p, "from_ms = {from_ms}").unwrap();
+                    writeln!(p, "until_ms = {until_ms}").unwrap();
+                }
+            }
         }
         writeln!(p).unwrap();
         writeln!(p, "[run]").unwrap();
@@ -533,27 +580,6 @@ fn bounded(
     }
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    fn bytes(&mut self, v: &[u8]) {
-        self.u64(v.len() as u64);
-        for &b in v {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 /// Resolves a file-level goal against the current map: boundary index
 /// → concrete ring point (and midpoint, for splits).
 fn resolve_goal(goal: &ReshardGoalSpec, shards: usize, map: &ShardMap) -> ReshardGoal {
@@ -579,6 +605,27 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
     let mut c = SimCluster::new(plan.shard_spec());
     let pad = "x".repeat(plan.value_len);
 
+    // Crashes fire in file order off the acked-op counter; partition
+    // windows are installed up front, relative to now (workload start).
+    let mut crashes: Vec<(u64, usize, u64)> = Vec::new(); // (group, member, at_op)
+    let mut cuts = Vec::new();
+    let base_us = c.now_us();
+    for f in &plan.faults {
+        match *f {
+            ShardFault::Crash { group, member, at_op } => crashes.push((group, member, at_op)),
+            ShardFault::Partition { group, member, from_ms, until_ms } => cuts.push(Partition {
+                side_a: HostSet::from_hosts([c.spec.data_node(group as usize - 1, member)]),
+                from_us: base_us + from_ms * 1_000,
+                until_us: base_us + until_ms * 1_000,
+            }),
+        }
+    }
+    let healed_us = cuts.iter().map(|p| p.until_us).max().unwrap_or(0);
+    if !cuts.is_empty() {
+        let chaos = ChaosPlan { partitions: cuts, ..ChaosPlan::quiet() };
+        c.world.set_chaos(chaos, plan.seed ^ 0xC4A0_5EED);
+    }
+
     let mut submitted = 0u64;
     let mut fault_next = 0usize;
     let mut reshard_next = 0usize;
@@ -596,10 +643,9 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
         }
         let acked = c.router().stats().puts_acked;
         // Fire due crashes (file order).
-        while fault_next < plan.faults.len() && plan.faults[fault_next].at_op <= acked {
-            let f = &plan.faults[fault_next];
-            let node = c.spec.data_node(f.group as usize - 1, f.member);
-            c.world.crash(node);
+        while fault_next < crashes.len() && crashes[fault_next].2 <= acked {
+            let (group, member, _) = crashes[fault_next];
+            c.world.crash(c.spec.data_node(group as usize - 1, member));
             fault_next += 1;
         }
         // Drive reshard steps, strictly in file order.
@@ -620,27 +666,32 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
         if submitted == plan.ops
             && c.router().idle()
             && reshard_next == plan.reshards.len()
-            && fault_next == plan.faults.len()
+            && fault_next == crashes.len()
+            && c.now_us() >= healed_us
         {
+            // (The halt drain gives a healed member time to repair.)
             halted_ok = c.halt();
             break;
         }
     }
 
     // Fates: scheduled crashes that actually fired; everyone else live.
+    // A crash forfeits whole-group convergence (the dead member's log
+    // is frozen mid-stream); a healed partition does not.
+    let crashed = &crashes[..fault_next];
     let mut violations = Vec::new();
     let mut fnv = Fnv::new();
     fnv.bytes(plan.name.as_bytes());
     fnv.u64(plan.seed);
     let acked_writes = c.router().acked_writes().clone();
     let stats = c.router().stats().clone();
-    let converged = plan.faults.is_empty();
+    let converged = crashes.is_empty();
     for (gi, group) in c.groups.iter().enumerate() {
         let gid = gi as u64 + 1;
         let mut fates = vec![EndFate::Live; group.logs.len()];
-        for f in plan.faults.iter().take(fault_next) {
-            if f.group == gid {
-                fates[f.member] = EndFate::Crashed;
+        for &(group, member, _) in crashed {
+            if group == gid {
+                fates[member] = EndFate::Crashed;
             }
         }
         if plan.expect.audit {
@@ -651,11 +702,7 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
         fnv.u64(group.id);
         fnv.u64(*group.port.submitted.lock().unwrap());
         for (j, log) in group.logs.iter().enumerate() {
-            fnv.u64(match fates[j] {
-                EndFate::Live => 0,
-                EndFate::Crashed => 1,
-                EndFate::Expelled => 2,
-            });
+            fnv.fate(fates[j]);
             let log = log.lock().unwrap();
             fnv.u64(log.len() as u64);
             for &(origin, gseq) in log.iter() {
@@ -665,12 +712,10 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
         }
     }
     if plan.expect.audit {
-        let crashed: Vec<(u64, usize)> =
-            plan.faults.iter().take(fault_next).map(|f| (f.group, f.member)).collect();
         let live_member = |gi: usize| -> usize {
             let gid = gi as u64 + 1;
             (0..plan.members)
-                .find(|&j| !crashed.contains(&(gid, j)))
+                .find(|&j| !crashed.iter().any(|&(g, m, _)| (g, m) == (gid, j)))
                 .expect("a group never loses every member")
         };
         for lost in lost_acked_writes(&acked_writes, &c.board, &c.groups, live_member) {
@@ -695,7 +740,7 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
 
     let mut out = ShardOutcome {
         name: plan.name.clone(),
-        digest: fnv.0,
+        digest: fnv.finish(),
         acked: stats.puts_acked,
         retries: stats.retries,
         map_refreshes: stats.map_refreshes,

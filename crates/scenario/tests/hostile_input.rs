@@ -201,3 +201,74 @@ fn syntax_errors_carry_line_numbers() {
     let err = ScenarioPlan::parse("name = \"h\nseed = 1\n").expect_err("torn string");
     assert_eq!(err.line, 1);
 }
+
+#[test]
+fn unknown_group_config_base_is_rejected() {
+    rejected(
+        &format!(
+            "{HEADER}[topology]\nnodes = 2\n[[group]]\nid = 1\nmembers = \"0..2\"\n\
+             config = \"bulletproof\"\n"
+        ),
+        8,
+        "`config` must be \"default\" or \"fault_tolerant\"",
+    );
+}
+
+#[test]
+fn fault_tolerant_base_excludes_scaled() {
+    rejected(
+        &format!(
+            "{HEADER}[topology]\nnodes = 2\n[[group]]\nid = 1\nmembers = \"0..2\"\n\
+             config = \"fault_tolerant\"\nscaled = true\n"
+        ),
+        9,
+        "`scaled = true` cannot combine",
+    );
+}
+
+/// The shard schema's counterpart of [`rejected`].
+fn shard_rejected(faults: &str, line: usize, fragment: &str) {
+    let text = format!(
+        "{HEADER}[shard]\nshards = 2\nmembers = 3\nspares = 1\nops = 32\n{faults}"
+    );
+    let err = amoeba_scenario::ShardPlan::parse(&text).expect_err("hostile input must be rejected");
+    assert!(err.msg.contains(fragment), "error `{err}` does not mention `{fragment}`");
+    assert_eq!(err.line, line, "error `{err}` blamed the wrong line");
+}
+
+#[test]
+fn shard_partition_window_must_be_non_empty() {
+    shard_rejected(
+        "[[fault]]\nkind = \"partition\"\ngroup = 1\nmember = 2\nfrom_ms = 300\nuntil_ms = 300\n",
+        13,
+        "empty fault window",
+    );
+}
+
+#[test]
+fn shard_partition_member_must_exist_and_not_be_the_gateway() {
+    shard_rejected(
+        "[[fault]]\nkind = \"partition\"\ngroup = 1\nmember = 3\nfrom_ms = 1\nuntil_ms = 9\n",
+        11,
+        "`member` = 3 out of range",
+    );
+    shard_rejected(
+        "[[fault]]\nkind = \"partition\"\ngroup = 1\nmember = 1\nfrom_ms = 1\nuntil_ms = 9\n",
+        11,
+        "member 1 is the gateway",
+    );
+}
+
+#[test]
+fn shard_crash_still_needs_the_fault_tolerant_base_but_partition_does_not() {
+    shard_rejected(
+        "[[fault]]\nkind = \"crash\"\ngroup = 1\nmember = 2\nat_op = 4\n",
+        8,
+        "crashes need `config = \"fault_tolerant\"`",
+    );
+    let ok = format!(
+        "{HEADER}[shard]\nshards = 2\nmembers = 3\nops = 32\n\
+         [[fault]]\nkind = \"partition\"\ngroup = 1\nmember = 2\nfrom_ms = 1\nuntil_ms = 9\n"
+    );
+    amoeba_scenario::ShardPlan::parse(&ok).expect("a partition runs on the default base");
+}

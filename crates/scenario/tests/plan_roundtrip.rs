@@ -4,7 +4,9 @@
 //! text byte for byte). The generator below assembles random valid
 //! scenario files — group shapes, knob subsets, workload modes and
 //! fault schedules — so the property covers the format's surface, not
-//! just the checked-in `scenarios/` files.
+//! just the checked-in `scenarios/` files. The chaos explorer's
+//! generated plans get the stronger form: the written file must also
+//! *run* to the digest of the plan it was written from.
 
 use amoeba_scenario::ScenarioPlan;
 use proptest::prelude::*;
@@ -240,4 +242,31 @@ fn shard_plans_round_trip() {
         assert_eq!(canon, p2.to_toml(), "{name}: to_toml is not a fixpoint");
     }
     assert!(seen >= 3, "expected at least three shard_*.toml scenarios, found {seen}");
+}
+
+/// What the chaos explorer writes on a red case is what `scenario`
+/// replays: every generated plan survives `to_toml → parse` unchanged
+/// and the parsed plan runs to the same digest as the generated one.
+#[test]
+fn chaos_generated_plans_round_trip_and_replay_bit_equal() {
+    use amoeba_scenario::{run_plan, run_shard_plan, ShardPlan};
+    for seed in [1, 7] {
+        for case in 0..64 {
+            let plan = amoeba_chaos::gen_case(seed, case);
+            let text = plan.to_toml();
+            let parsed = ScenarioPlan::parse(&text)
+                .unwrap_or_else(|e| panic!("{}: must re-parse: {e}\n---\n{text}", plan.name));
+            assert_eq!(parsed, plan, "round-trip changed the plan:\n---\n{text}");
+            assert_eq!(run_plan(&parsed).digest, run_plan(&plan).digest, "{}", plan.name);
+        }
+        for case in 0..32 {
+            let plan = amoeba_chaos::gen_shard_case(seed, case);
+            let text = plan.to_toml();
+            let parsed = ShardPlan::parse(&text)
+                .unwrap_or_else(|e| panic!("{}: must re-parse: {e}\n---\n{text}", plan.name));
+            assert_eq!(parsed, plan, "round-trip changed the plan:\n---\n{text}");
+            let (replayed, generated) = (run_shard_plan(&parsed), run_shard_plan(&plan));
+            assert_eq!(replayed.digest, generated.digest, "{}", plan.name);
+        }
+    }
 }
