@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [--json <path>] [--bench-jsonl <path>] [ids...]
+//! figures [--quick] [--json <path>] [ids...]
 //! ids: table3 fig1 fig3 fig4 fig5 fig6 fig7 fig8 rpc ablation batch_sweep
 //!      shard_scale
 //! ```
@@ -9,9 +9,7 @@
 //! `--json <path>` additionally writes the whole run — every series
 //! row, every paper-vs-measured anchor with its ratio, and per
 //! experiment wall-clock — as one machine-readable JSON document (CI
-//! archives it per run). `--bench-jsonl <path>` merges ns/iter lines captured from
-//! the criterion-stub benches (see `AMOEBA_BENCH_JSON`) into that
-//! document under `"benches"`.
+//! archives it per run).
 //!
 //! The run footer prints wall-clock per experiment and in total: the
 //! simulator's own speed is itself a visible, regressable number.
@@ -28,7 +26,6 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let json_path = flag_value(&args, "--json");
-    let bench_jsonl = flag_value(&args, "--bench-jsonl");
     let ids: Vec<&str> = {
         let mut ids = Vec::new();
         let mut skip = false;
@@ -38,7 +35,7 @@ fn main() {
                 continue;
             }
             match a.as_str() {
-                "--json" | "--bench-jsonl" => skip = true,
+                "--json" => skip = true,
                 s if s.starts_with("--") => {}
                 s => ids.push(s),
             }
@@ -73,7 +70,7 @@ fn main() {
     println!("  {:<12} {total:>9.2} s", "total");
 
     if let Some(path) = json_path {
-        let doc = render_json(scale, &results, total, bench_jsonl.as_deref());
+        let doc = render_json(scale, &results, total);
         std::fs::write(&path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("\nwrote {path}");
     }
@@ -96,12 +93,7 @@ fn esc(s: &str) -> String {
 /// Hand-rolled JSON (the workspace is offline; no serde_json). Every
 /// string that reaches here is ASCII from our own tables, escaped
 /// anyway out of caution.
-fn render_json(
-    scale: Scale,
-    results: &[(&str, Figure, f64)],
-    total_secs: f64,
-    bench_jsonl: Option<&str>,
-) -> String {
+fn render_json(scale: Scale, results: &[(&str, Figure, f64)], total_secs: f64) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"scale\": \"{:?}\",", scale);
@@ -141,17 +133,6 @@ fn render_json(
         out.push_str("      ]\n");
         out.push_str("    }");
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"benches\": [\n");
-    let bench_lines: Vec<String> = bench_jsonl
-        .and_then(|p| std::fs::read_to_string(p).ok())
-        .map(|s| s.lines().filter(|l| !l.trim().is_empty()).map(str::to_owned).collect())
-        .unwrap_or_default();
-    for (i, line) in bench_lines.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(line.trim());
-        out.push_str(if i + 1 < bench_lines.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n");
     out.push_str("}\n");

@@ -1,4 +1,4 @@
-//! Fault injection configuration for the live transport.
+//! Fault injection configuration for the in-memory [`crate::LiveNet`].
 
 use std::time::Duration;
 

@@ -14,11 +14,13 @@
 //! this crate is DESIGN.md §3 (repository root).
 //!
 //! Beyond the simulated hardware, this crate also owns the *real*
-//! datagram fabric of the stack: the [`Transport`] trait the live
-//! runtime drives (implemented in-memory by `amoeba_runtime::LiveNet`)
-//! and its inter-process implementation [`UdpNet`], which carries the
-//! existing wire format over `std::net::UdpSocket`s between OS
-//! processes (DESIGN.md §12).
+//! datagram fabrics of the stack — everything under the
+//! `Arc<dyn Transport>` the live runtime drives: the [`Transport`]
+//! trait, the in-memory [`LiveNet`] with its scriptable [`FaultPlan`],
+//! and the inter-process [`UdpNet`], which carries the existing wire
+//! format over `std::net::UdpSocket`s between OS processes (DESIGN.md
+//! §12). Both fabrics send through one epoch-tagged snapshot of their
+//! registry (DESIGN.md §7).
 //!
 //! # Architecture
 //!
@@ -62,16 +64,21 @@
 
 mod chaos;
 mod cpu;
+mod fault;
 mod frame;
+mod live;
 mod medium;
 mod net;
 mod nic;
+mod snapshot;
 pub mod transport;
 mod udp;
 
 pub use chaos::{ChaosPlan, ChaosStats, HostSet, LinkFaults, Partition};
 pub use cpu::{CpuPriority, CpuStats};
+pub use fault::FaultPlan;
 pub use frame::{Frame, FrameDst, MacAddr, McastAddr};
+pub use live::LiveNet;
 pub use medium::{MediumState, MediumStats};
 pub use net::{Host, HostId, Net, NetConfig, NetView};
 pub use nic::{Nic, NicStats};

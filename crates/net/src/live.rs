@@ -3,12 +3,12 @@
 //!
 //! **Send path** (DESIGN.md §7): the authoritative registry (endpoints,
 //! multicast groups, fault plan) lives behind one mutex, but senders
-//! never take it. Every mutation publishes an immutable [`Snapshot`]
-//! and bumps an epoch counter; each sending endpoint keeps an
-//! epoch-tagged `Arc` of the snapshot ([`NetCache`]) and revalidates
-//! with a single atomic load per datagram. On the fault-free fast path
-//! a send is: atomic load, hash lookup, channel push — no global lock,
-//! no allocation (the frame bytes are refcount-shared).
+//! never take it. Every mutation publishes an immutable [`Routes`]
+//! view, and each sending port revalidates its cached copy with a
+//! single atomic load per datagram (`crate::snapshot`, shared with
+//! `UdpNet`). On the fault-free fast path a send is: atomic load, hash
+//! lookup, channel push — no global lock, no allocation (the frame
+//! bytes are refcount-shared).
 //!
 //! **Delay path**: deliveries below a small threshold happen inline
 //! through unbounded channels (preserving per-link FIFO, like a quiet
@@ -21,22 +21,18 @@
 
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::FlipAddress;
-use amoeba_net::{Transport, TransportSender};
+use amoeba_sim::SplitMix64;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::fault::FaultPlan;
-
-/// A raw datagram as delivered to a node: (source address, frame).
-/// The frame's segments are refcount-shared, never copied per receiver.
-pub(crate) use amoeba_net::Datagram;
+use crate::snapshot::{Snapshot, SnapshotCache};
+use crate::transport::{Datagram, Transport, TransportSender};
 
 /// Deliveries with at most this much delay skip the delay wheel and
 /// go straight through the channel.
@@ -54,22 +50,32 @@ struct Registry {
     link_faults: HashMap<(FlipAddress, FlipAddress), FaultPlan>,
 }
 
-/// An immutable copy of the registry that senders read lock-free.
-/// Group targets are pre-resolved to their channels.
-pub(crate) struct Snapshot {
+/// The registry as senders read it, lock-free. Group targets are
+/// pre-resolved to their channels.
+struct Routes {
     endpoints: HashMap<FlipAddress, Sender<Datagram>>,
     groups: HashMap<GroupId, Vec<(FlipAddress, Sender<Datagram>)>>,
     fault: FaultPlan,
     link_faults: HashMap<(FlipAddress, FlipAddress), FaultPlan>,
 }
 
-impl Snapshot {
-    fn empty() -> Self {
-        Snapshot {
-            endpoints: HashMap::new(),
-            groups: HashMap::new(),
-            fault: FaultPlan::reliable(),
-            link_faults: HashMap::new(),
+impl Routes {
+    fn of(reg: &Registry) -> Self {
+        Routes {
+            endpoints: reg.endpoints.clone(),
+            groups: reg
+                .groups
+                .iter()
+                .map(|(g, addrs)| {
+                    let resolved = addrs
+                        .iter()
+                        .filter_map(|a| reg.endpoints.get(a).map(|tx| (*a, tx.clone())))
+                        .collect();
+                    (*g, resolved)
+                })
+                .collect(),
+            fault: reg.fault,
+            link_faults: reg.link_faults.clone(),
         }
     }
 
@@ -81,14 +87,6 @@ impl Snapshot {
         }
         self.link_faults.get(&(from, to)).copied().unwrap_or(self.fault)
     }
-}
-
-/// A sending endpoint's epoch-tagged snapshot handle. Refreshed with
-/// one atomic load per send; the registry mutex is touched only when
-/// membership actually changed.
-pub(crate) struct NetCache {
-    epoch: u64,
-    snap: Arc<Snapshot>,
 }
 
 /// One datagram waiting on the delay wheel.
@@ -121,15 +119,15 @@ impl Ord for Delayed {
     }
 }
 
-/// The shared network fabric processes plug into.
+/// The shared in-memory fabric processes plug into: a [`Transport`]
+/// with scriptable faults.
 pub struct LiveNet {
-    registry: Mutex<Registry>,
-    /// The published snapshot (swapped whole on every mutation).
-    snapshot: Mutex<Arc<Snapshot>>,
-    /// Bumped after each snapshot swap; senders revalidate against it.
-    epoch: AtomicU64,
+    /// Handed to every sending port, which needs the fabric's fault
+    /// randomness and delay wheel for as long as it sends.
+    me: Weak<LiveNet>,
+    table: Snapshot<Registry, Routes>,
     /// Fault randomness (touched only on non-trivial fault plans).
-    rng: Mutex<StdRng>,
+    rng: Mutex<SplitMix64>,
     /// The delay wheel's inbox (thread spawned on first delayed send).
     wheel: Mutex<Option<Sender<Delayed>>>,
     /// Monotone insertion counter for stable delivery order.
@@ -138,7 +136,7 @@ pub struct LiveNet {
 
 impl std::fmt::Debug for LiveNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let reg = self.registry.lock();
+        let reg = self.table.registry();
         f.debug_struct("LiveNet")
             .field("endpoints", &reg.endpoints.len())
             .field("groups", &reg.groups.len())
@@ -155,122 +153,19 @@ impl LiveNet {
     /// Panics if the fault plan is invalid.
     pub fn new(seed: u64, fault: FaultPlan) -> Arc<Self> {
         fault.validate().expect("valid fault plan");
-        let net = Arc::new(LiveNet {
-            registry: Mutex::new(Registry {
-                endpoints: HashMap::new(),
-                groups: HashMap::new(),
-                fault,
-                link_faults: HashMap::new(),
-            }),
-            snapshot: Mutex::new(Arc::new(Snapshot::empty())),
-            epoch: AtomicU64::new(1),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+        let registry = Registry {
+            endpoints: HashMap::new(),
+            groups: HashMap::new(),
+            fault,
+            link_faults: HashMap::new(),
+        };
+        Arc::new_cyclic(|me| LiveNet {
+            me: me.clone(),
+            table: Snapshot::new(registry, Routes::of),
+            rng: Mutex::new(SplitMix64::new(seed)),
             wheel: Mutex::new(None),
             wheel_seq: AtomicU64::new(0),
-        });
-        net.publish(&net.registry.lock());
-        net
-    }
-
-    /// Rebuilds and publishes the snapshot from the (locked) registry.
-    fn publish(&self, reg: &Registry) {
-        let snap = Arc::new(Snapshot {
-            endpoints: reg.endpoints.clone(),
-            groups: reg
-                .groups
-                .iter()
-                .map(|(g, addrs)| {
-                    let resolved = addrs
-                        .iter()
-                        .filter_map(|a| reg.endpoints.get(a).map(|tx| (*a, tx.clone())))
-                        .collect();
-                    (*g, resolved)
-                })
-                .collect(),
-            fault: reg.fault,
-            link_faults: reg.link_faults.clone(),
-        });
-        *self.snapshot.lock() = snap;
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// A fresh sender-side cache (stale; refreshed on first use).
-    pub(crate) fn cache(&self) -> NetCache {
-        NetCache { epoch: 0, snap: Arc::new(Snapshot::empty()) }
-    }
-
-    fn refresh(&self, cache: &mut NetCache) {
-        let now = self.epoch.load(Ordering::Acquire);
-        if cache.epoch != now {
-            cache.epoch = now;
-            cache.snap = Arc::clone(&self.snapshot.lock());
-        }
-    }
-
-    /// Registers a process endpoint; returns its datagram receiver.
-    pub(crate) fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
-        let (tx, rx) = channel::unbounded();
-        let mut reg = self.registry.lock();
-        reg.endpoints.insert(addr, tx);
-        self.publish(&reg);
-        rx
-    }
-
-    /// Removes an endpoint (a "crashed" or departed process): its
-    /// traffic blackholes from now on.
-    pub(crate) fn unregister(&self, addr: FlipAddress) {
-        let mut reg = self.registry.lock();
-        reg.endpoints.remove(&addr);
-        for members in reg.groups.values_mut() {
-            members.retain(|a| *a != addr);
-        }
-        self.publish(&reg);
-    }
-
-    /// Adds an endpoint to a multicast group.
-    pub(crate) fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
-        let mut reg = self.registry.lock();
-        let members = reg.groups.entry(group).or_default();
-        if !members.contains(&addr) {
-            members.push(addr);
-        }
-        self.publish(&reg);
-    }
-
-    /// Sends point-to-point.
-    pub(crate) fn unicast(
-        &self,
-        cache: &mut NetCache,
-        from: FlipAddress,
-        to: FlipAddress,
-        frame: WireFrame,
-    ) {
-        self.refresh(cache);
-        let snap = &cache.snap;
-        let fault = snap.fault_for(from, to);
-        if let Some(tx) = snap.endpoints.get(&to) {
-            self.deliver_one(tx, from, frame, fault);
-        }
-    }
-
-    /// Sends to every group member except the sender (multicast does
-    /// not loop back, as on real hardware).
-    pub(crate) fn multicast(
-        &self,
-        cache: &mut NetCache,
-        from: FlipAddress,
-        group: GroupId,
-        frame: WireFrame,
-    ) {
-        self.refresh(cache);
-        let snap = &cache.snap;
-        let Some(targets) = snap.groups.get(&group) else { return };
-        for (addr, tx) in targets {
-            if *addr != from {
-                let fault = snap.fault_for(from, *addr);
-                self.deliver_one(tx, from, frame.clone(), fault);
-            }
-        }
+        })
     }
 
     /// Applies the fault plan to one (packet, receiver) pair and hands
@@ -289,21 +184,18 @@ impl LiveNet {
         }
         let (copies, delay) = {
             let mut rng = self.rng.lock();
-            let copies = if fault.loss > 0.0 && rng.gen_bool(fault.loss) {
-                0u32
-            } else if fault.duplicate > 0.0 && rng.gen_bool(fault.duplicate) {
+            let copies = if rng.gen_bool(fault.loss) {
+                return;
+            } else if rng.gen_bool(fault.duplicate) {
                 2
             } else {
                 1
             };
-            if copies == 0 {
-                return;
-            }
             let span = fault.max_delay.saturating_sub(fault.min_delay);
             let jitter = if span.is_zero() {
                 Duration::ZERO
             } else {
-                Duration::from_nanos(rng.gen_range(0..span.as_nanos() as u64))
+                Duration::from_nanos(rng.gen_range(span.as_nanos() as u64))
             };
             (copies, fault.min_delay + jitter)
         };
@@ -339,9 +231,7 @@ impl LiveNet {
     /// Panics if the new plan is invalid.
     pub fn set_fault(&self, fault: FaultPlan) {
         fault.validate().expect("valid fault plan");
-        let mut reg = self.registry.lock();
-        reg.fault = fault;
-        self.publish(&reg);
+        self.table.publish(|reg| reg.fault = fault);
     }
 
     /// Overrides the fault plan for the *directed* link `from → to`
@@ -356,67 +246,76 @@ impl LiveNet {
     /// Panics if the plan is invalid.
     pub fn set_link_fault(&self, from: FlipAddress, to: FlipAddress, fault: FaultPlan) {
         fault.validate().expect("valid fault plan");
-        let mut reg = self.registry.lock();
-        reg.link_faults.insert((from, to), fault);
-        self.publish(&reg);
+        self.table.publish(|reg| reg.link_faults.insert((from, to), fault));
     }
 
     /// Removes the `from → to` override (the link heals back to the
     /// global plan).
     pub fn clear_link_fault(&self, from: FlipAddress, to: FlipAddress) {
-        let mut reg = self.registry.lock();
-        reg.link_faults.remove(&(from, to));
-        self.publish(&reg);
+        self.table.publish(|reg| reg.link_faults.remove(&(from, to)));
     }
 
     /// Removes every per-link override at once (a full heal).
     pub fn clear_link_faults(&self) {
-        let mut reg = self.registry.lock();
-        reg.link_faults.clear();
-        self.publish(&reg);
+        self.table.publish(|reg| reg.link_faults.clear());
     }
 }
 
-/// [`LiveNet`] behind the transport contract the driver loop speaks
-/// (`amoeba_net::Transport`) — interchangeable with the inter-process
-/// `UdpNet`. A newtype rather than a direct impl because senders need
-/// an owned `Arc` of the fabric (orphan rules aside), and because the
-/// fabric's fault-injection internals stay crate-private this way.
-pub(crate) struct LiveTransport(pub(crate) Arc<LiveNet>);
-
-impl Transport for LiveTransport {
+impl Transport for LiveNet {
     fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
-        self.0.register(addr)
+        let (tx, rx) = channel::unbounded();
+        self.table.publish(|reg| reg.endpoints.insert(addr, tx));
+        rx
     }
 
     fn unregister(&self, addr: FlipAddress) {
-        self.0.unregister(addr)
+        self.table.publish(|reg| {
+            reg.endpoints.remove(&addr);
+            for members in reg.groups.values_mut() {
+                members.retain(|a| *a != addr);
+            }
+        });
     }
 
     fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
-        self.0.join_mcast(group, addr)
+        self.table.publish(|reg| {
+            let members = reg.groups.entry(group).or_default();
+            if !members.contains(&addr) {
+                members.push(addr);
+            }
+        });
     }
 
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
-        Box::new(LiveSender { net: Arc::clone(&self.0), from, cache: self.0.cache() })
+        let net = self.me.upgrade().expect("LiveNet::new hands out only Arcs");
+        Box::new(LiveSender { cache: net.table.cache(), net, from })
     }
 }
 
-/// The in-memory fabric's per-endpoint sending port: owns the epoch-
-/// cached membership snapshot sends read instead of the registry lock.
+/// The in-memory fabric's per-endpoint sending port.
 struct LiveSender {
     net: Arc<LiveNet>,
     from: FlipAddress,
-    cache: NetCache,
+    cache: SnapshotCache<Routes>,
 }
 
 impl TransportSender for LiveSender {
     fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
-        self.net.unicast(&mut self.cache, self.from, to, frame);
+        let routes = self.cache.get(&self.net.table);
+        if let Some(tx) = routes.endpoints.get(&to) {
+            self.net.deliver_one(tx, self.from, frame, routes.fault_for(self.from, to));
+        }
     }
 
     fn multicast(&mut self, group: GroupId, frame: WireFrame) {
-        self.net.multicast(&mut self.cache, self.from, group, frame);
+        let routes = self.cache.get(&self.net.table);
+        let Some(targets) = routes.groups.get(&group) else { return };
+        for (addr, tx) in targets {
+            if *addr != self.from {
+                let fault = routes.fault_for(self.from, *addr);
+                self.net.deliver_one(tx, self.from, frame.clone(), fault);
+            }
+        }
     }
 }
 
@@ -469,9 +368,8 @@ mod tests {
     #[test]
     fn unicast_reaches_endpoint() {
         let net = LiveNet::new(1, FaultPlan::reliable());
-        let mut cache = net.cache();
         let rx = net.register(addr(1));
-        net.unicast(&mut cache, addr(2), addr(1), frame(b"hi"));
+        net.sender(addr(2)).unicast(addr(1), frame(b"hi"));
         let (from, data) = rx.recv_timeout(Duration::from_secs(1)).expect("delivered");
         assert_eq!(from, addr(2));
         assert_eq!(&data.head[..], b"hi");
@@ -480,13 +378,12 @@ mod tests {
     #[test]
     fn multicast_excludes_sender() {
         let net = LiveNet::new(1, FaultPlan::reliable());
-        let mut cache = net.cache();
         let g = GroupId(9);
         let rx1 = net.register(addr(1));
         let rx2 = net.register(addr(2));
         net.join_mcast(g, addr(1));
         net.join_mcast(g, addr(2));
-        net.multicast(&mut cache, addr(1), g, frame(b"m"));
+        net.sender(addr(1)).multicast(g, frame(b"m"));
         assert!(rx2.recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(rx1.try_recv().is_err(), "no loopback");
     }
@@ -494,33 +391,32 @@ mod tests {
     #[test]
     fn unregistered_endpoint_blackholes() {
         let net = LiveNet::new(1, FaultPlan::reliable());
-        let mut cache = net.cache();
         let rx = net.register(addr(1));
         net.unregister(addr(1));
-        net.unicast(&mut cache, addr(2), addr(1), frame(b"x"));
+        net.sender(addr(2)).unicast(addr(1), frame(b"x"));
         assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
     }
 
     #[test]
     fn stale_cache_catches_up_with_membership() {
         let net = LiveNet::new(1, FaultPlan::reliable());
-        let mut cache = net.cache();
         let rx1 = net.register(addr(1));
-        net.unicast(&mut cache, addr(9), addr(1), frame(b"a"));
+        let mut tx = net.sender(addr(9));
+        tx.unicast(addr(1), frame(b"a"));
         assert!(rx1.recv_timeout(Duration::from_secs(1)).is_ok());
-        // A later registration must be visible through the same cache.
+        // A later registration must be visible through the same sender.
         let rx2 = net.register(addr(2));
-        net.unicast(&mut cache, addr(9), addr(2), frame(b"b"));
+        tx.unicast(addr(2), frame(b"b"));
         assert!(rx2.recv_timeout(Duration::from_secs(1)).is_ok());
     }
 
     #[test]
     fn total_loss_drops_everything() {
         let net = LiveNet::new(1, FaultPlan { loss: 1.0, ..FaultPlan::reliable() });
-        let mut cache = net.cache();
         let rx = net.register(addr(1));
+        let mut tx = net.sender(addr(2));
         for _ in 0..20 {
-            net.unicast(&mut cache, addr(2), addr(1), frame(b"x"));
+            tx.unicast(addr(1), frame(b"x"));
         }
         assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
     }
@@ -528,9 +424,8 @@ mod tests {
     #[test]
     fn duplication_produces_extra_copies() {
         let net = LiveNet::new(1, FaultPlan { duplicate: 1.0, ..FaultPlan::reliable() });
-        let mut cache = net.cache();
         let rx = net.register(addr(1));
-        net.unicast(&mut cache, addr(2), addr(1), frame(b"x"));
+        net.sender(addr(2)).unicast(addr(1), frame(b"x"));
         assert!(rx.recv_timeout(Duration::from_secs(1)).is_ok());
         assert!(rx.recv_timeout(Duration::from_secs(1)).is_ok(), "second copy expected");
     }
@@ -546,11 +441,11 @@ mod tests {
                 ..FaultPlan::reliable()
             },
         );
-        let mut cache = net.cache();
         let rx = net.register(addr(1));
         let start = Instant::now();
+        let mut tx = net.sender(addr(2));
         for _ in 0..50 {
-            net.unicast(&mut cache, addr(2), addr(1), frame(b"d"));
+            tx.unicast(addr(1), frame(b"d"));
         }
         for _ in 0..50 {
             rx.recv_timeout(Duration::from_secs(2)).expect("wheel delivers");

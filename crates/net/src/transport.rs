@@ -5,7 +5,7 @@
 //! datagrams), a way to subscribe the endpoint to a group's multicast
 //! address, and a per-endpoint sender for unicast and multicast frames.
 //! This module names that contract so the in-memory fabric
-//! (`amoeba_runtime::LiveNet`) and the real inter-process UDP fabric
+//! ([`crate::LiveNet`]) and the real inter-process UDP fabric
 //! ([`crate::UdpNet`]) are interchangeable behind one trait object
 //! (DESIGN.md §12) — the OptSCORE-style "keep the transport swappable
 //! behind the config surface" argument, applied to this stack.
@@ -43,10 +43,12 @@ pub trait Transport: Send + Sync {
     /// Subscribes a registered endpoint to a group's multicast address.
     fn join_mcast(&self, group: GroupId, addr: FlipAddress);
 
-    /// A sending port for `from`. One sender per endpoint: senders may
-    /// carry per-endpoint state (an epoch-cached membership snapshot, a
-    /// message-id counter) and are `Send` but not `Sync` — callers
-    /// serialize sends per endpoint, which the driver loop already does.
+    /// A sending port for `from`. Sends run on the calling thread, and
+    /// a sender carries its own state (an epoch-cached membership
+    /// snapshot, an encode buffer), so it is `Send` but not `Sync` —
+    /// callers serialize sends per port, which the driver loop already
+    /// does. Asking twice for one address yields two independent ports
+    /// onto the same endpoint; after `unregister` a port blackholes.
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender>;
 }
 

@@ -11,19 +11,18 @@
 //! **Endpoints.** Each registered FLIP address owns one UDP socket
 //! bound to 127.0.0.1 (or a port pre-bound via
 //! [`UdpNet::bind_endpoint`] so a harness can exchange ports before
-//! the protocol starts talking). Two threads serve it: a *receive
+//! the protocol starts talking). One thread serves it: a *receive
 //! pump* that turns datagrams back into `(source, WireFrame)` pairs
-//! for the unchanged driver loop, and a *send thread* that drains the
-//! endpoint's queue batch-wise — one wake processes every frame queued
-//! behind it, gather-encoding each fragment (envelope + head slice +
-//! tail slice) into one reusable scratch buffer per `send_to`.
+//! for the unchanged driver loop. Sends run on the caller's thread:
+//! a [`TransportSender`] gather-encodes each fragment (envelope + head
+//! slice + tail slice) into its own reusable scratch buffer and writes
+//! it to the endpoint's socket, one `send_to` per fragment per target.
 //!
 //! **Peer table.** The authoritative registry (peer socket addresses,
 //! local endpoints, local multicast subscriptions) lives behind one
-//! mutex, but neither senders nor pumps ever take it: every mutation
-//! publishes an immutable snapshot and bumps an epoch, and each thread
-//! revalidates its cached `Arc` with a single atomic load — the same
-//! discipline `LiveNet` established (DESIGN.md §7).
+//! mutex, but neither senders nor pumps ever take it: they read the
+//! published [`Peers`] view through `crate::snapshot`, the discipline
+//! `LiveNet` sends through too (DESIGN.md §7).
 //!
 //! **Multicast.** A real LAN would let the NIC filter multicast; over
 //! unicast UDP we do the moral equivalent: a multicast send fans out
@@ -39,12 +38,16 @@
 //! payload delivery — is a shared-ownership view of that buffer
 //! (pinned by `decoded_body_shares_the_datagram_allocation` below).
 //!
+//! **Bounds.** Partial reassemblies are purged by age and capped by
+//! count and by bytes, oldest first ([`Partials`]): a lost fragment or
+//! a peer spraying first-fragments costs bounded memory.
+//!
 //! Delivery is best-effort by design: unknown peers, socket errors and
 //! malformed datagrams drop silently, and the group protocol's
 //! negative-acknowledgement machinery recovers, exactly as it does on
 //! a lossy wire.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,9 +57,9 @@ use std::time::{Duration, Instant};
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::{split_lens, FlipAddress, FragKey, Reassembler};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{self, Receiver, Sender};
 
+use crate::snapshot::{Snapshot, SnapshotCache};
 use crate::transport::{Datagram, Transport, TransportSender};
 
 /// Wire envelope prefixed to every datagram: magic (2) + version (1) +
@@ -153,79 +156,52 @@ fn gather_range(out: &mut Vec<u8>, frame: &WireFrame, off: usize, len: usize) {
     }
 }
 
-/// What a [`UdpSender`] hands its endpoint's send thread.
-enum SendItem {
-    Unicast(FlipAddress, WireFrame),
-    Multicast(GroupId, WireFrame),
-}
-
-/// Immutable registry copy that pumps and send threads read lock-free.
-struct Snapshot {
+/// The registry as senders and pumps read it, lock-free.
+struct Peers {
     peers: HashMap<FlipAddress, SocketAddr>,
     /// *Local* multicast subscriptions only (see module docs).
     groups: HashMap<GroupId, HashSet<FlipAddress>>,
 }
 
-impl Snapshot {
-    fn empty() -> Self {
-        Snapshot { peers: HashMap::new(), groups: HashMap::new() }
+impl Peers {
+    fn of(reg: &Registry) -> Self {
+        Peers { peers: reg.peers.clone(), groups: reg.groups.clone() }
     }
 }
 
-/// The published snapshot plus its epoch — shared by the fabric and
-/// every endpoint thread (a separate `Arc` so threads never keep the
-/// fabric itself alive).
-struct Published {
-    epoch: AtomicU64,
-    snap: Mutex<Arc<Snapshot>>,
-}
-
-/// A thread's epoch-tagged snapshot handle: one atomic load per use,
-/// the mutex touched only when membership actually changed.
-struct Cache {
-    epoch: u64,
-    snap: Arc<Snapshot>,
-}
-
-impl Cache {
-    fn new() -> Self {
-        Cache { epoch: 0, snap: Arc::new(Snapshot::empty()) }
-    }
-
-    fn refresh(&mut self, published: &Published) {
-        let now = published.epoch.load(Ordering::Acquire);
-        if self.epoch != now {
-            self.epoch = now;
-            self.snap = Arc::clone(&published.snap.lock());
-        }
-    }
-}
-
-/// One registered endpoint's server-side state.
+/// One registered endpoint: its socket, shared by the receive pump and
+/// every sending port handed out for the address.
 struct Endpoint {
-    queue: Sender<SendItem>,
-    shutdown: Arc<AtomicBool>,
+    sock: UdpSocket,
+    /// Set on unregister (and on fabric teardown): the pump exits
+    /// within one read-timeout tick and senders blackhole.
+    shutdown: AtomicBool,
+    /// The next message id. Shared, so ids stay unique per endpoint
+    /// however many senders exist — receivers key reassembly on
+    /// `(source, id)`.
+    next_msg_id: AtomicU64,
 }
 
 /// Authoritative state, mutated under its mutex.
 struct Registry {
     peers: HashMap<FlipAddress, SocketAddr>,
     groups: HashMap<GroupId, HashSet<FlipAddress>>,
-    local: HashMap<FlipAddress, Endpoint>,
+    local: HashMap<FlipAddress, Arc<Endpoint>>,
     /// Sockets bound ahead of registration (port exchange).
-    prebound: HashMap<FlipAddress, Arc<UdpSocket>>,
+    prebound: HashMap<FlipAddress, UdpSocket>,
 }
 
 /// The inter-process UDP datagram fabric. See the module docs.
 pub struct UdpNet {
     cfg: UdpConfig,
-    registry: Mutex<Registry>,
-    published: Arc<Published>,
+    /// Shared with every pump and sender (an `Arc` of its own, so
+    /// endpoint threads never keep the fabric itself alive).
+    table: Arc<Snapshot<Registry, Peers>>,
 }
 
 impl std::fmt::Debug for UdpNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let reg = self.registry.lock();
+        let reg = self.table.registry();
         f.debug_struct("UdpNet")
             .field("peers", &reg.peers.len())
             .field("local", &reg.local.len())
@@ -246,26 +222,13 @@ impl UdpNet {
             cfg.max_datagram > ENVELOPE_LEN && cfg.max_datagram <= MAX_UDP_DATAGRAM,
             "max_datagram must be in ({ENVELOPE_LEN}, {MAX_UDP_DATAGRAM}]"
         );
-        Arc::new(UdpNet {
-            cfg,
-            registry: Mutex::new(Registry {
-                peers: HashMap::new(),
-                groups: HashMap::new(),
-                local: HashMap::new(),
-                prebound: HashMap::new(),
-            }),
-            published: Arc::new(Published {
-                epoch: AtomicU64::new(1),
-                snap: Mutex::new(Arc::new(Snapshot::empty())),
-            }),
-        })
-    }
-
-    /// Rebuilds and publishes the snapshot from the (locked) registry.
-    fn publish(&self, reg: &Registry) {
-        let snap = Arc::new(Snapshot { peers: reg.peers.clone(), groups: reg.groups.clone() });
-        *self.published.snap.lock() = snap;
-        self.published.epoch.fetch_add(1, Ordering::Release);
+        let registry = Registry {
+            peers: HashMap::new(),
+            groups: HashMap::new(),
+            local: HashMap::new(),
+            prebound: HashMap::new(),
+        };
+        Arc::new(UdpNet { cfg, table: Arc::new(Snapshot::new(registry, Peers::of)) })
     }
 
     /// Binds `addr`'s socket ahead of registration and returns the OS
@@ -277,23 +240,21 @@ impl UdpNet {
     ///
     /// The underlying bind error, if the OS refuses a loopback socket.
     pub fn bind_endpoint(&self, addr: FlipAddress) -> io::Result<SocketAddr> {
-        let sock = Arc::new(UdpSocket::bind(("127.0.0.1", 0))?);
+        let sock = UdpSocket::bind(("127.0.0.1", 0))?;
         let local = sock.local_addr()?;
-        self.registry.lock().prebound.insert(addr, sock);
+        self.table.registry().prebound.insert(addr, sock);
         Ok(local)
     }
 
     /// Records where a *remote* peer (another OS process) listens.
     pub fn add_peer(&self, addr: FlipAddress, at: SocketAddr) {
-        let mut reg = self.registry.lock();
-        reg.peers.insert(addr, at);
-        self.publish(&reg);
+        self.table.publish(|reg| reg.peers.insert(addr, at));
     }
 
     /// The socket address a registered or pre-bound local endpoint
     /// listens on (tests and harnesses read ports through this).
     pub fn local_addr(&self, addr: FlipAddress) -> Option<SocketAddr> {
-        let reg = self.registry.lock();
+        let reg = self.table.registry();
         if let Some(sock) = reg.prebound.get(&addr) {
             return sock.local_addr().ok();
         }
@@ -303,185 +264,127 @@ impl UdpNet {
 
 impl Transport for UdpNet {
     /// Plugs `addr` in: adopts its pre-bound socket (or binds a fresh
-    /// loopback port), spawns its receive pump and send thread, and
-    /// announces the port to local senders.
+    /// loopback port), spawns its receive pump, and announces the port
+    /// to local senders.
     ///
     /// # Panics
     ///
-    /// Panics if the OS refuses to bind or the threads cannot spawn —
+    /// Panics if the OS refuses to bind or the pump cannot spawn —
     /// endpoint creation failing is a harness-level error, not a
     /// protocol outcome.
     fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
-        let mut reg = self.registry.lock();
-        // Re-registration replaces the endpoint (mirrors LiveNet).
-        if let Some(old) = reg.local.remove(&addr) {
-            old.shutdown.store(true, Ordering::Relaxed);
-        }
-        let sock = reg.prebound.remove(&addr).unwrap_or_else(|| {
-            Arc::new(UdpSocket::bind(("127.0.0.1", 0)).expect("bind UDP endpoint"))
-        });
-        let local = sock.local_addr().expect("bound socket has an address");
         let (inbox_tx, inbox_rx) = channel::unbounded();
-        let (queue_tx, queue_rx) = channel::unbounded();
-        let shutdown = Arc::new(AtomicBool::new(false));
-
-        let pump = PumpState {
-            sock: Arc::clone(&sock),
-            me: addr,
-            inbox: inbox_tx,
-            shutdown: Arc::clone(&shutdown),
-            published: Arc::clone(&self.published),
-            purge_after: self.cfg.purge_after,
-        };
-        std::thread::Builder::new()
-            .name(format!("udp-pump-{addr}"))
-            .spawn(move || pump.run())
-            .expect("spawn UDP receive pump");
-
-        let send = SendState {
-            sock,
-            from: addr,
-            queue: queue_rx,
-            shutdown: Arc::clone(&shutdown),
-            published: Arc::clone(&self.published),
-            max_datagram: self.cfg.max_datagram,
-        };
-        std::thread::Builder::new()
-            .name(format!("udp-send-{addr}"))
-            .spawn(move || send.run())
-            .expect("spawn UDP send thread");
-
-        reg.peers.insert(addr, local);
-        reg.local.insert(addr, Endpoint { queue: queue_tx, shutdown });
-        self.publish(&reg);
+        self.table.publish(|reg| {
+            // Re-registration replaces the endpoint (mirrors LiveNet).
+            if let Some(old) = reg.local.remove(&addr) {
+                old.shutdown.store(true, Ordering::Relaxed);
+            }
+            let sock = reg.prebound.remove(&addr).unwrap_or_else(|| {
+                UdpSocket::bind(("127.0.0.1", 0)).expect("bind UDP endpoint")
+            });
+            let local = sock.local_addr().expect("bound socket has an address");
+            let endpoint = Arc::new(Endpoint {
+                sock,
+                shutdown: AtomicBool::new(false),
+                next_msg_id: AtomicU64::new(1),
+            });
+            let pump = PumpState {
+                endpoint: Arc::clone(&endpoint),
+                me: addr,
+                inbox: inbox_tx,
+                table: Arc::clone(&self.table),
+                purge_after: self.cfg.purge_after,
+            };
+            std::thread::Builder::new()
+                .name(format!("udp-pump-{addr}"))
+                .spawn(move || pump.run())
+                .expect("spawn UDP receive pump");
+            reg.peers.insert(addr, local);
+            reg.local.insert(addr, endpoint);
+        });
         inbox_rx
     }
 
     fn unregister(&self, addr: FlipAddress) {
-        let mut reg = self.registry.lock();
-        if let Some(ep) = reg.local.remove(&addr) {
-            ep.shutdown.store(true, Ordering::Relaxed);
-        }
-        reg.peers.remove(&addr);
-        reg.prebound.remove(&addr);
-        for members in reg.groups.values_mut() {
-            members.remove(&addr);
-        }
-        self.publish(&reg);
+        self.table.publish(|reg| {
+            if let Some(ep) = reg.local.remove(&addr) {
+                ep.shutdown.store(true, Ordering::Relaxed);
+            }
+            reg.peers.remove(&addr);
+            reg.prebound.remove(&addr);
+            for members in reg.groups.values_mut() {
+                members.remove(&addr);
+            }
+        });
     }
 
     fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
-        let mut reg = self.registry.lock();
-        reg.groups.entry(group).or_default().insert(addr);
-        self.publish(&reg);
+        self.table.publish(|reg| reg.groups.entry(group).or_default().insert(addr));
     }
 
+    /// A sending port for `from`. An address that is not registered
+    /// gets a port whose traffic blackholes: best-effort, like the
+    /// fabric itself.
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
-        let reg = self.registry.lock();
-        let queue = reg
-            .local
-            .get(&from)
-            .map(|ep| ep.queue.clone())
-            // An unregistered sender's traffic blackholes (disconnected
-            // channel): best-effort, like the fabric itself.
-            .unwrap_or_else(|| channel::unbounded().0);
-        Box::new(UdpSender { queue })
+        Box::new(UdpSender {
+            endpoint: self.table.registry().local.get(&from).cloned(),
+            from,
+            cache: self.table.cache(),
+            table: Arc::clone(&self.table),
+            scratch: Vec::with_capacity(self.cfg.max_datagram),
+            max_datagram: self.cfg.max_datagram,
+        })
     }
 }
 
 impl Drop for UdpNet {
     fn drop(&mut self) {
-        // Registry entries (and their queue senders) drop with us; the
-        // flags stop the pumps within one read-timeout tick.
-        for ep in self.registry.lock().local.values() {
+        // The flags stop the pumps within one read-timeout tick.
+        for ep in self.table.registry().local.values() {
             ep.shutdown.store(true, Ordering::Relaxed);
         }
     }
 }
 
-/// The per-endpoint sending port: enqueues to the endpoint's send
-/// thread, which batches socket writes.
+/// The per-endpoint sending port: fragments against the datagram
+/// ceiling and gather-encodes envelope + frame slices into one
+/// reusable scratch per `send_to`, on the calling thread.
 struct UdpSender {
-    queue: Sender<SendItem>,
+    /// `None` for an address that was never registered.
+    endpoint: Option<Arc<Endpoint>>,
+    from: FlipAddress,
+    table: Arc<Snapshot<Registry, Peers>>,
+    cache: SnapshotCache<Peers>,
+    scratch: Vec<u8>,
+    max_datagram: usize,
 }
 
 impl TransportSender for UdpSender {
     fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
-        let _ = self.queue.send(SendItem::Unicast(to, frame));
+        let Some(&at) = self.cache.get(&self.table).peers.get(&to) else { return };
+        self.emit(to.as_u64(), &frame, &[at]);
     }
 
     fn multicast(&mut self, group: GroupId, frame: WireFrame) {
-        let _ = self.queue.send(SendItem::Multicast(group, frame));
+        let fanout: Vec<SocketAddr> = self
+            .cache
+            .get(&self.table)
+            .peers
+            .iter()
+            .filter(|(a, _)| **a != self.from)
+            .map(|(_, at)| *at)
+            .collect();
+        self.emit(GROUP_TAG | (group.0 & !GROUP_TAG), &frame, &fanout);
     }
 }
 
-/// The send thread: drains its queue batch-wise (every frame queued
-/// behind a wake goes out before the next block), fragments against
-/// the datagram ceiling, and gather-encodes envelope + frame slices
-/// into one reusable scratch per `send_to`.
-struct SendState {
-    sock: Arc<UdpSocket>,
-    from: FlipAddress,
-    queue: Receiver<SendItem>,
-    shutdown: Arc<AtomicBool>,
-    published: Arc<Published>,
-    max_datagram: usize,
-}
-
-impl SendState {
-    fn run(self) {
-        let mut cache = Cache::new();
-        let mut scratch: Vec<u8> = Vec::with_capacity(self.max_datagram);
-        let mut msg_id = 0u64;
-        loop {
-            let first = match self.queue.recv_timeout(Duration::from_millis(100)) {
-                Ok(item) => item,
-                Err(RecvTimeoutError::Timeout) => {
-                    if self.shutdown.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            };
-            // One wake, whole queue: refresh the peer table once and
-            // stream every queued frame through the same scratch.
-            cache.refresh(&self.published);
-            let mut next = Some(first);
-            while let Some(item) = next {
-                msg_id += 1;
-                self.emit(&cache, &mut scratch, msg_id, item);
-                next = self.queue.try_recv().ok();
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
-        }
-    }
-
+impl UdpSender {
     /// Fragments and writes one frame to its resolved targets. Socket
-    /// errors and unknown destinations drop silently (best-effort).
-    fn emit(&self, cache: &Cache, scratch: &mut Vec<u8>, msg_id: u64, item: SendItem) {
-        let single: [SocketAddr; 1];
-        let fanout: Vec<SocketAddr>;
-        let (dst, frame, targets): (u64, WireFrame, &[SocketAddr]) = match item {
-            SendItem::Unicast(to, frame) => {
-                let Some(&at) = cache.snap.peers.get(&to) else { return };
-                single = [at];
-                (to.as_u64(), frame, &single[..])
-            }
-            SendItem::Multicast(group, frame) => {
-                fanout = cache
-                    .snap
-                    .peers
-                    .iter()
-                    .filter(|(a, _)| **a != self.from)
-                    .map(|(_, at)| *at)
-                    .collect();
-                (GROUP_TAG | (group.0 & !GROUP_TAG), frame, &fanout[..])
-            }
-        };
-        if targets.is_empty() {
+    /// errors drop silently (best-effort), and so does everything once
+    /// the endpoint is unregistered.
+    fn emit(&mut self, dst: u64, frame: &WireFrame, targets: &[SocketAddr]) {
+        let Some(endpoint) = &self.endpoint else { return };
+        if targets.is_empty() || endpoint.shutdown.load(Ordering::Relaxed) {
             return;
         }
         let budget = (self.max_datagram - ENVELOPE_LEN) as u32;
@@ -490,9 +393,11 @@ impl SendState {
             return; // cannot be expressed on the wire; drop
         }
         let count = lens.len() as u16;
+        // Relaxed: the id only has to be unique, it publishes nothing.
+        let msg_id = endpoint.next_msg_id.fetch_add(1, Ordering::Relaxed);
         let mut off = 0usize;
         for (index, len) in lens.into_iter().enumerate() {
-            scratch.clear();
+            self.scratch.clear();
             let env = Envelope {
                 src: self.from.as_u64(),
                 dst,
@@ -500,12 +405,95 @@ impl SendState {
                 index: index as u16,
                 count,
             };
-            encode_envelope(scratch, &env);
-            gather_range(scratch, &frame, off, len as usize);
+            encode_envelope(&mut self.scratch, &env);
+            gather_range(&mut self.scratch, frame, off, len as usize);
             for at in targets {
-                let _ = self.sock.send_to(scratch, at);
+                let _ = endpoint.sock.send_to(&self.scratch, at);
             }
             off += len as usize;
+        }
+    }
+}
+
+/// Most partial messages one endpoint holds at a time.
+const MAX_PARTIALS: usize = 256;
+
+/// Most bytes one endpoint's partial messages hold at a time
+/// (fragment bodies plus their slot tables).
+const MAX_PARTIAL_BYTES: usize = 16 << 20;
+
+/// Fragment reassembly with bounded memory. [`Reassembler`] drops
+/// nothing by itself, so every partial message is entered here under a
+/// unique, increasing stamp — which is also the "time" the reassembler
+/// files it under — and the oldest are evicted (`purge_older_than` the
+/// next stamp) once they outlive `purge_after` or the endpoint holds
+/// more than [`MAX_PARTIALS`] messages or [`MAX_PARTIAL_BYTES`] bytes.
+struct Partials {
+    reasm: Reassembler<Bytes>,
+    /// Pending messages by stamp: (key, arrival in ms, bytes charged).
+    held: BTreeMap<u64, (FragKey, u64, usize)>,
+    stamps: HashMap<FragKey, u64>,
+    next_stamp: u64,
+    bytes: usize,
+    purge_ms: u64,
+}
+
+impl Partials {
+    fn new(purge_after: Duration) -> Self {
+        Partials {
+            reasm: Reassembler::new(),
+            held: BTreeMap::new(),
+            stamps: HashMap::new(),
+            next_stamp: 0,
+            bytes: 0,
+            purge_ms: purge_after.as_millis().max(1) as u64,
+        }
+    }
+
+    /// Accepts one fragment of a multi-fragment message; returns the
+    /// message once complete.
+    fn insert(
+        &mut self,
+        key: FragKey,
+        index: u16,
+        count: u16,
+        body: Bytes,
+        now_ms: u64,
+    ) -> Option<Bytes> {
+        let mut charge = body.len();
+        let stamp = *self.stamps.entry(key).or_insert_with(|| {
+            self.next_stamp += 1;
+            charge += count as usize * std::mem::size_of::<Option<Bytes>>();
+            self.next_stamp
+        });
+        let complete = self.reasm.insert_payload(key, index, count, body, stamp);
+        if complete.is_some() {
+            self.forget(stamp);
+        } else {
+            self.held.entry(stamp).or_insert((key, now_ms, 0)).2 += charge;
+            self.bytes += charge;
+            self.trim(now_ms);
+        }
+        complete
+    }
+
+    fn forget(&mut self, stamp: u64) {
+        if let Some((key, _, bytes)) = self.held.remove(&stamp) {
+            self.stamps.remove(&key);
+            self.bytes -= bytes;
+        }
+    }
+
+    /// Evicts from the oldest end until age, count and bytes are all
+    /// within bounds.
+    fn trim(&mut self, now_ms: u64) {
+        while let Some((&stamp, &(_, at_ms, _))) = self.held.first_key_value() {
+            let expired = now_ms.saturating_sub(at_ms) >= self.purge_ms;
+            if !expired && self.held.len() <= MAX_PARTIALS && self.bytes <= MAX_PARTIAL_BYTES {
+                break;
+            }
+            self.forget(stamp);
+            self.reasm.purge_older_than(stamp + 1);
         }
     }
 }
@@ -515,37 +503,30 @@ impl SendState {
 /// traffic by the endpoint's own subscriptions, reassembles fragments,
 /// and feeds `(source, WireFrame)` pairs to the driver loop.
 struct PumpState {
-    sock: Arc<UdpSocket>,
+    endpoint: Arc<Endpoint>,
     me: FlipAddress,
     inbox: Sender<Datagram>,
-    shutdown: Arc<AtomicBool>,
-    published: Arc<Published>,
+    table: Arc<Snapshot<Registry, Peers>>,
     purge_after: Duration,
 }
 
 impl PumpState {
     fn run(self) {
-        let _ = self.sock.set_read_timeout(Some(Duration::from_millis(250)));
+        let sock = &self.endpoint.sock;
+        let _ = sock.set_read_timeout(Some(Duration::from_millis(250)));
         let mut scratch = vec![0u8; MAX_UDP_DATAGRAM];
-        let mut reasm: Reassembler<Bytes> = Reassembler::new();
-        let mut cache = Cache::new();
+        let mut partials = Partials::new(self.purge_after);
+        let mut cache = self.table.cache();
         let started = Instant::now();
-        let purge_ms = self.purge_after.as_millis().max(1) as u64;
-        let mut purged_at = 0u64;
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let n = match self.sock.recv_from(&mut scratch) {
-                Ok((n, _)) => n,
-                // Timeout tick, or a transient error (loopback can
-                // surface ICMP-style failures): never panic the pump.
-                Err(_) => {
-                    let now_ms = started.elapsed().as_millis() as u64;
-                    if now_ms.saturating_sub(purged_at) >= purge_ms {
-                        reasm.purge_older_than(now_ms.saturating_sub(purge_ms));
-                        purged_at = now_ms;
-                    }
-                    continue;
-                }
-            };
+        while !self.endpoint.shutdown.load(Ordering::Relaxed) {
+            let received = sock.recv_from(&mut scratch);
+            // Age out stale partials on every wake — datagram or
+            // timeout tick — so steady traffic cannot postpone it.
+            let now_ms = started.elapsed().as_millis() as u64;
+            partials.trim(now_ms);
+            // A timeout tick, or a transient error (loopback can
+            // surface ICMP-style failures): never panic the pump.
+            let Ok((n, _)) = received else { continue };
             // The one userspace copy of the receive path: socket
             // scratch → exact-size refcounted buffer. The envelope
             // split, reassembly fast path and frame decode below are
@@ -560,9 +541,8 @@ impl PumpState {
             if dst.is_group() {
                 // The "NIC multicast filter": drop traffic for groups
                 // this endpoint never joined.
-                cache.refresh(&self.published);
                 let joined = cache
-                    .snap
+                    .get(&self.table)
                     .groups
                     .get(&GroupId(dst.id()))
                     .is_some_and(|m| m.contains(&self.me));
@@ -572,12 +552,11 @@ impl PumpState {
             } else if dst != self.me {
                 continue; // stray unicast for somebody else
             }
-            let now_ms = started.elapsed().as_millis() as u64;
             let complete = if env.count == 1 {
                 Some(body)
             } else {
                 let key = FragKey { src, msg_id: env.msg_id };
-                reasm.insert_payload(key, env.index, env.count, body, now_ms)
+                partials.insert(key, env.index, env.count, body, now_ms)
             };
             if let Some(buf) = complete {
                 if self.inbox.send((src, WireFrame::from(buf))).is_err() {
@@ -733,10 +712,94 @@ mod tests {
         let net = UdpNet::new(UdpConfig::default());
         net.register(addr(1));
         let mut tx = net.sender(addr(1));
+        // Nothing to assert beyond "no panic".
         tx.unicast(addr(99), frame(b"x".to_vec()));
-        // Nothing to assert beyond "no panic": give the send thread a
-        // beat to process the drop.
-        std::thread::sleep(Duration::from_millis(50));
+    }
+
+    #[test]
+    fn sender_outliving_unregister_blackholes() {
+        let net = UdpNet::new(UdpConfig::default());
+        let rx = net.register(addr(1));
+        net.register(addr(2));
+        let mut tx = net.sender(addr(2));
+        tx.unicast(addr(1), frame(b"before".to_vec()));
+        assert_eq!(&recv(&rx).1.to_contiguous()[..], b"before");
+        net.unregister(addr(2));
+        tx.unicast(addr(1), frame(b"after".to_vec()));
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err(), "endpoint is gone");
+        // Never registered at all: the same.
+        net.sender(addr(7)).unicast(addr(1), frame(b"nobody".to_vec()));
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+    }
+
+    /// Two ports onto one endpoint, sending from two threads at once:
+    /// their fragments interleave on the wire, and only message ids
+    /// that are unique per *endpoint* keep the receiver from splicing
+    /// one sender's fragments into the other's frame.
+    #[test]
+    fn two_senders_for_one_address_interleave_and_reassemble_intact() {
+        const FRAMES: u8 = 8;
+        let net = UdpNet::new(UdpConfig {
+            max_datagram: ENVELOPE_LEN + 16,
+            ..UdpConfig::default()
+        });
+        let rx = net.register(addr(1));
+        net.register(addr(2));
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for port in 0..2u8 {
+                let mut tx = net.sender(addr(2));
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for n in 0..FRAMES {
+                        // 10 fragments, every byte naming its frame.
+                        tx.unicast(addr(1), frame(vec![port * FRAMES + n; 160]));
+                    }
+                });
+            }
+        });
+        let mut seen: Vec<u8> = (0..2 * FRAMES)
+            .map(|_| {
+                let f = recv(&rx).1.to_contiguous();
+                assert_eq!(f.len(), 160);
+                assert!(f.iter().all(|b| *b == f[0]), "fragments of two frames spliced");
+                f[0]
+            })
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..2 * FRAMES).collect::<Vec<_>>(), "every frame exactly once");
+    }
+
+    /// A peer spraying first-fragments (or a lossy wire orphaning
+    /// them) while complete messages keep flowing — so the pump never
+    /// sees a quiet tick — must not grow the reassembler past its caps.
+    #[test]
+    fn orphan_fragments_under_continuous_traffic_stay_under_the_caps() {
+        let mut p = Partials::new(Duration::from_millis(500));
+        let key = |msg_id| FragKey { src: addr(9), msg_id };
+        let body = || Bytes::from_static(&[0u8; 64]);
+        for n in 0..1_000u64 {
+            assert!(p.insert(key(n), 0, 2, body(), n).is_none(), "orphan {n}");
+            // The continuous traffic: a two-fragment message completes.
+            assert!(p.insert(key(10_000 + n), 0, 2, body(), n).is_none());
+            assert!(p.insert(key(10_000 + n), 1, 2, body(), n).is_some(), "message {n}");
+            assert!(p.reasm.pending() <= MAX_PARTIALS, "{} pending", p.reasm.pending());
+            assert_eq!(p.reasm.pending(), p.held.len(), "ledger and reassembler agree");
+        }
+        // By count: the newest survive, the oldest went first (the
+        // message in flight took the 256th place while it lasted).
+        assert_eq!(p.reasm.pending(), MAX_PARTIALS - 1);
+        assert!(p.stamps.contains_key(&key(999)) && !p.stamps.contains_key(&key(0)));
+        // By age, without a quiet tick: one more datagram, late enough.
+        p.trim(999 + 500);
+        assert_eq!((p.reasm.pending(), p.bytes), (0, 0));
+        // By bytes: a huge fragment count charges its slot table.
+        for n in 0..100u64 {
+            p.insert(key(n), 0, u16::MAX, body(), 2_000);
+            assert!(p.bytes <= MAX_PARTIAL_BYTES);
+        }
+        assert!(p.reasm.pending() < 100, "{} pending", p.reasm.pending());
     }
 
     #[test]

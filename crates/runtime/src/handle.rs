@@ -7,46 +7,34 @@ use std::time::Duration;
 use amoeba_core::{
     Error, GroupConfig, GroupCore, GroupError, GroupEvent, GroupId, GroupInfo, Seqno,
 };
-use amoeba_net::Transport;
+use amoeba_net::{FaultPlan, LiveNet, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 
-use crate::fault::FaultPlan;
-use crate::net::LiveNet;
-use crate::node::{drive, Ctl, NodeShared};
+use crate::node::{drive, Ctl, NodeShared, OP_DEADLINE};
 
 /// A live Amoeba "installation": processes created through one `Amoeba`
-/// share its network fabric (and, for the in-memory fabric, its fault
-/// plan). The fabric is any [`Transport`] — the in-memory `LiveNet`
-/// (the default) or the inter-process `UdpNet` (via
-/// [`Amoeba::over_transport`]).
+/// share its network fabric. The fabric is any [`Transport`] — the
+/// in-memory [`LiveNet`] ([`Amoeba::new`]) or the inter-process
+/// `UdpNet` (via [`Amoeba::over_transport`]).
 pub struct Amoeba {
     transport: Arc<dyn Transport>,
-    /// Kept alongside the trait object when the fabric is the
-    /// in-memory one, so fault-injection tests keep their hooks.
-    live: Option<Arc<LiveNet>>,
     next_addr: AtomicU64,
 }
 
 impl std::fmt::Debug for Amoeba {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Amoeba")
-            .field("live", &self.live)
-            .field("next_addr", &self.next_addr)
-            .finish()
+        f.debug_struct("Amoeba").field("next_addr", &self.next_addr).finish_non_exhaustive()
     }
 }
 
 impl Amoeba {
     /// Creates an installation with a seeded, fault-injected in-memory
-    /// network.
+    /// network. (To script faults mid-run, build the [`LiveNet`]
+    /// yourself, keep its `Arc`, and pass a clone to
+    /// [`Amoeba::over_transport`].)
     pub fn new(seed: u64, fault: FaultPlan) -> Self {
-        let net = LiveNet::new(seed, fault);
-        Amoeba {
-            transport: Arc::new(crate::net::LiveTransport(Arc::clone(&net))),
-            live: Some(net),
-            next_addr: AtomicU64::new(1),
-        }
+        Amoeba::over_transport(LiveNet::new(seed, fault), 1)
     }
 
     /// Creates an installation over an arbitrary datagram fabric (the
@@ -55,18 +43,7 @@ impl Amoeba {
     /// disjoint address range so memberships never collide (the
     /// harness assigns process *i* the addresses from `i + 1`).
     pub fn over_transport(transport: Arc<dyn Transport>, first_addr: u64) -> Self {
-        Amoeba { transport, live: None, next_addr: AtomicU64::new(first_addr) }
-    }
-
-    /// Direct access to the in-memory fabric (tests adjust faults
-    /// mid-run).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the installation runs over a non-in-memory
-    /// transport — there is no fault plan to adjust on a real socket.
-    pub fn net(&self) -> &Arc<LiveNet> {
-        self.live.as_ref().expect("fault injection requires the in-memory LiveNet transport")
+        Amoeba { transport, next_addr: AtomicU64::new(first_addr) }
     }
 
     /// The fabric behind this installation, whichever transport it is.
@@ -129,15 +106,11 @@ impl Amoeba {
                 .spawn(move || drive(shared, data_rx, ctl_rx))
                 .expect("spawn driver thread")
         };
-        shared.run_actions(actions);
+        shared.step(|_| actions);
         let handle = GroupHandle { shared, events_rx, driver: Some(driver) };
         // Both create (synchronous) and join (network round trips)
         // complete through the JoinDone slot.
-        handle
-            .shared
-            .join_done
-            .wait(Duration::from_secs(120), "JoinGroup")
-            .map(|_| handle)
+        handle.shared.join_done.wait(OP_DEADLINE).map(|_| handle)
     }
 }
 
@@ -173,12 +146,14 @@ impl GroupHandle {
     ///
     /// # Errors
     ///
-    /// [`GroupError::MessageTooLarge`], [`GroupError::Recovering`], or
-    /// [`GroupError::SequencerUnreachable`] after retry exhaustion.
+    /// [`GroupError::MessageTooLarge`], [`GroupError::Recovering`],
+    /// [`GroupError::SequencerUnreachable`] after retry exhaustion, or
+    /// [`GroupError::Disconnected`] when no completion arrives at all
+    /// (nothing is driving this member any more).
     pub fn send_to_group(&self, payload: Bytes) -> Result<Seqno, GroupError> {
         let _sender = self.shared.send_lock.lock();
         self.shared.submit_send(payload);
-        self.shared.wait_send()
+        self.shared.wait_send(OP_DEADLINE)
     }
 
     /// Pipelined `SendToGroup`: streams `payloads` keeping up to the
@@ -200,14 +175,14 @@ impl GroupHandle {
         let mut outstanding = 0usize;
         for payload in payloads {
             if outstanding >= window {
-                results.push(self.shared.wait_send());
+                results.push(self.shared.wait_send(OP_DEADLINE));
                 outstanding -= 1;
             }
             self.shared.submit_send(payload);
             outstanding += 1;
         }
         while outstanding > 0 {
-            results.push(self.shared.wait_send());
+            results.push(self.shared.wait_send(OP_DEADLINE));
             outstanding -= 1;
         }
         results
@@ -266,10 +241,11 @@ impl GroupHandle {
     ///
     /// [`GroupError::TooFewMembers`] when not enough members answered;
     /// [`GroupError::NotMember`] if this process is no longer in the
-    /// group.
+    /// group; [`GroupError::Disconnected`] when no completion arrives
+    /// at all.
     pub fn reset_group(&self, min_members: usize) -> Result<GroupInfo, GroupError> {
-        self.shared
-            .blocking_op(&self.shared.reset_done, "ResetGroup", |core| core.reset(min_members))
+        let shared = &self.shared;
+        shared.blocking_op(&shared.reset_done, OP_DEADLINE, |core| core.reset(min_members))
     }
 
     /// `LeaveGroup`: departs gracefully (a leaving sequencer first
@@ -278,10 +254,11 @@ impl GroupHandle {
     /// # Errors
     ///
     /// [`GroupError::Busy`] while another blocking primitive is
-    /// outstanding.
+    /// outstanding; [`GroupError::Disconnected`] when no completion
+    /// arrives at all.
     pub fn leave_group(mut self) -> Result<(), GroupError> {
         let result =
-            self.shared.blocking_op(&self.shared.leave_done, "LeaveGroup", |core| core.leave());
+            self.shared.blocking_op(&self.shared.leave_done, OP_DEADLINE, |core| core.leave());
         self.teardown();
         result
     }
@@ -307,5 +284,28 @@ impl Drop for GroupHandle {
         if self.driver.is_some() {
             self.teardown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A wait that runs out on a member nobody drives reports it; it
+    /// does not abort the caller.
+    #[test]
+    fn blocking_primitives_on_a_stopped_driver_report_disconnected() {
+        let amoeba = Amoeba::new(9, FaultPlan::reliable());
+        let _a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+        let mut b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
+        b.shared.ctl_tx.send(Ctl::Shutdown).expect("driver listening");
+        b.driver.take().expect("driver").join().expect("driver exits cleanly");
+
+        let soon = Duration::from_millis(100);
+        b.shared.submit_send(Bytes::from_static(b"never ordered at b"));
+        assert_eq!(b.shared.wait_send(soon), Err(GroupError::Disconnected));
+        let reset = b.shared.blocking_op(&b.shared.reset_done, soon, |core| core.reset(1));
+        assert_eq!(reset.map(|_| ()), Err(GroupError::Disconnected));
+        b.teardown();
     }
 }

@@ -18,7 +18,8 @@ use amoeba_core::{GroupConfig, GroupError, GroupEvent, GroupId, GroupInfo, Seqno
 use bytes::Bytes;
 use crossbeam::channel;
 
-use crate::fault::FaultPlan;
+use amoeba_net::FaultPlan;
+
 use crate::handle::{Amoeba, GroupHandle};
 
 /// How an app's hosting ended.
@@ -203,7 +204,7 @@ impl Pump {
 
     /// Runs the app to completion; returns it plus the handle (kept
     /// alive on `Ctx::stop`, consumed by leave/crash).
-    fn run(mut self) -> (Box<dyn GroupApp>, Option<GroupHandle>) {
+    fn run(mut self) -> Pumped {
         self.dispatch(Call::Start);
         while self.terminal.is_none() {
             let timeout = self
@@ -269,6 +270,74 @@ impl Pump {
     }
 }
 
+/// Forms a group of `members` processes on `amoeba`: the first founds
+/// it (and sequences), the rest join strictly in order, so member ids
+/// are deterministic and every member is admitted before any app
+/// starts — the formation the simulated host performs.
+///
+/// # Panics
+///
+/// Panics if `CreateGroup`/`JoinGroup` fails: at this level that is a
+/// configuration mistake, not a runtime outcome.
+pub fn form_group(
+    amoeba: &Amoeba,
+    group: GroupId,
+    config: &GroupConfig,
+    members: usize,
+) -> Vec<GroupHandle> {
+    (0..members)
+        .map(|i| {
+            let handle = if i == 0 {
+                amoeba.create_group(group, config.clone())
+            } else {
+                amoeba.join_group(group, config.clone())
+            };
+            handle.unwrap_or_else(|e| panic!("forming group {}: member {i}: {e:?}", group.0))
+        })
+        .collect()
+}
+
+/// What a finished pump hands back: the app, and its membership if
+/// the app merely stopped (`None` after leave/crash, which consume it).
+type Pumped = (Box<dyn GroupApp>, Option<GroupHandle>);
+
+/// Apps being pumped, one thread per membership (see [`pump_apps`]).
+#[derive(Default)]
+pub struct Pumps(Vec<std::thread::JoinHandle<Pumped>>);
+
+/// Starts one pump thread per `(handle, app)` pair, in order.
+///
+/// # Panics
+///
+/// Panics if the two lists differ in length or a thread cannot spawn.
+pub fn pump_apps(handles: Vec<GroupHandle>, apps: Vec<Box<dyn GroupApp>>) -> Pumps {
+    assert_eq!(handles.len(), apps.len(), "one app per membership");
+    let threads = handles.into_iter().zip(apps).enumerate().map(|(i, (handle, app))| {
+        std::thread::Builder::new()
+            .name(format!("amoeba-app-{i}"))
+            .spawn(move || Pump::new(handle, app).run())
+            .expect("spawn app pump thread")
+    });
+    Pumps(threads.collect())
+}
+
+impl Pumps {
+    /// Waits until every app has ended and returns them in order.
+    /// Memberships of merely *stopped* apps stay alive until the last
+    /// app is in, so a stopped member never looks crashed to one that
+    /// is still running, and are torn down together here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an app panicked on its pump thread.
+    pub fn join(self) -> Vec<Box<dyn GroupApp>> {
+        let (apps, survivors): (Vec<_>, Vec<_>) =
+            self.0.into_iter().map(|t| t.join().expect("app pump thread")).unzip();
+        drop(survivors);
+        apps
+    }
+}
+
 /// Hosts a set of [`GroupApp`]s as one live group: the first app added
 /// founds the group (and sequences), the rest join in order (so member
 /// ids match the simulated host), then every app is pumped on its own
@@ -289,7 +358,7 @@ pub struct LiveHost {
 impl LiveHost {
     /// A host over a fresh fault-injected in-memory network.
     pub fn new(seed: u64, fault: FaultPlan, group: GroupId, config: GroupConfig) -> Self {
-        LiveHost { amoeba: Amoeba::new(seed, fault), group, config, apps: Vec::new() }
+        LiveHost::with_amoeba(Amoeba::new(seed, fault), group, config)
     }
 
     /// A host over an existing installation — whatever transport it
@@ -301,12 +370,6 @@ impl LiveHost {
         LiveHost { amoeba, group, config, apps: Vec::new() }
     }
 
-    /// Direct access to the underlying installation (tests adjust
-    /// faults mid-run).
-    pub fn amoeba(&self) -> &Amoeba {
-        &self.amoeba
-    }
-
     /// Adds a member running `app`; returns its join order (the first
     /// app founds the group and sequences).
     pub fn add_app(&mut self, app: Box<dyn GroupApp>) -> usize {
@@ -316,7 +379,7 @@ impl LiveHost {
 
     /// Runs one app over an existing membership on the calling thread,
     /// returning the app when it stops, leaves, or crashes. The
-    /// building block under [`LiveHost::run`], public for custom
+    /// building block under [`pump_apps`], public for custom
     /// topologies (multiple groups, staggered joins).
     ///
     /// The second value is the still-live handle when the app merely
@@ -336,45 +399,10 @@ impl LiveHost {
     ///
     /// # Panics
     ///
-    /// Panics if no app was added, or if forming the group fails
-    /// (`CreateGroup`/`JoinGroup` errors are configuration mistakes at
-    /// this level, not runtime outcomes).
+    /// Panics if no app was added, or if forming the group fails.
     pub fn run(self) -> Vec<Box<dyn GroupApp>> {
         assert!(!self.apps.is_empty(), "LiveHost::run needs at least one app");
-        // Join strictly in order so member ids are deterministic and
-        // every member is admitted before any app starts — the same
-        // formation the simulated host performs.
-        let mut handles = Vec::new();
-        for i in 0..self.apps.len() {
-            let handle = if i == 0 {
-                self.amoeba.create_group(self.group, self.config.clone())
-            } else {
-                self.amoeba.join_group(self.group, self.config.clone())
-            }
-            .expect("group formation");
-            handles.push(handle);
-        }
-        let threads: Vec<_> = handles
-            .into_iter()
-            .zip(self.apps)
-            .enumerate()
-            .map(|(i, (handle, app))| {
-                std::thread::Builder::new()
-                    .name(format!("amoeba-app-{i}"))
-                    .spawn(move || Pump::new(handle, app).run())
-                    .expect("spawn app pump thread")
-            })
-            .collect();
-        // Collect every app first, keeping surviving handles alive so
-        // stopped members do not look crashed to still-running ones.
-        let mut apps = Vec::new();
-        let mut survivors = Vec::new();
-        for t in threads {
-            let (app, handle) = t.join().expect("app pump thread");
-            apps.push(app);
-            survivors.push(handle);
-        }
-        drop(survivors);
-        apps
+        let handles = form_group(&self.amoeba, self.group, &self.config, self.apps.len());
+        pump_apps(handles, self.apps).join()
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! Where `amoeba-kernel` replays the paper's *numbers* on a simulated
 //! testbed, this crate runs the very same [`amoeba_core::GroupCore`]
-//! state machine under real concurrency: one driver thread per member,
-//! an in-memory datagram network with configurable loss, duplication
-//! and delay jitter ([`FaultPlan`]), and the paper's blocking user API
-//! (Table 1): `CreateGroup`, `JoinGroup`, `SendToGroup`,
+//! state machine under real concurrency: one driver thread per member
+//! over any `amoeba-net` [`Transport`] — the in-memory [`LiveNet`]
+//! with configurable loss, duplication and delay jitter
+//! ([`FaultPlan`]), or [`UdpNet`]'s real sockets (both live in
+//! `amoeba-net` and are re-exported here) — and the paper's blocking
+//! user API (Table 1): `CreateGroup`, `JoinGroup`, `SendToGroup`,
 //! `ReceiveFromGroup`, `LeaveGroup`, `ResetGroup`, `GetInfoGroup`.
 //! Packets really cross thread boundaries as bytes, through the
 //! binary codec in `amoeba-core`.
@@ -40,18 +42,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod fault;
 mod handle;
 mod host;
 pub mod multiproc;
-mod net;
 mod node;
 pub mod state_transfer;
 
 pub use amoeba_core::Error;
-pub use amoeba_net::{Transport, TransportSender, UdpConfig, UdpNet};
-pub use fault::FaultPlan;
+pub use amoeba_net::{FaultPlan, LiveNet, Transport, TransportSender, UdpConfig, UdpNet};
 pub use handle::{Amoeba, GroupHandle};
-pub use host::LiveHost;
-pub use net::LiveNet;
+pub use host::{form_group, pump_apps, LiveHost, Pumps};
 pub use state_transfer::{GroupState, Replica, ReplicaError};

@@ -10,15 +10,18 @@ use amoeba_core::{
     GroupId, GroupInfo, Seqno, TimerKind,
 };
 use amoeba_flip::FlipAddress;
-use amoeba_net::{Transport, TransportSender};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use amoeba_net::{Datagram, Transport, TransportSender};
+use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
-use crate::net::Datagram;
+/// How long a blocking primitive waits for its completion. The
+/// protocol's own retry budgets bound every operation far below this,
+/// so an expiry means nobody is driving the member any more.
+pub(crate) const OP_DEADLINE: Duration = Duration::from_secs(120);
 
 /// A one-shot completion slot for a blocking primitive.
 pub(crate) struct Slot<T> {
-    value: Mutex<Option<T>>,
+    value: Mutex<Option<Result<T, GroupError>>>,
     cv: Condvar,
 }
 
@@ -27,24 +30,23 @@ impl<T> Slot<T> {
         Slot { value: Mutex::new(None), cv: Condvar::new() }
     }
 
-    pub(crate) fn put(&self, v: T) {
+    fn put(&self, v: Result<T, GroupError>) {
         *self.value.lock() = Some(v);
         self.cv.notify_all();
     }
 
-    /// Blocks until a value arrives.
+    /// Blocks until the completion arrives.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics after `deadline` — the protocol's own retry budgets bound
-    /// every operation, so an expiry here is a harness bug, not a
-    /// legitimate outcome.
-    pub(crate) fn wait(&self, deadline: Duration, what: &str) -> T {
+    /// The operation's own error, or [`GroupError::Disconnected`] when
+    /// nothing completed it within `deadline`.
+    pub(crate) fn wait(&self, deadline: Duration) -> Result<T, GroupError> {
         let mut guard = self.value.lock();
         let end = Instant::now() + deadline;
         while guard.is_none() {
             if self.cv.wait_until(&mut guard, end).timed_out() {
-                panic!("blocking {what} did not complete within {deadline:?}");
+                return guard.take().unwrap_or(Err(GroupError::Disconnected));
             }
         }
         guard.take().expect("checked above")
@@ -65,24 +67,26 @@ pub(crate) enum Ctl {
 /// State shared between the driver thread and the API handle.
 pub(crate) struct NodeShared {
     pub(crate) core: Mutex<GroupCore>,
+    /// Whose actions execute now: handed over in core-lock order (see
+    /// [`NodeShared::step`]).
+    turn: Mutex<()>,
     pub(crate) net: Arc<dyn Transport>,
     /// This endpoint's frame encoder (reusable scratch, DESIGN.md §7).
     encoder: Mutex<FrameEncoder>,
-    /// This endpoint's sending port on the fabric (carries the
-    /// epoch-cached membership snapshot for the in-memory transport,
-    /// the send-thread queue for UDP).
+    /// This endpoint's sending port on the fabric (carries its
+    /// epoch-cached membership snapshot and, for UDP, the encode
+    /// buffer). The mutex is what serialises sends per endpoint.
     sender: Mutex<Box<dyn TransportSender>>,
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
-    pub(crate) timers: Mutex<HashMap<TimerKind, (u64, Instant)>>,
-    timer_gen: Mutex<u64>,
-    pub(crate) events_tx: Sender<GroupEvent>,
+    timers: Mutex<HashMap<TimerKind, Instant>>,
+    events_tx: Sender<GroupEvent>,
     pub(crate) ctl_tx: Sender<Ctl>,
     /// Send completions, FIFO: every submitted `SendToGroup` produces
     /// exactly one message here, so a pipelining caller pairs them with
     /// its submissions in order (a channel, not a [`Slot`], because a
     /// `send_window` > 1 can have several completions in flight).
-    pub(crate) send_done_tx: Sender<Result<Seqno, GroupError>>,
+    send_done_tx: Sender<Result<Seqno, GroupError>>,
     pub(crate) send_done_rx: Receiver<Result<Seqno, GroupError>>,
     /// Serializes API-level senders: with `send_window` > 1 the core
     /// happily admits two threads' sends, but the FIFO completion
@@ -90,9 +94,9 @@ pub(crate) struct NodeShared {
     /// drives the pipeline at a time (the paper's one-thread-per-call
     /// model); a second caller waits instead of racing.
     pub(crate) send_lock: Mutex<()>,
-    pub(crate) join_done: Slot<Result<GroupInfo, GroupError>>,
-    pub(crate) leave_done: Slot<Result<(), GroupError>>,
-    pub(crate) reset_done: Slot<Result<GroupInfo, GroupError>>,
+    pub(crate) join_done: Slot<GroupInfo>,
+    pub(crate) leave_done: Slot<()>,
+    pub(crate) reset_done: Slot<GroupInfo>,
 }
 
 impl NodeShared {
@@ -108,13 +112,13 @@ impl NodeShared {
         let sender = Mutex::new(net.sender(addr));
         Arc::new(NodeShared {
             core: Mutex::new(core),
+            turn: Mutex::new(()),
             net,
             encoder: Mutex::new(FrameEncoder::new()),
             sender,
             group,
             addr,
             timers: Mutex::new(HashMap::new()),
-            timer_gen: Mutex::new(0),
             events_tx,
             ctl_tx,
             send_done_tx,
@@ -126,122 +130,128 @@ impl NodeShared {
         })
     }
 
-    /// Executes protocol actions. Never called while holding the core
-    /// lock (sends and slot notifications must not deadlock the driver).
-    pub(crate) fn run_actions(&self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Send { dest, msg } => {
-                    // Zero-copy from here on: large payloads ride as a
-                    // gathered tail segment; the in-memory transport
-                    // refcount-shares the two segments per receiver,
-                    // the UDP transport gather-writes them per
-                    // fragment (DESIGN.md §7, §12).
-                    let frame = self.encoder.lock().encode_frame(&msg);
-                    let sender = &mut *self.sender.lock();
-                    match dest {
-                        Dest::Unicast(to) => sender.unicast(to, frame),
-                        Dest::Group => sender.multicast(self.group, frame),
-                    }
+    /// Applies `op` to the core and executes the actions it returns —
+    /// the one way anything touches the core.
+    ///
+    /// Callers and the driver both come through here, and the order in
+    /// which they took the core lock is the order the core stamped
+    /// their deliveries and decided their timers in. Their actions
+    /// must execute in that order too: deliveries, or the event
+    /// channel shows seqno *k + 1* before *k* (a sequencer that sends
+    /// through the blocking API delivers locally on the caller's
+    /// thread while the driver delivers remote traffic); timers, or a
+    /// stale `CancelTimer` overtakes the next operation's `SetTimer`
+    /// and a retransmission timer is lost for good. So the `turn` lock
+    /// is taken *before* the core lock is released and held while the
+    /// actions run — the core itself is not held across wire sends and
+    /// wake-ups.
+    ///
+    /// `SendDone` alone waits until the turn is over: it wakes a caller
+    /// whose next move is to come back through here, and a lock held
+    /// across that wake-up costs two context switches per send. It
+    /// still follows its own message's delivery and `CancelTimer`.
+    pub(crate) fn step(&self, op: impl FnOnce(&mut GroupCore) -> Vec<Action>) {
+        let mut done = Vec::new();
+        {
+            let mut core = self.core.lock();
+            let actions = op(&mut core);
+            let _turn = self.turn.lock();
+            drop(core);
+            for action in actions {
+                if matches!(action, Action::SendDone(_)) {
+                    done.push(action);
+                } else {
+                    self.run(action);
                 }
-                Action::SetTimer { kind, after_us } => {
-                    let gen = {
-                        let mut g = self.timer_gen.lock();
-                        *g += 1;
-                        *g
-                    };
-                    let at = Instant::now() + Duration::from_micros(after_us);
-                    self.timers.lock().insert(kind, (gen, at));
-                    let _ = self.ctl_tx.send(Ctl::Kick);
-                }
-                Action::CancelTimer { kind } => {
-                    self.timers.lock().remove(&kind);
-                }
-                Action::Deliver(ev) => {
-                    let _ = self.events_tx.send(ev);
-                }
-                Action::SendDone(r) => {
-                    let _ = self.send_done_tx.send(r);
-                }
-                Action::JoinDone(r) => self.join_done.put(r),
-                Action::LeaveDone(r) => self.leave_done.put(r),
-                Action::ResetDone(r) => self.reset_done.put(r),
             }
+        }
+        for action in done {
+            self.run(action);
+        }
+    }
+
+    fn run(&self, action: Action) {
+        match action {
+            Action::Send { dest, msg } => {
+                // Zero-copy from here on: large payloads ride as a
+                // gathered tail segment; the in-memory transport
+                // refcount-shares the two segments per receiver, the
+                // UDP transport gather-writes them per fragment
+                // (DESIGN.md §7, §12).
+                let frame = self.encoder.lock().encode_frame(&msg);
+                let sender = &mut *self.sender.lock();
+                match dest {
+                    Dest::Unicast(to) => sender.unicast(to, frame),
+                    Dest::Group => sender.multicast(self.group, frame),
+                }
+            }
+            Action::SetTimer { kind, after_us } => {
+                let at = Instant::now() + Duration::from_micros(after_us);
+                self.timers.lock().insert(kind, at);
+                let _ = self.ctl_tx.send(Ctl::Kick);
+            }
+            Action::CancelTimer { kind } => {
+                self.timers.lock().remove(&kind);
+            }
+            Action::Deliver(ev) => {
+                let _ = self.events_tx.send(ev);
+            }
+            Action::SendDone(r) => {
+                let _ = self.send_done_tx.send(r);
+            }
+            Action::JoinDone(r) => self.join_done.put(r),
+            Action::LeaveDone(r) => self.leave_done.put(r),
+            Action::ResetDone(r) => self.reset_done.put(r),
         }
     }
 
     /// Runs a blocking primitive: clears its slot, applies `op` to the
-    /// core, executes the resulting actions, and waits for completion.
+    /// core, and waits up to `deadline` for completion.
     pub(crate) fn blocking_op<T>(
         &self,
         slot: &Slot<T>,
-        what: &str,
+        deadline: Duration,
         op: impl FnOnce(&mut GroupCore) -> Vec<Action>,
-    ) -> T {
+    ) -> Result<T, GroupError> {
         slot.clear();
-        let actions = {
-            let mut core = self.core.lock();
-            op(&mut core)
-        };
-        self.run_actions(actions);
-        slot.wait(Duration::from_secs(120), what)
+        self.step(op);
+        slot.wait(deadline)
     }
 
     /// Submits one `SendToGroup`. Exactly one completion will arrive on
     /// the send-done channel (possibly `Err(Busy)` synchronously when
     /// the pipelining window is full).
     pub(crate) fn submit_send(&self, payload: bytes::Bytes) {
-        let actions = {
-            let mut core = self.core.lock();
-            core.send_to_group(payload)
-        };
-        self.run_actions(actions);
+        self.step(|core| core.send_to_group(payload));
     }
 
-    /// Waits for the next send completion, FIFO with submissions. If
-    /// the driver died mid-send (the peer disappeared under us — a
-    /// real outcome once memberships live in separate OS processes),
-    /// the caller gets [`GroupError::Disconnected`], not a panic.
+    /// Waits for the next send completion, FIFO with submissions.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics after 120 s with the driver still alive — the protocol's
-    /// retry budgets bound every send, so an expiry here is a harness
-    /// bug (see [`Slot::wait`]).
-    pub(crate) fn wait_send(&self) -> Result<Seqno, GroupError> {
-        match self.send_done_rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Disconnected) => Err(GroupError::Disconnected),
-            Err(RecvTimeoutError::Timeout) => {
-                panic!("blocking SendToGroup did not complete within 120s")
-            }
-        }
+    /// The send's own error, or [`GroupError::Disconnected`] when no
+    /// completion arrived within `deadline` (see [`OP_DEADLINE`]).
+    pub(crate) fn wait_send(&self, deadline: Duration) -> Result<Seqno, GroupError> {
+        self.send_done_rx.recv_timeout(deadline).unwrap_or(Err(GroupError::Disconnected))
     }
 
     fn next_deadline(&self) -> Option<Instant> {
-        self.timers.lock().values().map(|&(_, at)| at).min()
+        self.timers.lock().values().min().copied()
     }
 
     fn fire_expired(&self) {
         let now = Instant::now();
         let expired: Vec<TimerKind> = {
             let mut timers = self.timers.lock();
-            let kinds: Vec<TimerKind> = timers
-                .iter()
-                .filter(|(_, &(_, at))| at <= now)
-                .map(|(&k, _)| k)
-                .collect();
+            let kinds: Vec<TimerKind> =
+                timers.iter().filter(|(_, &at)| at <= now).map(|(&k, _)| k).collect();
             for k in &kinds {
                 timers.remove(k);
             }
             kinds
         };
         for kind in expired {
-            let actions = {
-                let mut core = self.core.lock();
-                core.handle_timer(kind)
-            };
-            self.run_actions(actions);
+            self.step(|core| core.handle_timer(kind));
         }
     }
 }
@@ -256,16 +266,10 @@ pub(crate) fn drive(shared: Arc<NodeShared>, data_rx: Receiver<Datagram>, ctl_rx
         channel::select! {
             recv(data_rx) -> d => {
                 let Ok((from, frame)) = d else { return };
-                match decode_wire_frame(frame) {
-                    Ok(msg) => {
-                        let actions = {
-                            let mut core = shared.core.lock();
-                            core.handle_message(from, msg)
-                        };
-                        shared.run_actions(actions);
-                    }
-                    Err(_) => { /* garbled packet: the protocol's loss
-                                   machinery recovers, as on real wires */ }
+                // A garbled packet is dropped: the protocol's loss
+                // machinery recovers, as on real wires.
+                if let Ok(msg) = decode_wire_frame(frame) {
+                    shared.step(|core| core.handle_message(from, msg));
                 }
             }
             recv(ctl_rx) -> c => {
@@ -277,5 +281,81 @@ pub(crate) fn drive(shared: Arc<NodeShared>, data_rx: Receiver<Datagram>, ctl_rx
             default(timeout) => {}
         }
         shared.fire_expired();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_core::{GroupConfig, MemberId, WireFrame};
+
+    /// A fabric whose sends park until released: it holds a thread
+    /// between releasing the core lock and finishing its actions.
+    struct Gate {
+        entered: Sender<()>,
+        release: Receiver<()>,
+    }
+
+    impl Transport for Gate {
+        fn register(&self, _: FlipAddress) -> Receiver<Datagram> {
+            channel::unbounded().1
+        }
+        fn unregister(&self, _: FlipAddress) {}
+        fn join_mcast(&self, _: GroupId, _: FlipAddress) {}
+        fn sender(&self, _: FlipAddress) -> Box<dyn TransportSender> {
+            Box::new(Gate { entered: self.entered.clone(), release: self.release.clone() })
+        }
+    }
+
+    impl TransportSender for Gate {
+        fn unicast(&mut self, _: FlipAddress, frame: WireFrame) {
+            self.multicast(GroupId(0), frame);
+        }
+        fn multicast(&mut self, _: GroupId, _: WireFrame) {
+            let _ = self.entered.send(());
+            let _ = self.release.recv_timeout(Duration::from_secs(5));
+        }
+    }
+
+    /// The total-order defect PR 11's benchmark found, forced: the
+    /// first operation stalls in a wire send that sits *ahead of* its
+    /// delivery, and a second operation takes the core lock meanwhile.
+    /// Its delivery must still come second.
+    #[test]
+    fn actions_execute_in_core_lock_order() {
+        let (entered_tx, entered_rx) = channel::unbounded();
+        let (release_tx, release_rx) = channel::unbounded();
+        let addr = FlipAddress::process(1);
+        let (core, join) = GroupCore::join(GroupId(1), addr, GroupConfig::default()).expect("join");
+        let send = join.into_iter().find(Action::is_send).expect("a joiner sends its request");
+        let (events_tx, events_rx) = channel::unbounded();
+        let (ctl_tx, _ctl_rx) = channel::unbounded();
+        let gate = Arc::new(Gate { entered: entered_tx, release: release_rx });
+        let shared = NodeShared::new(core, gate, GroupId(1), addr, events_tx, ctl_tx);
+        let deliver = |n| {
+            Action::Deliver(GroupEvent::Message {
+                seqno: Seqno(n),
+                origin: MemberId(0),
+                payload: bytes::Bytes::new(),
+            })
+        };
+        let (locked_tx, locked_rx) = channel::unbounded();
+        std::thread::scope(|s| {
+            s.spawn(|| shared.step(|_| vec![send, deliver(1)]));
+            entered_rx.recv_timeout(Duration::from_secs(5)).expect("first step is sending");
+            s.spawn(|| {
+                shared.step(|_| {
+                    let _ = locked_tx.send(());
+                    vec![deliver(2)]
+                })
+            });
+            locked_rx.recv_timeout(Duration::from_secs(5)).expect("second step holds the core");
+            release_tx.send(()).expect("sender parked");
+        });
+        let next = || match events_rx.try_recv() {
+            Ok(GroupEvent::Message { seqno, .. }) => Some(seqno.0),
+            _ => None,
+        };
+        assert_eq!([next(), next(), next()], [Some(1), Some(2), None]);
     }
 }

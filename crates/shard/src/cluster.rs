@@ -23,7 +23,7 @@ use std::time::Duration;
 use amoeba_app::GroupApp;
 use amoeba_core::{GroupConfig, GroupId};
 use amoeba_kernel::{CostModel, SimWorld};
-use amoeba_runtime::{Amoeba, FaultPlan, GroupHandle, LiveHost};
+use amoeba_runtime::{form_group, pump_apps, Amoeba, FaultPlan, Pumps};
 use amoeba_sim::SimDuration;
 
 use crate::gateway::{Gateway, GatewayPort};
@@ -407,12 +407,8 @@ pub struct LiveCluster {
     /// Data-group harness handles, in group-id order.
     pub groups: Vec<ShardGroup>,
     router: Router,
-    threads: Vec<PumpThread>,
+    pumps: Pumps,
 }
-
-/// A `LiveHost::pump` thread, handing back the app (and the surviving
-/// handle, unless the app stopped terminally) at join time.
-type PumpThread = std::thread::JoinHandle<(Box<dyn GroupApp>, Option<GroupHandle>)>;
 
 impl LiveCluster {
     /// Builds, forms and starts the cluster on a live fabric with the
@@ -428,45 +424,28 @@ impl LiveCluster {
     pub fn with_amoeba(spec: ShardSpec, amoeba: Amoeba) -> Self {
         let map = spec.initial_map();
         let board = new_board(map.clone());
-        let (meta, meta_apps) = build_meta_group(&spec, &map, &board, spec.poll);
-        let mut handles: Vec<GroupHandle> = Vec::new();
-        let mut apps: Vec<Box<dyn GroupApp>> = Vec::new();
-
-        let form = |amoeba: &Amoeba,
-                    id: u64,
-                    config: GroupConfig,
-                    count: usize,
-                    handles: &mut Vec<GroupHandle>| {
-            for j in 0..count {
-                let h = if j == 0 {
-                    amoeba.create_group(GroupId(id), config.clone())
-                } else {
-                    amoeba.join_group(GroupId(id), config.clone())
-                };
-                handles.push(h.unwrap_or_else(|e| panic!("group {id} member {j}: {e:?}")));
-            }
-        };
-
-        form(&amoeba, META_GROUP_ID, spec.config_for(0), spec.meta_members, &mut handles);
-        apps.extend(meta_apps);
+        let (meta, mut apps) = build_meta_group(&spec, &map, &board, spec.poll);
+        let mut handles =
+            form_group(&amoeba, GroupId(META_GROUP_ID), &spec.config_for(0), spec.meta_members);
         let mut groups = Vec::new();
         let mut ports = BTreeMap::new();
         for g in 0..spec.data_groups() {
             let (group, group_apps) = build_data_group(&spec, g, &map, spec.poll);
-            form(&amoeba, group.id, spec.config_for(g + 1), spec.members, &mut handles);
+            handles.extend(form_group(
+                &amoeba,
+                GroupId(group.id),
+                &spec.config_for(g + 1),
+                spec.members,
+            ));
             apps.extend(group_apps);
             ports.insert(group.id, group.port.clone());
             groups.push(group);
         }
 
         // Every member formed; now start the pumps.
-        let threads = handles
-            .into_iter()
-            .zip(apps)
-            .map(|(h, app)| std::thread::spawn(move || LiveHost::pump(h, app)))
-            .collect();
+        let pumps = pump_apps(handles, apps);
         let router = Router::new(board.clone(), ports);
-        LiveCluster { spec, board, meta, groups, router, threads }
+        LiveCluster { spec, board, meta, groups, router, pumps }
     }
 }
 
@@ -489,15 +468,7 @@ impl Cluster for LiveCluster {
             group.port.push(ShardOp::Halt.encode());
         }
         self.meta.port.push("Q".to_string());
-        // Stopped apps hand their membership back; every handle must
-        // outlive every app (Ctx::stop's contract), so collect them
-        // all before dropping any.
-        let mut kept = Vec::new();
-        for t in self.threads.drain(..) {
-            let (_app, handle) = t.join().expect("pump thread panicked");
-            kept.push(handle);
-        }
-        drop(kept);
+        std::mem::take(&mut self.pumps).join();
         true
     }
 }

@@ -44,10 +44,8 @@ pub use amoeba_app::{AppEvent, Ctx, GroupApp, SenderApp, TimerId};
 pub use amoeba_kernel::{SimHost, SimRun};
 pub use amoeba_runtime::LiveHost;
 
-use std::sync::Arc;
-
 use amoeba_core::{GroupConfig, GroupId};
-use amoeba_net::{Transport, UdpConfig, UdpNet};
+use amoeba_net::{UdpConfig, UdpNet};
 use amoeba_runtime::{Amoeba, FaultPlan};
 use amoeba_sim::SimDuration;
 
@@ -178,16 +176,12 @@ pub fn run(
             );
             run.apps
         }
-        Backend::Live => {
-            let mut host = LiveHost::new(spec.seed, spec.fault, spec.group, spec.config);
-            for app in apps {
-                host.add_app(app);
-            }
-            host.run()
-        }
-        Backend::Udp => {
-            let net: Arc<dyn Transport> = UdpNet::new(UdpConfig::default());
-            let amoeba = Amoeba::over_transport(net, 1);
+        Backend::Live | Backend::Udp => {
+            let amoeba = if backend == Backend::Udp {
+                Amoeba::over_transport(UdpNet::new(UdpConfig::default()), 1)
+            } else {
+                Amoeba::new(spec.seed, spec.fault)
+            };
             let mut host = LiveHost::with_amoeba(amoeba, spec.group, spec.config);
             for app in apps {
                 host.add_app(app);

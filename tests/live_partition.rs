@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use amoeba_core::audit::{AuditDelivery, DeliveryAudit, EndFate, MemberRecord};
 use amoeba_core::{GroupConfig, GroupEvent, GroupId};
-use amoeba_runtime::{Amoeba, FaultPlan, GroupHandle};
+use amoeba_runtime::{Amoeba, FaultPlan, GroupHandle, LiveNet};
 use bytes::Bytes;
 
 /// A fault plan that silently eats every delivery on the link.
@@ -52,7 +52,10 @@ fn partition_heals_and_every_member_converges() {
         robust_repair: true,
         ..GroupConfig::default()
     };
-    let amoeba = Amoeba::new(11, FaultPlan::reliable());
+    // The test keeps the fabric's own handle: that is where link
+    // faults are scripted.
+    let net = LiveNet::new(11, FaultPlan::reliable());
+    let amoeba = Amoeba::over_transport(net.clone(), 1);
     let group = GroupId(3);
     let a = amoeba.create_group(group, config.clone()).expect("create");
     let b = amoeba.join_group(group, config.clone()).expect("join b");
@@ -62,7 +65,6 @@ fn partition_heals_and_every_member_converges() {
 
     // Cut node 2 (handle c) off in both directions — the full
     // partition a simulated `Partition { side_a: 0b100, .. }` scripts.
-    let net = amoeba.net();
     for &peer in &[addr_a, addr_b] {
         net.set_link_fault(peer, addr_c, cut());
         net.set_link_fault(addr_c, peer, cut());
@@ -112,7 +114,8 @@ fn link_faults_are_directional() {
     // Asymmetry: A → B cut, B → A open. A's requests still reach the
     // sequencer if it IS the sequencer; easier to observe at the raw
     // fabric level with a one-way mute between two plain members.
-    let amoeba = Amoeba::new(5, FaultPlan::reliable());
+    let net = LiveNet::new(5, FaultPlan::reliable());
+    let amoeba = Amoeba::over_transport(net.clone(), 1);
     let group = GroupId(4);
     let a = amoeba.create_group(group, GroupConfig::default()).expect("create");
     let b = amoeba.join_group(group, GroupConfig::default()).expect("join");
@@ -124,7 +127,7 @@ fn link_faults_are_directional() {
     // Mute only sequencer → b: b's sends still get *ordered* (its
     // requests reach the sequencer) but b hears nothing back until
     // the link heals — and then catches up.
-    amoeba.net().set_link_fault(addr_a, addr_b, cut());
+    net.set_link_fault(addr_a, addr_b, cut());
     a.send_to_group(Bytes::from_static(b"one")).expect("a orders locally");
     assert!(
         !matches!(
@@ -133,7 +136,7 @@ fn link_faults_are_directional() {
         ),
         "b must hear no message through the muted direction"
     );
-    amoeba.net().clear_link_fault(addr_a, addr_b);
+    net.clear_link_fault(addr_a, addr_b);
     // Fresh traffic reveals the gap; the nack machinery backfills.
     a.send_to_group(Bytes::from_static(b"two")).expect("post-heal send");
     let mut got = Vec::new();

@@ -67,6 +67,49 @@ fn three_live_members_agree_under_loss() {
     assert_eq!(b_msgs, (0..25).map(|i| format!("b{i}")).collect::<Vec<_>>().iter().collect::<Vec<_>>());
 }
 
+/// The sequencer stamps and delivers its own sends on the *caller's*
+/// thread while its driver thread delivers everybody else's: both
+/// must reach member 0's event queue in stamp order.
+#[test]
+fn sending_sequencer_delivers_in_order_while_others_stream() {
+    const PER_SENDER: usize = 4_000;
+    let config = GroupConfig { send_window: 8, ..GroupConfig::default() };
+    let amoeba = Amoeba::new(27, FaultPlan::reliable());
+    let gid = GroupId(7);
+    let a = amoeba.create_group(gid, config.clone()).expect("create");
+    let b = amoeba.join_group(gid, config.clone()).expect("join b");
+    let c = amoeba.join_group(gid, config).expect("join c");
+    assert!(a.info().is_sequencer);
+
+    let start = std::sync::Barrier::new(3);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            for i in 0..PER_SENDER {
+                a.send_to_group(Bytes::from(format!("a{i}"))).expect("sequencer send");
+            }
+        });
+        for (h, tag) in [(&b, 'b'), (&c, 'c')] {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                let payloads = (0..PER_SENDER).map(|i| Bytes::from(format!("{tag}{i}")));
+                for r in h.send_pipelined(payloads) {
+                    r.expect("streamed send");
+                }
+            });
+        }
+    });
+
+    let la = collect_messages(&a, 3 * PER_SENDER);
+    assert!(
+        la.windows(2).all(|w| w[0].0 < w[1].0),
+        "seqnos at the sending sequencer must strictly increase"
+    );
+    assert_eq!(la, collect_messages(&b, 3 * PER_SENDER), "a and b diverge");
+    assert_eq!(la, collect_messages(&c, 3 * PER_SENDER), "a and c diverge");
+}
+
 #[test]
 fn bb_method_live_with_duplication() {
     let config = GroupConfig { method: Method::Bb, ..GroupConfig::default() };
