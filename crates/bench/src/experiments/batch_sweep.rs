@@ -23,7 +23,8 @@ use crate::report::{Anchor, Figure, Scale};
 const GROUPS: [usize; 4] = [2, 4, 8, 12];
 
 /// Batch sizes swept (0 = `BatchPolicy::Off`). The pipelining window
-/// follows the batch size (`GroupConfig::with_batching`).
+/// follows the batch size (`GroupConfig::with_batching`'s two fields
+/// over `GroupConfig::paper`).
 const BATCHES: [usize; 4] = [0, 4, 8, 16];
 
 /// The acceptance bar: batching must at least double the zero-byte
@@ -33,9 +34,12 @@ const TARGET_SPEEDUP: f64 = 2.0;
 fn cfg_for(batch: usize) -> GroupConfig {
     // Pin PB so the sweep isolates batching (Dynamic picks PB at these
     // sizes anyway; BB interacts via accept-batching, covered by tests).
-    let base =
-        if batch == 0 { GroupConfig::default() } else { GroupConfig::with_batching(batch) };
-    GroupConfig { method: Method::Pb, ..base }
+    let paper = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
+    if batch == 0 {
+        return paper;
+    }
+    let preset = GroupConfig::with_batching(batch);
+    GroupConfig { batch: preset.batch, send_window: preset.send_window, ..paper }
 }
 
 /// Throughput for 0-byte messages, batching off vs. increasing batch

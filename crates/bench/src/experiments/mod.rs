@@ -53,7 +53,7 @@ pub(crate) fn build_group(members: usize, config: &GroupConfig, seed: u64) -> Si
 
 /// Group configuration for an experiment: pinned method, resilience r.
 pub(crate) fn config(method: Method, resilience: u32) -> GroupConfig {
-    GroupConfig { method, resilience, ..GroupConfig::default() }
+    GroupConfig { method, resilience, ..GroupConfig::paper() }
 }
 
 /// Measures mean `SendToGroup` delay (µs): one sender (the last node,

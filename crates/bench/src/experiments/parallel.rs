@@ -10,7 +10,7 @@ use crate::report::{Anchor, Figure, Scale};
 /// its own host, all hosts on one segment), everyone sending 0-byte
 /// messages continuously; returns (aggregate broadcasts/s, utilization).
 fn parallel_groups_rate(groups: usize, members: usize, scale: Scale, seed: u64) -> (f64, f64) {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
     for _ in 0..groups * members {
         w.add_node();

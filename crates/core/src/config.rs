@@ -120,8 +120,15 @@ impl Default for Method {
 
 /// Per-group protocol parameters.
 ///
-/// Defaults reproduce the paper's experimental configuration: a 128-slot
-/// history buffer, resilience 0 and dynamic method selection.
+/// Two profiles share every field but two. [`GroupConfig::default`] is
+/// the *live* profile: the paper's 128-slot history buffer, resilience
+/// 0 and dynamic method selection, with the sequencer soliciting
+/// delivery floors at half occupancy (`history_high_water` 64) and
+/// members answering at once (`status_stagger_us` 0), so a sender among
+/// silent members never runs into the full buffer. [`GroupConfig::paper`]
+/// is the 1996 configuration every simulated experiment is pinned to:
+/// floors are solicited only once the buffer is full, and status
+/// replies are staggered 700 µs per rank.
 ///
 /// All times are in microseconds (the simulator's clock unit); the live
 /// runtime maps them onto wall-clock microseconds.
@@ -148,11 +155,27 @@ pub struct GroupConfig {
     /// are reported one `SendDone` per request, in stamping order.
     pub send_window: usize,
     /// History buffer capacity in messages (paper's experiments: 128).
-    /// When full, new application messages are refused until
-    /// acknowledgement floors advance (senders retry on timers).
+    /// A request that finds the buffer full is refused — silently
+    /// dropped and counted in `flow_control_drops` — and its sender
+    /// retries on `send_retransmit_us`. This is the protocol's one
+    /// back-pressure device against a member that lags or is cut off;
+    /// `history_high_water` exists so that it is never met otherwise.
     pub history_cap: usize,
-    /// History occupancy (in entries) at which the sequencer proactively
-    /// starts a status (sync) round to advance the GC floor.
+    /// History occupancy (in entries, ≥ 1) at which an arriving request
+    /// makes the sequencer start a status (sync) round — unless one is
+    /// already open — to learn the floors of members that never send,
+    /// while it goes on admitting up to `history_cap`. Equal to
+    /// `history_cap`, the round starts only at the refusal (the 1996
+    /// behaviour, [`GroupConfig::paper`]). The live runtime honours a
+    /// lower mark on in-process fabrics only and raises it to
+    /// `history_cap` elsewhere (DESIGN.md §2).
+    ///
+    /// The headroom `history_cap − history_high_water` is what the
+    /// group can order while the round is out, so the buffer stays
+    /// short of full only if headroom × per-message time exceeds the
+    /// slowest status reply: (members − 2) × `status_stagger_us` plus
+    /// one round trip. [`GroupConfig::validate`] checks the part that
+    /// needs no clock: the headroom must hold one `send_window`.
     pub history_high_water: usize,
     /// Initial retransmission timeout for an unacknowledged
     /// `SendToGroup` request, µs. Doubles per retry.
@@ -174,11 +197,15 @@ pub struct GroupConfig {
     /// force-removed (the paper's unreliable failure detection: "after a
     /// certain number of trials a process is declared dead").
     pub sync_max_retries: u32,
-    /// Per-rank stagger of status replies, µs: member at rank k answers
-    /// a sync round after k × this delay, so large groups do not bury
-    /// the sequencer under simultaneous replies (ack implosion). Must
-    /// stay well under `sync_round_us × sync_max_retries` for the
-    /// largest expected group.
+    /// Per-rank stagger of status replies, µs: the member at rank k
+    /// (0 for the first non-sequencer member) answers a sync round
+    /// after k × this delay, so large groups on a shared wire do not
+    /// bury the sequencer under simultaneous replies (ack implosion).
+    /// 0 (the default) answers at once. The last reply arrives
+    /// (members − 2) × this after the request, which must stay under
+    /// the time the `history_high_water` headroom buys (see there) and
+    /// well under `sync_round_us × sync_max_retries`;
+    /// [`GroupConfig::scaled_for`] widens it with the group.
     pub status_stagger_us: u64,
     /// Sequencer: resend interval for tentative (r > 0) broadcasts
     /// missing acknowledgements, µs.
@@ -218,7 +245,24 @@ pub struct GroupConfig {
 }
 
 impl Default for GroupConfig {
+    /// The live profile (see the type's documentation).
     fn default() -> Self {
+        GroupConfig { history_high_water: 64, status_stagger_us: 0, ..GroupConfig::paper() }
+    }
+}
+
+impl GroupConfig {
+    /// The paper's configuration: the 1996 protocol's behaviour, which
+    /// the simulated experiments, the paper anchors and the golden
+    /// scenario digests are pinned to. It differs from
+    /// [`GroupConfig::default`] in exactly two fields: the sequencer
+    /// asks for floors only once its history is full
+    /// (`history_high_water` = `history_cap`), and status replies are
+    /// staggered 700 µs per rank. A lone sender among silent members
+    /// therefore fills the buffer, is refused, and waits out
+    /// `send_retransmit_us` once per `history_cap` messages — the
+    /// mechanism behind the paper's Figures 4 and 5.
+    pub fn paper() -> Self {
         GroupConfig {
             resilience: 0,
             method: Method::default(),
@@ -226,7 +270,7 @@ impl Default for GroupConfig {
             send_window: 1,
             max_message: 8_000,
             history_cap: 128,
-            history_high_water: 96,
+            history_high_water: 128,
             send_retransmit_us: 50_000,
             send_max_retries: 8,
             nack_retry_us: 20_000,
@@ -245,15 +289,16 @@ impl Default for GroupConfig {
             auto_reset_min_members: 1,
         }
     }
-}
 
-impl GroupConfig {
-    /// A configuration with resilience degree `r` and defaults otherwise.
+    /// A configuration with resilience degree `r` and defaults (the
+    /// live profile) otherwise.
     pub fn with_resilience(r: u32) -> Self {
         GroupConfig { resilience: r, ..Default::default() }
     }
 
-    /// Defaults with the timing knobs widened for a group of `members`.
+    /// [`GroupConfig::paper`] with the timing knobs widened for a group
+    /// of `members` on a shared wire, and the high-water round at 3/4
+    /// occupancy.
     ///
     /// The paper's configuration is tuned for its 30-host testbed and
     /// stops working two ways as groups grow past a couple of hundred
@@ -266,8 +311,8 @@ impl GroupConfig {
     /// sync round to cover the full reply span with 50 % margin, keeps
     /// dependent intervals (periodic sync, invitation rounds, recovery
     /// watchdog) proportionally above it, and backs join retries off
-    /// to the group size. At `members` ≤ 64 every knob stays at its
-    /// default, so small-world results are unaffected.
+    /// to the group size. At `members` ≤ 64 every timer stays at its
+    /// paper value, so small-world results are unaffected.
     pub fn scaled_for(members: usize) -> Self {
         Self::scaled_for_world(members, 1)
     }
@@ -280,10 +325,10 @@ impl GroupConfig {
     /// stay under wire capacity or every round degenerates into
     /// collisions and re-asks.
     pub fn scaled_for_world(members: usize, groups: usize) -> Self {
-        let mut c = GroupConfig::default();
+        let mut c = GroupConfig::paper();
         let n = members.max(1) as u64;
         let g = groups.max(1) as u64;
-        // The default stagger leaves ~150 µs of sequencer CPU slack per
+        // The paper's stagger leaves ~150 µs of sequencer CPU slack per
         // reply. A big group eats that concurrently: every accept the
         // sequencer multicasts during a round costs it 4 µs × members
         // of send CPU, so the gap between replies must grow with the
@@ -315,8 +360,9 @@ impl GroupConfig {
 
     /// A configuration with sequencer batching of up to `max_batch`
     /// messages (200 µs flush timer), a matching sender pipelining
-    /// window, and defaults otherwise. This is the "throughput" preset
-    /// the `batch_sweep` experiment measures.
+    /// window, and defaults (the live profile) otherwise. This is the
+    /// "throughput" preset; the `batch_sweep` experiment measures its
+    /// batch and window over [`GroupConfig::paper`].
     pub fn with_batching(max_batch: usize) -> Self {
         GroupConfig {
             batch: BatchPolicy::On { max_batch, flush_us: 200 },
@@ -334,6 +380,9 @@ impl GroupConfig {
         if self.history_cap == 0 {
             return Err("history_cap must be at least 1".into());
         }
+        if self.history_high_water == 0 {
+            return Err("history_high_water must be at least 1".into());
+        }
         if self.history_high_water > self.history_cap {
             return Err("history_high_water must not exceed history_cap".into());
         }
@@ -348,6 +397,17 @@ impl GroupConfig {
         }
         if self.send_window > self.history_cap {
             return Err("send_window must not exceed history_cap".into());
+        }
+        // One sender's window arrives back to back: with less headroom
+        // it fills the buffer before any status reply can exist.
+        if self.history_high_water < self.history_cap
+            && self.history_cap - self.history_high_water < self.send_window
+        {
+            return Err(
+                "history_cap - history_high_water must be at least send_window \
+                 (or history_high_water must equal history_cap)"
+                    .into(),
+            );
         }
         if let BatchPolicy::On { max_batch, flush_us } = self.batch {
             if max_batch < 2 {
@@ -366,11 +426,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_matches_paper_setup() {
-        let c = GroupConfig::default();
-        assert_eq!(c.resilience, 0);
-        assert_eq!(c.history_cap, 128);
-        assert!(c.validate().is_ok());
+    fn both_profiles_match_the_paper_setup_and_validate() {
+        for c in [GroupConfig::default(), GroupConfig::paper()] {
+            assert_eq!(c.resilience, 0);
+            assert_eq!(c.history_cap, 128);
+            assert!(c.validate().is_ok());
+        }
+        // The live profile asks for floors at half occupancy and is
+        // answered at once; the paper's asks only when full.
+        let live = GroupConfig::default();
+        assert_eq!((live.history_high_water, live.status_stagger_us), (64, 0));
+        let paper = GroupConfig::paper();
+        assert_eq!((paper.history_high_water, paper.status_stagger_us), (128, 700));
     }
 
     #[test]
@@ -402,6 +469,32 @@ mod tests {
 
         let c = GroupConfig { invite_rounds: 0, ..GroupConfig::default() };
         assert!(c.validate().is_err());
+
+        let c = GroupConfig { history_high_water: 0, ..GroupConfig::default() };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn the_high_water_headroom_must_hold_one_send_window() {
+        // 128 − 64 = 64 slots of headroom.
+        let c = GroupConfig { send_window: 64, ..GroupConfig::default() };
+        assert!(c.validate().is_ok());
+        let c = GroupConfig { send_window: 65, ..GroupConfig::default() };
+        assert!(c.validate().is_err());
+        // With the round starting only at the refusal there is no
+        // headroom to size: any window up to the cap goes.
+        let c = GroupConfig { send_window: 128, ..GroupConfig::paper() };
+        assert!(c.validate().is_ok());
+        // Presets and the smallest buffers the tests use.
+        let tiny = GroupConfig { history_cap: 4, history_high_water: 3, ..GroupConfig::default() };
+        for c in [
+            tiny,
+            GroupConfig::with_batching(64),
+            GroupConfig::scaled_for(1),
+            GroupConfig::scaled_for_world(1000, 8),
+        ] {
+            assert_eq!(c.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -33,6 +33,10 @@
 //! `send_window` of in-flight requests, watermark floor reports) that
 //! lift the sequencer-bound throughput ceiling ≥ 2× while keeping the
 //! default (`BatchPolicy::Off`) bit-identical to the 1996 protocol.
+//! [`GroupConfig::default`] is the live profile — the sequencer asks
+//! silent members for their delivery floors at half history occupancy
+//! — and [`GroupConfig::paper`] the 1996 configuration the simulated
+//! experiments are built from (DESIGN.md §2).
 //!
 //! The protocol walkthrough is DESIGN.md §2, the batching/pipelining
 //! design DESIGN.md §6, and the crate's place in the stack DESIGN.md

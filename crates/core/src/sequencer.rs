@@ -246,13 +246,24 @@ impl GroupCore {
     }
 
     /// Whether a new application message can be admitted right now.
+    ///
+    /// From `history_high_water` entries up, every arriving request
+    /// also asks the members for their floors (one round at a time) so
+    /// that room opens *before* the buffer fills: members that never
+    /// send piggyback nothing, and a sync round is the only way to
+    /// learn how far they got. The check runs on arrival, before the
+    /// request is stamped, so the round's horizon names only seqnos
+    /// that are already on the wire.
     fn admission_check(&mut self) -> bool {
+        if self.history.len() >= self.config.history_high_water {
+            self.sequencer_start_sync_round();
+        }
         if self.history.has_room_for_app() {
             return true;
         }
+        // Full: refuse. This is the back-pressure against a member that
+        // really lags; the round above is what reopens the buffer.
         self.stats.flow_control_drops += 1;
-        // Push the GC floor forward so room opens up.
-        self.sequencer_start_sync_round();
         false
     }
 

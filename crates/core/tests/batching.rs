@@ -5,7 +5,7 @@
 mod common;
 
 use amoeba_core::{BatchPolicy, GroupConfig, GroupError, Method};
-use common::{fast_config, Done, TestNet};
+use common::{build_group, fast_config, Done};
 
 /// `fast_config` with batching on and a matching pipelining window.
 fn batch_config(max_batch: usize) -> GroupConfig {
@@ -14,17 +14,6 @@ fn batch_config(max_batch: usize) -> GroupConfig {
         send_window: max_batch,
         ..fast_config()
     }
-}
-
-fn build_group(n: usize, config: GroupConfig, seed: u64) -> TestNet {
-    let mut net = TestNet::new(1, n, seed);
-    net.create_group(0, config.clone());
-    for i in 1..n {
-        net.join_group(i, config.clone());
-        net.run_for(50_000);
-        assert!(net.joined_ok(i), "node {i} failed to join");
-    }
-    net
 }
 
 #[test]

@@ -39,6 +39,9 @@ struct Node {
     in_group_mcast: bool,
     /// A crashed node drops everything.
     crashed: bool,
+    /// A node whose link is cut neither sends nor receives packets; its
+    /// timers keep firing.
+    cut: bool,
 }
 
 /// The test network.
@@ -72,6 +75,7 @@ impl TestNet {
                     timers: HashMap::new(),
                     in_group_mcast: false,
                     crashed: false,
+                    cut: false,
                 })
                 .collect(),
             group: GroupId(group),
@@ -158,6 +162,12 @@ impl TestNet {
         self.nodes[node].crashed = true;
     }
 
+    /// Cuts (`true`) or heals (`false`) a node's link: while cut,
+    /// nothing it sends leaves and nothing sent to it arrives.
+    pub fn set_cut(&mut self, node: usize, cut: bool) {
+        self.nodes[node].cut = cut;
+    }
+
     // ------------------------------------------------------------------
     // engine
     // ------------------------------------------------------------------
@@ -192,6 +202,9 @@ impl TestNet {
 
     fn route(&mut self, from: usize, dest: Dest, msg: WireMsg) {
         let src_addr = self.nodes[from].addr;
+        if self.nodes[from].cut {
+            return;
+        }
         let targets: Vec<usize> = match dest {
             Dest::Unicast(addr) => {
                 self.nodes.iter().position(|n| n.addr == addr).into_iter().collect()
@@ -201,6 +214,9 @@ impl TestNet {
                 .collect(),
         };
         for to in targets {
+            if self.nodes[to].cut {
+                continue;
+            }
             let mut copies = 1;
             if self.loss > 0.0 && self.rand_f64() < self.loss {
                 copies = 0;
@@ -338,6 +354,18 @@ impl TestNet {
     pub fn joined_ok(&self, node: usize) -> bool {
         self.done[node].iter().any(|d| matches!(d, Done::Join(Ok(_))))
     }
+}
+
+/// Builds a group of `n` members: node 0 creates, 1..n join one by one.
+pub fn build_group(n: usize, config: GroupConfig, seed: u64) -> TestNet {
+    let mut net = TestNet::new(1, n, seed);
+    net.create_group(0, config.clone());
+    for i in 1..n {
+        net.join_group(i, config.clone());
+        net.run_for(50_000);
+        assert!(net.joined_ok(i), "node {i} failed to join");
+    }
+    net
 }
 
 /// A config with fast timers for the virtual clock.

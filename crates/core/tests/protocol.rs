@@ -4,19 +4,7 @@
 mod common;
 
 use amoeba_core::{GroupConfig, GroupEvent, Method};
-use common::{fast_config, Done, TestNet};
-
-/// Builds a group of `n` members: node 0 creates, 1..n join one by one.
-fn build_group(n: usize, config: GroupConfig, seed: u64) -> TestNet {
-    let mut net = TestNet::new(1, n, seed);
-    net.create_group(0, config.clone());
-    for i in 1..n {
-        net.join_group(i, config.clone());
-        net.run_for(50_000);
-        assert!(net.joined_ok(i), "node {i} failed to join");
-    }
-    net
-}
+use common::{build_group, fast_config, Done, TestNet};
 
 #[test]
 fn singleton_group_send_loops_back() {

@@ -226,7 +226,7 @@ impl Apps {
 /// use amoeba_core::{GroupConfig, GroupId};
 /// use amoeba_kernel::SimHost;
 ///
-/// let mut host = SimHost::new(42, GroupId(1), GroupConfig::default());
+/// let mut host = SimHost::new(42, GroupId(1), GroupConfig::paper());
 /// host.add_app(Box::new(SenderApp::new(0, 10))); // founds + sequences
 /// host.add_app(Box::new(SenderApp::new(0, 10))); // joins
 /// let world = host.run().into_world();

@@ -43,9 +43,9 @@ mod tests {
         for _ in 0..members {
             w.add_node();
         }
-        w.create_group(0, group, GroupConfig::default());
+        w.create_group(0, group, GroupConfig::paper());
         for n in 1..members {
-            w.join_group(n, group, GroupConfig::default());
+            w.join_group(n, group, GroupConfig::paper());
         }
         w.run_until_ready();
         w

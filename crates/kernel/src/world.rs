@@ -689,8 +689,8 @@ impl Kernel {
 /// let group = GroupId(1);
 /// let a = w.add_node();
 /// let b = w.add_node();
-/// w.create_group(a, group, GroupConfig::default());
-/// w.join_group(b, group, GroupConfig::default());
+/// w.create_group(a, group, GroupConfig::paper());
+/// w.join_group(b, group, GroupConfig::paper());
 /// w.run_until_ready();
 /// w.set_workload(b, Workload::Sender { size: 0, remaining: 100 });
 /// w.kick();

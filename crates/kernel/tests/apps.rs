@@ -8,7 +8,7 @@ use amoeba_sim::SimDuration;
 
 #[test]
 fn sim_host_forms_runs_and_returns_apps() {
-    let mut host = SimHost::new(42, GroupId(1), GroupConfig::default());
+    let mut host = SimHost::new(42, GroupId(1), GroupConfig::paper());
     host.add_app(Box::new(SenderApp::new(0, 25)));
     host.add_app(Box::new(SenderApp::new(0, 25)));
     host.add_app(Box::new(SenderApp::new(1024, 10)));
@@ -36,9 +36,9 @@ fn workload_sender_desugars_to_sender_app_bit_identically() {
         for _ in 0..4 {
             w.add_node();
         }
-        w.create_group(0, group, GroupConfig::default());
+        w.create_group(0, group, GroupConfig::paper());
         for n in 1..4 {
-            w.join_group(n, group, GroupConfig::default());
+            w.join_group(n, group, GroupConfig::paper());
         }
         w.run_until_ready();
         for n in 0..4 {
@@ -84,9 +84,9 @@ fn crashed_node_goes_silent_and_the_group_keeps_ordering() {
     for _ in 0..3 {
         w.add_node();
     }
-    w.create_group(0, group, GroupConfig::default());
+    w.create_group(0, group, GroupConfig::paper());
     for n in 1..3 {
-        w.join_group(n, group, GroupConfig::default());
+        w.join_group(n, group, GroupConfig::paper());
     }
     w.run_until_ready();
     // Node 1 streams; node 2 crashes itself after 5 deliveries.

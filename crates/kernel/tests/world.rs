@@ -30,7 +30,7 @@ fn large_message_fanin_degrades_through_loss_recovery() {
     // and retransmission traffic. The *observable* — throughput falls
     // as 4-KB senders are added — is asserted by the fig4 harness; here
     // we assert the recovery machinery visibly engaged.
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = build(14, &config, 5);
     for n in 0..14 {
         w.set_workload(n, Workload::Sender { size: 4_096, remaining: u64::MAX });
@@ -64,7 +64,7 @@ fn ack_implosion_without_stagger_causes_loss_and_recovery() {
         method: Method::Pb,
         status_stagger_us: 0, // everyone answers a sync round at once
         sync_interval_us: 200_000,
-        ..GroupConfig::default()
+        ..GroupConfig::paper()
     };
     let net_config =
         amoeba_net::NetConfig { rx_ring_cap: 8, ..amoeba_net::NetConfig::ether_10mbps() };
@@ -97,7 +97,7 @@ fn ack_implosion_without_stagger_causes_loss_and_recovery() {
 
 #[test]
 fn zero_byte_traffic_never_overflows_the_ring() {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = build(8, &config, 6);
     for n in 0..8 {
         w.set_workload(n, Workload::Sender { size: 0, remaining: u64::MAX });
@@ -113,7 +113,7 @@ fn zero_byte_traffic_never_overflows_the_ring() {
 
 #[test]
 fn sequencer_cpu_is_the_hot_spot_under_load() {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = build(6, &config, 7);
     for n in 0..6 {
         w.set_workload(n, Workload::Sender { size: 0, remaining: u64::MAX });
@@ -140,7 +140,7 @@ fn sequencer_cpu_is_the_hot_spot_under_load() {
 
 #[test]
 fn disjoint_groups_do_not_cross_deliver() {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), 8);
     for _ in 0..4 {
         w.add_node();
@@ -162,7 +162,7 @@ fn disjoint_groups_do_not_cross_deliver() {
 
 #[test]
 fn shared_wire_contention_slows_both_groups() {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     // One group alone…
     let mut solo = build(2, &config, 9);
     for n in 0..2 {
@@ -209,7 +209,7 @@ fn shared_wire_contention_slows_both_groups() {
 #[test]
 fn mixed_workloads_share_a_host_cleanly() {
     // RPC traffic and group traffic coexist on one wire.
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), 10);
     for _ in 0..4 {
         w.add_node();

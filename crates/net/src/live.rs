@@ -290,6 +290,10 @@ impl Transport for LiveNet {
         let net = self.me.upgrade().expect("LiveNet::new hands out only Arcs");
         Box::new(LiveSender { cache: net.table.cache(), net, from })
     }
+
+    fn in_process(&self) -> bool {
+        true
+    }
 }
 
 /// The in-memory fabric's per-endpoint sending port.

@@ -50,6 +50,17 @@ pub trait Transport: Send + Sync {
     /// does. Asking twice for one address yields two independent ports
     /// onto the same endpoint; after `unregister` a port blackholes.
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender>;
+
+    /// Whether every endpoint of this fabric lives in the calling
+    /// process, so that a reply is one thread hand-off away. The
+    /// runtime enables the high-water sync round
+    /// (`GroupConfig::history_high_water`) on such fabrics only; on
+    /// any other it keeps the round at the refusal, as in 1996, until
+    /// that fabric's flip is made and measured on its own (DESIGN.md
+    /// §2). [`crate::LiveNet`] says yes; the default is no.
+    fn in_process(&self) -> bool {
+        false
+    }
 }
 
 /// A per-endpoint sending port (see [`Transport::sender`]).

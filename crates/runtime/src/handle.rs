@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use amoeba_core::{
-    Error, GroupConfig, GroupCore, GroupError, GroupEvent, GroupId, GroupInfo, Seqno,
+    CoreStats, Error, GroupConfig, GroupCore, GroupError, GroupEvent, GroupId, GroupInfo, Seqno,
 };
 use amoeba_net::{FaultPlan, LiveNet, Transport};
 use bytes::Bytes;
@@ -42,6 +42,11 @@ impl Amoeba {
     /// allocator: in a multi-process deployment each process claims a
     /// disjoint address range so memberships never collide (the
     /// harness assigns process *i* the addresses from `i + 1`).
+    ///
+    /// On a fabric that is not [`Transport::in_process`] every
+    /// membership runs with `history_high_water` raised to
+    /// `history_cap`: the sequencer asks for floors only once its
+    /// history is full, whatever the configuration says (DESIGN.md §2).
     pub fn over_transport(transport: Arc<dyn Transport>, first_addr: u64) -> Self {
         Amoeba { transport, next_addr: AtomicU64::new(first_addr) }
     }
@@ -85,6 +90,14 @@ impl Amoeba {
         config: GroupConfig,
         create: bool,
     ) -> Result<GroupHandle, GroupError> {
+        // The high-water sync round is enabled fabric by fabric: in
+        // process it is on; elsewhere the round still starts at the
+        // refusal (see `Transport::in_process`, DESIGN.md §2).
+        let config = if self.transport.in_process() {
+            config
+        } else {
+            GroupConfig { history_high_water: config.history_cap, ..config }
+        };
         let addr =
             amoeba_flip::FlipAddress::process(self.next_addr.fetch_add(1, Ordering::Relaxed));
         // Plug into the fabric before the protocol starts talking.
@@ -232,6 +245,13 @@ impl GroupHandle {
     /// `GetInfoGroup`: a snapshot of this member's view.
     pub fn info(&self) -> GroupInfo {
         self.shared.core.lock().info()
+    }
+
+    /// A snapshot of this member's protocol counters (refusals, retries
+    /// and sync rounds among them: what a throughput figure needs
+    /// beside it to be explained).
+    pub fn stats(&self) -> CoreStats {
+        self.shared.core.lock().stats
     }
 
     /// `ResetGroup`: rebuilds the group after failures, requiring at

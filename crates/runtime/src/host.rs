@@ -10,6 +10,8 @@
 //! suite assert identical per-member delivery orders.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amoeba_app::cmd::{AppCmd, BufferedCtx, HostView};
@@ -69,6 +71,20 @@ struct Pump {
     pending: VecDeque<Bytes>,
     timers: HashMap<TimerId, Instant>,
     terminal: Option<Terminal>,
+    /// Raised when a sibling pump panicked: the run is over (see
+    /// [`Pumps::join`]).
+    abort: Arc<AtomicBool>,
+}
+
+/// Raises the siblings' abort flag if its pump thread unwinds.
+struct AbortOnPanic(Arc<AtomicBool>);
+
+impl Drop for AbortOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 enum Call {
@@ -78,7 +94,7 @@ enum Call {
 }
 
 impl Pump {
-    fn new(handle: GroupHandle, app: Box<dyn GroupApp>) -> Self {
+    fn new(handle: GroupHandle, app: Box<dyn GroupApp>, abort: Arc<AtomicBool>) -> Self {
         let window = handle.shared.core.lock().config().send_window.max(1);
         Pump {
             handle: Some(handle),
@@ -89,6 +105,7 @@ impl Pump {
             pending: VecDeque::new(),
             timers: HashMap::new(),
             terminal: None,
+            abort,
         }
     }
 
@@ -206,7 +223,9 @@ impl Pump {
     /// alive on `Ctx::stop`, consumed by leave/crash).
     fn run(mut self) -> Pumped {
         self.dispatch(Call::Start);
-        while self.terminal.is_none() {
+        // An aborted run ends like a stop: the membership goes back
+        // to the host, which tears it down.
+        while self.terminal.is_none() && !self.abort.load(Ordering::SeqCst) {
             let timeout = self
                 .next_deadline()
                 .map(|at| at.saturating_duration_since(Instant::now()))
@@ -312,10 +331,15 @@ pub struct Pumps(Vec<std::thread::JoinHandle<Pumped>>);
 /// Panics if the two lists differ in length or a thread cannot spawn.
 pub fn pump_apps(handles: Vec<GroupHandle>, apps: Vec<Box<dyn GroupApp>>) -> Pumps {
     assert_eq!(handles.len(), apps.len(), "one app per membership");
+    let abort = Arc::new(AtomicBool::new(false));
     let threads = handles.into_iter().zip(apps).enumerate().map(|(i, (handle, app))| {
+        let abort = Arc::clone(&abort);
         std::thread::Builder::new()
             .name(format!("amoeba-app-{i}"))
-            .spawn(move || Pump::new(handle, app).run())
+            .spawn(move || {
+                let _guard = AbortOnPanic(Arc::clone(&abort));
+                Pump::new(handle, app, abort).run()
+            })
             .expect("spawn app pump thread")
     });
     Pumps(threads.collect())
@@ -327,13 +351,28 @@ impl Pumps {
     /// app is in, so a stopped member never looks crashed to one that
     /// is still running, and are torn down together here.
     ///
+    /// A panic on one pump thread (a failed assertion in an app) ends
+    /// the run: the other pumps stop within one poll interval instead
+    /// of waiting for ever on a member that is gone.
+    ///
     /// # Panics
     ///
-    /// Panics if an app panicked on its pump thread.
+    /// Resumes the first such panic, after every membership has been
+    /// torn down.
     pub fn join(self) -> Vec<Box<dyn GroupApp>> {
-        let (apps, survivors): (Vec<_>, Vec<_>) =
-            self.0.into_iter().map(|t| t.join().expect("app pump thread")).unzip();
-        drop(survivors);
+        let results: Vec<_> = self.0.into_iter().map(std::thread::JoinHandle::join).collect();
+        let mut apps = Vec::new();
+        let mut panic = None;
+        for result in results {
+            match result {
+                // The survivor's membership drops — tears down — here.
+                Ok((app, _survivor)) => apps.push(app),
+                Err(payload) => panic = panic.or(Some(payload)),
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
         apps
     }
 }
@@ -391,7 +430,7 @@ impl LiveHost {
         handle: GroupHandle,
         app: Box<dyn GroupApp>,
     ) -> (Box<dyn GroupApp>, Option<GroupHandle>) {
-        Pump::new(handle, app).run()
+        Pump::new(handle, app, Arc::default()).run()
     }
 
     /// Forms the group, pumps every app on its own thread, and returns
@@ -404,5 +443,34 @@ impl LiveHost {
         assert!(!self.apps.is_empty(), "LiveHost::run needs at least one app");
         let handles = form_group(&self.amoeba, self.group, &self.config, self.apps.len());
         pump_apps(handles, self.apps).join()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Never ends by itself (it waits for a peer that will not write).
+    struct Waits;
+    impl GroupApp for Waits {}
+
+    struct FailsItsScript;
+    impl GroupApp for FailsItsScript {
+        fn on_start(&mut self, _ctx: &mut dyn amoeba_app::Ctx) {
+            panic!("script assertion");
+        }
+    }
+
+    /// `Pumps::join` joins in index order, so it sits on member 0's
+    /// thread; member 1's panic must still end the run and reach the
+    /// caller.
+    #[test]
+    #[should_panic(expected = "script assertion")]
+    fn a_panicked_pump_ends_the_run_and_reaches_the_caller() {
+        let mut host =
+            LiveHost::new(3, FaultPlan::reliable(), GroupId(1), GroupConfig::default());
+        host.add_app(Box::new(Waits));
+        host.add_app(Box::new(FailsItsScript));
+        host.run();
     }
 }

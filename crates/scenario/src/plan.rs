@@ -113,7 +113,7 @@ pub struct Knobs {
 /// The configuration a group's knobs override.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigBase {
-    /// The paper defaults (`GroupConfig::default`).
+    /// The paper profile (`GroupConfig::paper`).
     Paper,
     /// `GroupConfig::scaled_for_world` (`scaled = true`; the default
     /// past 64 members).
@@ -144,7 +144,7 @@ impl GroupSpec {
     pub fn config(&self, groups: usize, g: usize, admission: Admission) -> GroupConfig {
         let k = &self.knobs;
         let mut c = match self.base {
-            ConfigBase::Paper => GroupConfig::default(),
+            ConfigBase::Paper => GroupConfig::paper(),
             ConfigBase::Scaled => GroupConfig::scaled_for_world(self.members.len(), groups),
             ConfigBase::FaultTolerant => fault_tolerant_config(self.members.len(), groups, 1),
         };

@@ -121,7 +121,13 @@ impl ShardSpec {
         } else {
             (self.data_config.clone(), self.members)
         };
-        let mut c = base.unwrap_or_else(|| GroupConfig::scaled_for_world(members, groups));
+        // The shard tier's groups keep the sync round at the refusal
+        // (the parent's behaviour) until their flip is made and
+        // measured on its own; an explicit config is taken as given.
+        let mut c = base.unwrap_or_else(|| {
+            let c = GroupConfig::scaled_for_world(members, groups);
+            GroupConfig { history_high_water: c.history_cap, ..c }
+        });
         c.sync_interval_us += g as u64 * (c.sync_round_us / 4);
         c.status_stagger_us += 53 * g as u64;
         c

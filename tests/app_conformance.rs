@@ -297,21 +297,27 @@ fn requests_after_stop_are_void_on_both_backends() {
 /// must log the same messages in the same order on both backends —
 /// including across the recovery boundary.
 ///
-/// One live-only subtlety the script must absorb: member 0's `crash`
-/// executes on its own pump thread when *it* delivers m2, while its
-/// protocol driver keeps sequencing until then — so a probe racing
+/// Member 0 crashes on a short fuse lit when *it* delivers m2, not in
+/// that callback: a sequencer delivers at stamp time, before the
+/// stamped message's multicast has left, so an immediate crash can
+/// take m2 down with it (with r = 0 the protocol allows exactly that,
+/// and the survivors would then rightly never see m2).
+///
+/// One live-only subtlety the script must absorb: member 0's protocol
+/// driver keeps sequencing until the crash lands, so a probe racing
 /// that window can still be ordered. Member 1 therefore probes on a
 /// timer comfortably past the crash point and re-arms while probes
 /// keep succeeding; probes are excluded from the conformance log,
-/// which stays deterministic (on the simulated host the crash is
-/// inline at the m2 stamp, so the first probe always finds the
-/// sequencer dead).
+/// which stays deterministic (on the simulated host both fuses burn
+/// simulated time, so the first probe always finds the sequencer
+/// dead).
 struct CrashScript {
     probing: bool,
     log: Log,
 }
 
 const PROBE_FUSE: TimerId = TimerId(1);
+const CRASH_FUSE: TimerId = TimerId(2);
 
 impl GroupApp for CrashScript {
     fn on_start(&mut self, ctx: &mut dyn Ctx) {
@@ -333,8 +339,8 @@ impl GroupApp for CrashScript {
                     (1, "m0") => ctx.send(Bytes::from_static(b"m1")),
                     (2, "m1") => ctx.send(Bytes::from_static(b"m2")),
                     // The sequencer vanishes once the third round is
-                    // ordered.
-                    (0, "m2") => ctx.crash(),
+                    // ordered and on the wire.
+                    (0, "m2") => ctx.set_timer(CRASH_FUSE, Duration::from_millis(50)),
                     (1, "m2") => {
                         self.probing = true;
                         ctx.set_timer(PROBE_FUSE, Duration::from_millis(200));
@@ -365,6 +371,10 @@ impl GroupApp for CrashScript {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx, timer: TimerId) {
+        if timer == CRASH_FUSE {
+            ctx.crash();
+            return;
+        }
         assert_eq!(timer, PROBE_FUSE);
         ctx.send(Bytes::from_static(b"probe"));
     }

@@ -3,11 +3,12 @@
 //! the simulator measures, here crossing real thread boundaries as
 //! bytes through the codec.
 
-use std::time::Duration;
+mod common;
 
-use amoeba::core::{BatchPolicy, GroupConfig, GroupEvent, GroupId};
-use amoeba::runtime::{Amoeba, FaultPlan, GroupHandle};
+use amoeba::core::{BatchPolicy, GroupConfig, GroupId};
+use amoeba::runtime::{Amoeba, FaultPlan};
 use bytes::Bytes;
+use common::collect_messages;
 
 fn batching_config(max_batch: usize) -> GroupConfig {
     GroupConfig {
@@ -15,20 +16,6 @@ fn batching_config(max_batch: usize) -> GroupConfig {
         send_window: max_batch,
         ..GroupConfig::default()
     }
-}
-
-fn collect_messages(handle: &GroupHandle, n: usize) -> Vec<(u64, u32, String)> {
-    let mut out = Vec::new();
-    while out.len() < n {
-        match handle.receive_timeout(Duration::from_secs(20)) {
-            Ok(GroupEvent::Message { seqno, origin, payload }) => {
-                out.push((seqno.0, origin.0, String::from_utf8_lossy(&payload).into_owned()));
-            }
-            Ok(_) => {}
-            Err(e) => panic!("starved after {} messages: {e}", out.len()),
-        }
-    }
-    out
 }
 
 #[test]

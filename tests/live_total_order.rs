@@ -1,26 +1,20 @@
 //! Live-runtime integration: total order under real threads and real
 //! adversity (loss, duplication, jitter-induced reordering).
 
+mod common;
+
 use std::time::Duration;
 
 use amoeba::core::{GroupConfig, GroupEvent, GroupId, Method};
-use amoeba::runtime::{Amoeba, FaultPlan, GroupHandle};
+use amoeba::runtime::{Amoeba, FaultPlan};
 use bytes::Bytes;
+use common::{collect_messages, lone_sender_is_never_refused};
 
-/// Drains ordered events until `n` messages have arrived; returns
-/// (seqno, origin, payload) triples.
-fn collect_messages(handle: &GroupHandle, n: usize) -> Vec<(u64, u32, String)> {
-    let mut out = Vec::new();
-    while out.len() < n {
-        match handle.receive_timeout(Duration::from_secs(20)) {
-            Ok(GroupEvent::Message { seqno, origin, payload }) => {
-                out.push((seqno.0, origin.0, String::from_utf8_lossy(&payload).into_owned()));
-            }
-            Ok(_) => {}
-            Err(e) => panic!("starved after {} messages: {e}", out.len()),
-        }
-    }
-    out
+#[test]
+fn a_lone_live_sender_is_never_refused_blocking_or_pipelined() {
+    let amoeba = Amoeba::new(29, FaultPlan::reliable());
+    lone_sender_is_never_refused(&amoeba, 10, 1);
+    lone_sender_is_never_refused(&amoeba, 20, 32);
 }
 
 #[test]

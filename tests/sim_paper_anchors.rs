@@ -8,7 +8,7 @@ use amoeba::kernel::{CostModel, SimWorld, Workload};
 use amoeba::sim::SimDuration;
 
 fn delay_world(members: usize, method: Method, resilience: u32, seed: u64) -> SimWorld {
-    let config = GroupConfig { method, resilience, ..GroupConfig::default() };
+    let config = GroupConfig { method, resilience, ..GroupConfig::paper() };
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
     let group = GroupId(1);
     for _ in 0..members {
@@ -80,7 +80,7 @@ fn anchor_each_ack_adds_about_600us() {
 
 #[test]
 fn anchor_peak_throughput_near_815() {
-    let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+    let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
     let mut w = SimWorld::new(CostModel::mc68030_ether10(), 9);
     let group = GroupId(1);
     for _ in 0..8 {
@@ -134,10 +134,11 @@ fn batching_doubles_group8_throughput() {
     // The ISSUE 2 acceptance bar: batch 8 + window 8 must at least
     // double the sequencer-bound plateau (852 → ≈1900 msg/s here; the
     // batch_sweep experiment reports the full curve).
-    let (off, _) =
-        throughput_g8(&GroupConfig { method: Method::Pb, ..GroupConfig::default() }, 9);
+    let paper = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
+    let preset = GroupConfig::with_batching(8);
+    let (off, _) = throughput_g8(&paper, 9);
     let (on, _) = throughput_g8(
-        &GroupConfig { method: Method::Pb, ..GroupConfig::with_batching(8) },
+        &GroupConfig { batch: preset.batch, send_window: preset.send_window, ..paper },
         9,
     );
     assert!(
@@ -153,7 +154,7 @@ fn batching_off_keeps_the_seed_wire_behavior() {
     // batch frames on the wire, and the group-8 plateau must stay in
     // the seed-era band (852 msg/s recorded at PR 1, ±2 %).
     let (rate, w) =
-        throughput_g8(&GroupConfig { method: Method::Pb, ..GroupConfig::default() }, 9);
+        throughput_g8(&GroupConfig { method: Method::Pb, ..GroupConfig::paper() }, 9);
     for node in &w.sim.world.nodes {
         let stats = &node.core.as_ref().expect("member").stats;
         assert_eq!(stats.batches_out, 0, "default config multicast a batch frame");
@@ -169,7 +170,7 @@ fn batching_off_keeps_the_seed_wire_behavior() {
 #[test]
 fn anchor_lance_overflow_collapses_4kb_throughput() {
     let measure = |senders: usize, size: u32| {
-        let config = GroupConfig { method: Method::Pb, ..GroupConfig::default() };
+        let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
         let mut w = SimWorld::new(CostModel::mc68030_ether10(), 11);
         let group = GroupId(1);
         for _ in 0..senders {

@@ -4,12 +4,15 @@
 //! guarantees must hold exactly as they do on the in-memory fabric
 //! (DESIGN.md §12).
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use amoeba::core::{GroupConfig, GroupError, GroupEvent, GroupId};
-use amoeba::runtime::{Amoeba, GroupHandle, Transport, UdpConfig, UdpNet};
+use amoeba::runtime::{Amoeba, Transport, UdpConfig, UdpNet};
 use bytes::Bytes;
+use common::{collect_messages, lone_sender_refusals};
 
 /// An installation over a fresh UDP fabric; every membership it spawns
 /// binds its own 127.0.0.1 socket.
@@ -37,18 +40,20 @@ fn snappy() -> GroupConfig {
     }
 }
 
-fn collect_messages(handle: &GroupHandle, n: usize) -> Vec<(u64, u32, String)> {
-    let mut out = Vec::new();
-    while out.len() < n {
-        match handle.receive_timeout(Duration::from_secs(20)) {
-            Ok(GroupEvent::Message { seqno, origin, payload }) => {
-                out.push((seqno.0, origin.0, String::from_utf8_lossy(&payload).into_owned()));
-            }
-            Ok(_) => {}
-            Err(e) => panic!("starved after {} messages: {e}", out.len()),
-        }
+/// The high-water sync round is enabled fabric by fabric, and UDP's
+/// turn has not come (`Transport::in_process`, DESIGN.md §2): over
+/// sockets the sequencer still asks for floors only once its history
+/// is full, so a lone sender is refused once per 128 messages at the
+/// very configuration that is never refused in memory
+/// (`tests/live_total_order.rs`). Flipping UDP turns this test into
+/// `lone_sender_is_never_refused`.
+#[test]
+fn over_udp_a_lone_sender_still_meets_the_full_history() {
+    let amoeba = udp_amoeba();
+    for (gid, window) in [(10, 1), (20, 32)] {
+        let (refusals, retries) = lone_sender_refusals(&amoeba, GroupId(gid), window);
+        assert!(refusals > 0 && retries > 0, "window {window}: ({refusals}, {retries})");
     }
-    out
 }
 
 #[test]

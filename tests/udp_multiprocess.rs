@@ -119,16 +119,23 @@ fn three_processes_agree_on_the_token_script() {
 /// The cross-process mirror of the crash script in
 /// `tests/live_membership_recovery.rs`: three token rounds, then the
 /// parent SIGKILLs member 0 (the sequencer) when member 1 marks m2
-/// delivered. Member 1 probes on a timer until a send fails (the kill
-/// races the probe — a probe the dying sequencer still ordered just
-/// re-arms the fuse), rebuilds with `ResetGroup(2)`, and sends "post";
-/// both survivors must log the full history across the recovery.
+/// delivered — on a short fuse lit at that delivery, not in the
+/// callback: the sequencer's multicast of m2 is one datagram per peer,
+/// and a kill ordered the moment member 1's copy arrives can land
+/// before member 2's has left (member 2's own send of m2 then fails,
+/// ≈ 1 run in 7 on a loaded 2-CPU host; `tests/app_conformance.rs`
+/// absorbs the same race the same way). Member 1 probes on a timer
+/// until a send fails (the kill races the probe — a probe the dying
+/// sequencer still ordered just re-arms the fuse), rebuilds with
+/// `ResetGroup(2)`, and sends "post"; both survivors must log the full
+/// history across the recovery.
 struct KillScript {
     probing: bool,
     log: Log,
 }
 
 const PROBE_FUSE: TimerId = TimerId(1);
+const KILL_FUSE: TimerId = TimerId(2);
 
 impl GroupApp for KillScript {
     fn on_start(&mut self, ctx: &mut dyn Ctx) {
@@ -149,13 +156,7 @@ impl GroupApp for KillScript {
                 match (me, text.as_str()) {
                     (1, "m0") => ctx.send(Bytes::from_static(b"m1")),
                     (2, "m1") => ctx.send(Bytes::from_static(b"m2")),
-                    (1, "m2") => {
-                        // Tell the parent to pull the trigger on the
-                        // sequencer's process, then start probing.
-                        multiproc::mark("m2-delivered");
-                        self.probing = true;
-                        ctx.set_timer(PROBE_FUSE, Duration::from_millis(200));
-                    }
+                    (1, "m2") => ctx.set_timer(KILL_FUSE, Duration::from_millis(50)),
                     (_, "post") => ctx.stop(),
                     _ => {}
                 }
@@ -179,6 +180,14 @@ impl GroupApp for KillScript {
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Ctx, timer: TimerId) {
+        if timer == KILL_FUSE {
+            // Tell the parent to pull the trigger on the sequencer's
+            // process, then start probing.
+            multiproc::mark("m2-delivered");
+            self.probing = true;
+            ctx.set_timer(PROBE_FUSE, Duration::from_millis(200));
+            return;
+        }
         assert_eq!(timer, PROBE_FUSE);
         ctx.send(Bytes::from_static(b"probe"));
     }
