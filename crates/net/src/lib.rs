@@ -82,5 +82,5 @@ pub use live::LiveNet;
 pub use medium::{MediumState, MediumStats};
 pub use net::{Host, HostId, Net, NetConfig, NetView};
 pub use nic::{Nic, NicStats};
-pub use transport::{Datagram, Transport, TransportSender};
-pub use udp::{UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};
+pub use transport::{Datagram, Inbox, InboxFeed, Transport, TransportSender, Waker};
+pub use udp::{InboxDrops, UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};

@@ -32,7 +32,7 @@ use parking_lot::Mutex;
 
 use crate::fault::FaultPlan;
 use crate::snapshot::{Snapshot, SnapshotCache};
-use crate::transport::{Datagram, Transport, TransportSender};
+use crate::transport::{Datagram, Inbox, InboxFeed, Transport, TransportSender};
 
 /// Deliveries with at most this much delay skip the delay wheel and
 /// go straight through the channel.
@@ -40,7 +40,7 @@ const INLINE_DELAY: Duration = Duration::from_micros(300);
 
 /// Authoritative membership state, mutated under its mutex.
 struct Registry {
-    endpoints: HashMap<FlipAddress, Sender<Datagram>>,
+    endpoints: HashMap<FlipAddress, InboxFeed>,
     groups: HashMap<GroupId, Vec<FlipAddress>>,
     fault: FaultPlan,
     /// Per-directed-link overrides of the global plan, keyed
@@ -53,8 +53,8 @@ struct Registry {
 /// The registry as senders read it, lock-free. Group targets are
 /// pre-resolved to their channels.
 struct Routes {
-    endpoints: HashMap<FlipAddress, Sender<Datagram>>,
-    groups: HashMap<GroupId, Vec<(FlipAddress, Sender<Datagram>)>>,
+    endpoints: HashMap<FlipAddress, InboxFeed>,
+    groups: HashMap<GroupId, Vec<(FlipAddress, InboxFeed)>>,
     fault: FaultPlan,
     link_faults: HashMap<(FlipAddress, FlipAddress), FaultPlan>,
 }
@@ -94,7 +94,7 @@ struct Delayed {
     due: Instant,
     /// Insertion order: ties on `due` deliver FIFO.
     seq: u64,
-    tx: Sender<Datagram>,
+    tx: InboxFeed,
     datagram: Datagram,
 }
 
@@ -172,14 +172,14 @@ impl LiveNet {
     /// it to the channel or the delay wheel.
     fn deliver_one(
         &self,
-        tx: &Sender<Datagram>,
+        tx: &InboxFeed,
         from: FlipAddress,
         frame: WireFrame,
         fault: FaultPlan,
     ) {
         // Fault-free fast path: no randomness, no locks, no copies.
         if fault.loss == 0.0 && fault.duplicate == 0.0 && fault.max_delay <= INLINE_DELAY {
-            let _ = tx.send((from, frame));
+            let _ = tx.send(Some((from, frame)));
             return;
         }
         let (copies, delay) = {
@@ -201,7 +201,7 @@ impl LiveNet {
         };
         for _ in 0..copies {
             if delay <= INLINE_DELAY {
-                let _ = tx.send((from, frame.clone()));
+                let _ = tx.send(Some((from, frame.clone())));
             } else {
                 self.schedule(Instant::now() + delay, tx.clone(), (from, frame.clone()));
             }
@@ -209,7 +209,7 @@ impl LiveNet {
     }
 
     /// Hands a datagram to the delay wheel, spawning it on first use.
-    fn schedule(&self, due: Instant, tx: Sender<Datagram>, datagram: Datagram) {
+    fn schedule(&self, due: Instant, tx: InboxFeed, datagram: Datagram) {
         let seq = self.wheel_seq.fetch_add(1, Ordering::Relaxed);
         let mut wheel = self.wheel.lock();
         let inbox = wheel.get_or_insert_with(|| {
@@ -262,10 +262,10 @@ impl LiveNet {
 }
 
 impl Transport for LiveNet {
-    fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
-        let (tx, rx) = channel::unbounded();
+    fn register(&self, addr: FlipAddress) -> Inbox {
+        let (tx, inbox) = Inbox::channel();
         self.table.publish(|reg| reg.endpoints.insert(addr, tx));
-        rx
+        inbox
     }
 
     fn unregister(&self, addr: FlipAddress) {
@@ -289,10 +289,6 @@ impl Transport for LiveNet {
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
         let net = self.me.upgrade().expect("LiveNet::new hands out only Arcs");
         Box::new(LiveSender { cache: net.table.cache(), net, from })
-    }
-
-    fn in_process(&self) -> bool {
-        true
     }
 }
 
@@ -334,7 +330,7 @@ fn run_wheel(rx: Receiver<Delayed>) {
         let now = Instant::now();
         while schedule.peek().is_some_and(|d| d.due <= now) {
             let d = schedule.pop().expect("peeked");
-            let _ = d.tx.send(d.datagram);
+            let _ = d.tx.send(Some(d.datagram));
         }
         if !open && schedule.is_empty() {
             return;
@@ -389,7 +385,7 @@ mod tests {
         net.join_mcast(g, addr(2));
         net.sender(addr(1)).multicast(g, frame(b"m"));
         assert!(rx2.recv_timeout(Duration::from_secs(1)).is_ok());
-        assert!(rx1.try_recv().is_err(), "no loopback");
+        assert!(rx1.recv_timeout(Duration::ZERO).is_err(), "no loopback");
     }
 
     #[test]
@@ -459,7 +455,7 @@ mod tests {
 
     #[test]
     fn wheel_schedule_orders_by_due_time() {
-        let (tx, rx) = channel::unbounded::<Datagram>();
+        let (tx, rx) = Inbox::channel();
         let (inbox, wheel_rx) = channel::unbounded::<Delayed>();
         let h = std::thread::spawn(move || run_wheel(wheel_rx));
         let now = Instant::now();

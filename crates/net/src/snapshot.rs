@@ -2,7 +2,7 @@
 //! (DESIGN.md §7): an authoritative registry behind a mutex, an
 //! immutable view of it republished whole on every mutation, and
 //! per-reader caches that revalidate with one atomic load. Readers
-//! (senders, receive pumps) never take the registry lock, and touch
+//! (senders, UDP inboxes) never take the registry lock, and touch
 //! the view's mutex only when membership actually changed.
 
 use std::sync::atomic::{AtomicU64, Ordering};

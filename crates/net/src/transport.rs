@@ -1,14 +1,21 @@
 //! The datagram transport abstraction the live runtime drives.
 //!
 //! `amoeba-runtime`'s per-member driver loop is transport-agnostic: it
-//! needs a way to plug an endpoint in (yielding a stream of inbound
-//! datagrams), a way to subscribe the endpoint to a group's multicast
-//! address, and a per-endpoint sender for unicast and multicast frames.
-//! This module names that contract so the in-memory fabric
-//! ([`crate::LiveNet`]) and the real inter-process UDP fabric
+//! needs a way to plug an endpoint in (yielding the [`Inbox`] its one
+//! thread blocks on), a way to subscribe the endpoint to a group's
+//! multicast address, and a per-endpoint sender for unicast and
+//! multicast frames. This module names that contract so the in-memory
+//! fabric ([`crate::LiveNet`]) and the real inter-process UDP fabric
 //! ([`crate::UdpNet`]) are interchangeable behind one trait object
 //! (DESIGN.md §12) — the OptSCORE-style "keep the transport swappable
 //! behind the config surface" argument, applied to this stack.
+//!
+//! **One wake source per endpoint.** An [`Inbox`] is what the endpoint
+//! receives on *and* what its thread sleeps on — in memory a channel,
+//! over UDP the socket itself, read on the calling thread — and its
+//! [`Waker`] interrupts that sleep from any other thread. A driver
+//! needs no second channel to hear about new timers or shutdown, and a
+//! fabric needs no thread of its own.
 //!
 //! Both sides of the contract speak [`WireFrame`]: the zero-copy
 //! (head, optional tail) segment pair produced by
@@ -16,9 +23,13 @@
 //! (share them by refcount in memory, gather-write them into a socket)
 //! is its own business; the protocol core never sees the difference.
 
+use std::time::Duration;
+
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::FlipAddress;
-use crossbeam::channel::Receiver;
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+
+use crate::udp::UdpInbox;
 
 /// A raw datagram as delivered to a node: (source address, frame).
 pub type Datagram = (FlipAddress, WireFrame);
@@ -32,9 +43,8 @@ pub type Datagram = (FlipAddress, WireFrame);
 /// layer, not the transport).
 pub trait Transport: Send + Sync {
     /// Plugs a process endpoint into the fabric; returns its inbound
-    /// datagram stream. The receiver disconnects once the endpoint is
-    /// unregistered (or the fabric is torn down) and its queue drains.
-    fn register(&self, addr: FlipAddress) -> Receiver<Datagram>;
+    /// side.
+    fn register(&self, addr: FlipAddress) -> Inbox;
 
     /// Removes an endpoint (a departed or "crashed" process): its
     /// traffic blackholes from now on.
@@ -50,17 +60,6 @@ pub trait Transport: Send + Sync {
     /// does. Asking twice for one address yields two independent ports
     /// onto the same endpoint; after `unregister` a port blackholes.
     fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender>;
-
-    /// Whether every endpoint of this fabric lives in the calling
-    /// process, so that a reply is one thread hand-off away. The
-    /// runtime enables the high-water sync round
-    /// (`GroupConfig::history_high_water`) on such fabrics only; on
-    /// any other it keeps the round at the refusal, as in 1996, until
-    /// that fabric's flip is made and measured on its own (DESIGN.md
-    /// §2). [`crate::LiveNet`] says yes; the default is no.
-    fn in_process(&self) -> bool {
-        false
-    }
 }
 
 /// A per-endpoint sending port (see [`Transport::sender`]).
@@ -72,4 +71,57 @@ pub trait TransportSender: Send {
     /// Sends to every member of `group` except the sender itself
     /// (multicast does not loop back, as on real hardware).
     fn multicast(&mut self, group: GroupId, frame: WireFrame);
+}
+
+/// An endpoint's inbound side: what its thread receives on and sleeps
+/// on. `Send`, not `Sync` — one thread reads it.
+pub struct Inbox(pub(crate) Source);
+
+pub(crate) enum Source {
+    /// In memory. The feed is kept for [`Inbox::waker`].
+    Channel(Receiver<Option<Datagram>>, InboxFeed),
+    Udp(Box<UdpInbox>),
+}
+
+/// Feeds an in-memory [`Inbox`]: `Some` queues a datagram, `None` only
+/// wakes the reader.
+pub type InboxFeed = Sender<Option<Datagram>>;
+
+/// Ends an [`Inbox`]'s wait early, from any thread. Best-effort, like
+/// the fabric: a wake that cannot be queued means the inbox has
+/// datagrams to return anyway.
+pub type Waker = Box<dyn Fn() + Send + Sync>;
+
+impl Inbox {
+    /// An in-memory inbox and the feed a fabric fills it through.
+    pub fn channel() -> (InboxFeed, Inbox) {
+        let (tx, rx) = channel::unbounded();
+        (tx.clone(), Inbox(Source::Channel(rx, tx)))
+    }
+
+    /// Blocks up to `timeout` for the next datagram.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Timeout`], when nothing arrived in time *or*
+    /// the [`Waker`] interrupted the wait: the caller re-reads whatever
+    /// it sleeps on and comes back.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, RecvTimeoutError> {
+        match &self.0 {
+            Source::Channel(rx, _) => rx.recv_timeout(timeout)?.ok_or(RecvTimeoutError::Timeout),
+            Source::Udp(inbox) => inbox.recv_timeout(timeout).ok_or(RecvTimeoutError::Timeout),
+        }
+    }
+
+    /// The handle that interrupts [`Inbox::recv_timeout`]: a token on
+    /// the channel, or an empty datagram to the endpoint's own port.
+    pub fn waker(&self) -> Waker {
+        match &self.0 {
+            Source::Channel(_, feed) => {
+                let feed = feed.clone();
+                Box::new(move || drop(feed.send(None)))
+            }
+            Source::Udp(inbox) => inbox.waker(),
+        }
+    }
 }

@@ -11,23 +11,28 @@
 //! **Endpoints.** Each registered FLIP address owns one UDP socket
 //! bound to 127.0.0.1 (or a port pre-bound via
 //! [`UdpNet::bind_endpoint`] so a harness can exchange ports before
-//! the protocol starts talking). One thread serves it: a *receive
-//! pump* that turns datagrams back into `(source, WireFrame)` pairs
-//! for the unchanged driver loop. Sends run on the caller's thread:
-//! a [`TransportSender`] gather-encodes each fragment (envelope + head
-//! slice + tail slice) into its own reusable scratch buffer and writes
-//! it to the endpoint's socket, one `send_to` per fragment per target.
+//! the protocol starts talking) and **no thread of its own**. The
+//! receive side is the [`Inbox`] that `register` returns: whoever
+//! waits on it — the member's driver — runs `recv_from`, the envelope
+//! check, the subscription filter and reassembly on its own thread,
+//! with the socket's read timeout as its timer wait (counted by Linux
+//! in scheduler ticks, rounded up twice: over UDP a timer fires up to
+//! two ticks, 8 ms at `HZ=250`, late). Sends run on the caller's
+//! thread too: a [`TransportSender`] gather-encodes each fragment
+//! (envelope + head slice + tail slice) into its own reusable scratch
+//! buffer and writes it to the endpoint's socket, one `send_to` per
+//! fragment per target.
 //!
 //! **Peer table.** The authoritative registry (peer socket addresses,
 //! local endpoints, local multicast subscriptions) lives behind one
-//! mutex, but neither senders nor pumps ever take it: they read the
+//! mutex, but neither senders nor inboxes ever take it: they read the
 //! published [`Peers`] view through `crate::snapshot`, the discipline
 //! `LiveNet` sends through too (DESIGN.md §7).
 //!
 //! **Multicast.** A real LAN would let the NIC filter multicast; over
 //! unicast UDP we do the moral equivalent: a multicast send fans out
 //! one copy per known peer (sender excluded, as on real hardware) with
-//! the *group* address in the envelope, and the receiving pump drops
+//! the *group* address in the envelope, and the receiving inbox drops
 //! group traffic for groups its endpoint never joined. Remote group
 //! membership is therefore not tracked at all — exactly like an
 //! Ethernet, where the wire does not know who listens.
@@ -42,11 +47,13 @@
 //! count and by bytes, oldest first ([`Partials`]): a lost fragment or
 //! a peer spraying first-fragments costs bounded memory.
 //!
-//! Delivery is best-effort by design: unknown peers, socket errors and
-//! malformed datagrams drop silently, and the group protocol's
+//! Delivery is best-effort by design: unknown peers and socket errors
+//! drop silently, whatever the inbox discards is counted by reason
+//! ([`InboxDrops`], [`UdpNet::drops`]), and the group protocol's
 //! negative-acknowledgement machinery recovers, exactly as it does on
 //! a lossy wire.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -57,10 +64,10 @@ use std::time::{Duration, Instant};
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::{split_lens, FlipAddress, FragKey, Reassembler};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
+use parking_lot::Mutex;
 
 use crate::snapshot::{Snapshot, SnapshotCache};
-use crate::transport::{Datagram, Transport, TransportSender};
+use crate::transport::{Datagram, Inbox, Source, Transport, TransportSender, Waker};
 
 /// Wire envelope prefixed to every datagram: magic (2) + version (1) +
 /// src (8) + dst (8) + msg id (8) + fragment index (2) + count (2).
@@ -118,7 +125,7 @@ fn encode_envelope(out: &mut Vec<u8>, env: &Envelope) {
 /// a shared-ownership **view** of `datagram` (no copy). `None` on any
 /// malformed input — wrong magic or version, truncation, impossible
 /// fragment fields; a hostile or stray datagram must never panic the
-/// pump.
+/// receiving thread.
 fn split_envelope(datagram: &Bytes) -> Option<(Envelope, Bytes)> {
     if datagram.len() < ENVELOPE_LEN {
         return None;
@@ -156,7 +163,7 @@ fn gather_range(out: &mut Vec<u8>, frame: &WireFrame, off: usize, len: usize) {
     }
 }
 
-/// The registry as senders and pumps read it, lock-free.
+/// The registry as senders and inboxes read it, lock-free.
 struct Peers {
     peers: HashMap<FlipAddress, SocketAddr>,
     /// *Local* multicast subscriptions only (see module docs).
@@ -169,17 +176,39 @@ impl Peers {
     }
 }
 
-/// One registered endpoint: its socket, shared by the receive pump and
-/// every sending port handed out for the address.
+/// What an endpoint's inbox received and discarded, one count per
+/// reason (see [`UdpNet::drops`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct InboxDrops {
+    /// Wrong magic or version, truncation, impossible fragment fields.
+    pub bad_envelope: u64,
+    /// The envelope's source is not a process address.
+    pub bad_source: u64,
+    /// Group traffic for a group this endpoint never joined.
+    pub not_joined: u64,
+    /// Unicast addressed to another endpoint.
+    pub stray_unicast: u64,
+    /// Partial messages evicted for outliving `purge_after`.
+    pub partial_aged: u64,
+    /// Partial messages evicted over the per-endpoint count.
+    pub partial_count: u64,
+    /// Partial messages evicted over the per-endpoint bytes.
+    pub partial_bytes: u64,
+}
+
+/// One registered endpoint: its socket, shared by the inbox and every
+/// sending port handed out for the address.
 struct Endpoint {
     sock: UdpSocket,
-    /// Set on unregister (and on fabric teardown): the pump exits
-    /// within one read-timeout tick and senders blackhole.
+    /// Where `sock` listens: where its [`Waker`] sends.
+    local: SocketAddr,
+    /// Set on unregister: senders blackhole.
     shutdown: AtomicBool,
     /// The next message id. Shared, so ids stay unique per endpoint
     /// however many senders exist — receivers key reassembly on
     /// `(source, id)`.
     next_msg_id: AtomicU64,
+    drops: Mutex<InboxDrops>,
 }
 
 /// Authoritative state, mutated under its mutex.
@@ -194,8 +223,8 @@ struct Registry {
 /// The inter-process UDP datagram fabric. See the module docs.
 pub struct UdpNet {
     cfg: UdpConfig,
-    /// Shared with every pump and sender (an `Arc` of its own, so
-    /// endpoint threads never keep the fabric itself alive).
+    /// Shared with every inbox and sender (an `Arc` of its own, so
+    /// neither keeps the fabric itself alive).
     table: Arc<Snapshot<Registry, Peers>>,
 }
 
@@ -260,21 +289,23 @@ impl UdpNet {
         }
         reg.peers.get(&addr).copied()
     }
+
+    /// What a registered local endpoint's inbox has discarded so far.
+    pub fn drops(&self, addr: FlipAddress) -> Option<InboxDrops> {
+        self.table.registry().local.get(&addr).map(|ep| *ep.drops.lock())
+    }
 }
 
 impl Transport for UdpNet {
     /// Plugs `addr` in: adopts its pre-bound socket (or binds a fresh
-    /// loopback port), spawns its receive pump, and announces the port
-    /// to local senders.
+    /// loopback port) and announces the port to local senders.
     ///
     /// # Panics
     ///
-    /// Panics if the OS refuses to bind or the pump cannot spawn —
-    /// endpoint creation failing is a harness-level error, not a
-    /// protocol outcome.
-    fn register(&self, addr: FlipAddress) -> Receiver<Datagram> {
-        let (inbox_tx, inbox_rx) = channel::unbounded();
-        self.table.publish(|reg| {
+    /// Panics if the OS refuses to bind — endpoint creation failing is
+    /// a harness-level error, not a protocol outcome.
+    fn register(&self, addr: FlipAddress) -> Inbox {
+        let endpoint = self.table.publish(|reg| {
             // Re-registration replaces the endpoint (mirrors LiveNet).
             if let Some(old) = reg.local.remove(&addr) {
                 old.shutdown.store(true, Ordering::Relaxed);
@@ -285,24 +316,26 @@ impl Transport for UdpNet {
             let local = sock.local_addr().expect("bound socket has an address");
             let endpoint = Arc::new(Endpoint {
                 sock,
+                local,
                 shutdown: AtomicBool::new(false),
                 next_msg_id: AtomicU64::new(1),
+                drops: Mutex::default(),
             });
-            let pump = PumpState {
-                endpoint: Arc::clone(&endpoint),
-                me: addr,
-                inbox: inbox_tx,
-                table: Arc::clone(&self.table),
-                purge_after: self.cfg.purge_after,
-            };
-            std::thread::Builder::new()
-                .name(format!("udp-pump-{addr}"))
-                .spawn(move || pump.run())
-                .expect("spawn UDP receive pump");
             reg.peers.insert(addr, local);
-            reg.local.insert(addr, endpoint);
+            reg.local.insert(addr, Arc::clone(&endpoint));
+            endpoint
         });
-        inbox_rx
+        Inbox(Source::Udp(Box::new(UdpInbox {
+            endpoint,
+            me: addr,
+            table: Arc::clone(&self.table),
+            started: Instant::now(),
+            state: RefCell::new(RecvState {
+                scratch: vec![0u8; MAX_UDP_DATAGRAM],
+                partials: Partials::new(self.cfg.purge_after),
+                cache: self.table.cache(),
+            }),
+        })))
     }
 
     fn unregister(&self, addr: FlipAddress) {
@@ -337,15 +370,6 @@ impl Transport for UdpNet {
     }
 }
 
-impl Drop for UdpNet {
-    fn drop(&mut self) {
-        // The flags stop the pumps within one read-timeout tick.
-        for ep in self.table.registry().local.values() {
-            ep.shutdown.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
 /// The per-endpoint sending port: fragments against the datagram
 /// ceiling and gather-encodes envelope + frame slices into one
 /// reusable scratch per `send_to`, on the calling thread.
@@ -361,32 +385,30 @@ struct UdpSender {
 
 impl TransportSender for UdpSender {
     fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
-        let Some(&at) = self.cache.get(&self.table).peers.get(&to) else { return };
-        self.emit(to.as_u64(), &frame, &[at]);
+        self.emit(to.as_u64(), Some(to), &frame);
     }
 
     fn multicast(&mut self, group: GroupId, frame: WireFrame) {
-        let fanout: Vec<SocketAddr> = self
-            .cache
-            .get(&self.table)
-            .peers
-            .iter()
-            .filter(|(a, _)| **a != self.from)
-            .map(|(_, at)| *at)
-            .collect();
-        self.emit(GROUP_TAG | (group.0 & !GROUP_TAG), &frame, &fanout);
+        self.emit(GROUP_TAG | (group.0 & !GROUP_TAG), None, &frame);
     }
 }
 
 impl UdpSender {
-    /// Fragments and writes one frame to its resolved targets. Socket
-    /// errors drop silently (best-effort), and so does everything once
-    /// the endpoint is unregistered.
-    fn emit(&mut self, dst: u64, frame: &WireFrame, targets: &[SocketAddr]) {
+    /// Fragments and writes one frame to `to`, or to every known peer
+    /// but the sender itself. Socket errors drop silently
+    /// (best-effort), and so does everything once the endpoint is
+    /// unregistered.
+    fn emit(&mut self, dst: u64, to: Option<FlipAddress>, frame: &WireFrame) {
         let Some(endpoint) = &self.endpoint else { return };
-        if targets.is_empty() || endpoint.shutdown.load(Ordering::Relaxed) {
+        if endpoint.shutdown.load(Ordering::Relaxed) {
             return;
         }
+        let peers = &self.cache.get(&self.table).peers;
+        let one = match to.map(|to| peers.get(&to)) {
+            Some(None) => return,
+            Some(Some(at)) => Some(*at),
+            None => None,
+        };
         let budget = (self.max_datagram - ENVELOPE_LEN) as u32;
         let lens = split_lens(frame.len() as u32, budget);
         if lens.len() > u16::MAX as usize {
@@ -407,8 +429,13 @@ impl UdpSender {
             };
             encode_envelope(&mut self.scratch, &env);
             gather_range(&mut self.scratch, frame, off, len as usize);
-            for at in targets {
-                let _ = endpoint.sock.send_to(&self.scratch, at);
+            match one {
+                Some(at) => drop(endpoint.sock.send_to(&self.scratch, at)),
+                None => {
+                    for (_, at) in peers.iter().filter(|(a, _)| **a != self.from) {
+                        let _ = endpoint.sock.send_to(&self.scratch, at);
+                    }
+                }
             }
             off += len as usize;
         }
@@ -459,6 +486,7 @@ impl Partials {
         count: u16,
         body: Bytes,
         now_ms: u64,
+        drops: &mut InboxDrops,
     ) -> Option<Bytes> {
         let mut charge = body.len();
         let stamp = *self.stamps.entry(key).or_insert_with(|| {
@@ -472,7 +500,7 @@ impl Partials {
         } else {
             self.held.entry(stamp).or_insert((key, now_ms, 0)).2 += charge;
             self.bytes += charge;
-            self.trim(now_ms);
+            self.trim(now_ms, drops);
         }
         complete
     }
@@ -485,56 +513,92 @@ impl Partials {
     }
 
     /// Evicts from the oldest end until age, count and bytes are all
-    /// within bounds.
-    fn trim(&mut self, now_ms: u64) {
+    /// within bounds, counting each eviction under its reason.
+    fn trim(&mut self, now_ms: u64, drops: &mut InboxDrops) {
         while let Some((&stamp, &(_, at_ms, _))) = self.held.first_key_value() {
-            let expired = now_ms.saturating_sub(at_ms) >= self.purge_ms;
-            if !expired && self.held.len() <= MAX_PARTIALS && self.bytes <= MAX_PARTIAL_BYTES {
+            let reason = if now_ms.saturating_sub(at_ms) >= self.purge_ms {
+                &mut drops.partial_aged
+            } else if self.held.len() > MAX_PARTIALS {
+                &mut drops.partial_count
+            } else if self.bytes > MAX_PARTIAL_BYTES {
+                &mut drops.partial_bytes
+            } else {
                 break;
-            }
+            };
+            *reason += 1;
             self.forget(stamp);
             self.reasm.purge_older_than(stamp + 1);
         }
     }
 }
 
-/// The receive pump: blocks on the socket (with a timeout tick so the
-/// shutdown flag is honored), validates envelopes, filters group
-/// traffic by the endpoint's own subscriptions, reassembles fragments,
-/// and feeds `(source, WireFrame)` pairs to the driver loop.
-struct PumpState {
+/// A UDP endpoint's receiving side, run by whoever waits on it: blocks
+/// on the socket, validates envelopes, filters group traffic by the
+/// endpoint's own subscriptions and reassembles fragments.
+pub(crate) struct UdpInbox {
     endpoint: Arc<Endpoint>,
     me: FlipAddress,
-    inbox: Sender<Datagram>,
     table: Arc<Snapshot<Registry, Peers>>,
-    purge_after: Duration,
+    started: Instant,
+    /// Behind `&self` because [`Inbox::recv_timeout`] is; one thread.
+    state: RefCell<RecvState>,
 }
 
-impl PumpState {
-    fn run(self) {
-        let sock = &self.endpoint.sock;
-        let _ = sock.set_read_timeout(Some(Duration::from_millis(250)));
-        let mut scratch = vec![0u8; MAX_UDP_DATAGRAM];
-        let mut partials = Partials::new(self.purge_after);
-        let mut cache = self.table.cache();
-        let started = Instant::now();
-        while !self.endpoint.shutdown.load(Ordering::Relaxed) {
-            let received = sock.recv_from(&mut scratch);
+struct RecvState {
+    scratch: Vec<u8>,
+    partials: Partials,
+    cache: SnapshotCache<Peers>,
+}
+
+impl UdpInbox {
+    /// An empty datagram to the endpoint's own port, which no envelope
+    /// check accepts, ends the wait below.
+    pub(crate) fn waker(&self) -> Waker {
+        let endpoint = Arc::clone(&self.endpoint);
+        Box::new(move || drop(endpoint.sock.send_to(&[], endpoint.local)))
+    }
+
+    /// See [`Inbox::recv_timeout`]; `None` is its `Timeout`. A zero
+    /// `timeout` reads nothing.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Datagram> {
+        let RecvState { scratch, partials, cache } = &mut *self.state.borrow_mut();
+        let Endpoint { sock, drops, .. } = &*self.endpoint;
+        let mut now = Instant::now();
+        let deadline = now + timeout;
+        loop {
+            let left = deadline.saturating_duration_since(now);
+            if left.is_zero() {
+                return None;
+            }
+            let _ = sock.set_read_timeout(Some(left));
+            let received = sock.recv_from(scratch);
+            now = Instant::now();
             // Age out stale partials on every wake — datagram or
-            // timeout tick — so steady traffic cannot postpone it.
-            let now_ms = started.elapsed().as_millis() as u64;
-            partials.trim(now_ms);
-            // A timeout tick, or a transient error (loopback can
-            // surface ICMP-style failures): never panic the pump.
-            let Ok((n, _)) = received else { continue };
+            // timeout — so steady traffic cannot postpone it.
+            let now_ms = now.duration_since(self.started).as_millis() as u64;
+            if !partials.held.is_empty() {
+                partials.trim(now_ms, &mut drops.lock());
+            }
+            let n = match received {
+                Ok((0, _)) => return None, // the waker
+                Ok((n, _)) => n,
+                // The wait ran out (the kernel counts it in ticks, so
+                // possibly early), or a transient error: loopback can
+                // surface ICMP-style failures.
+                Err(_) => continue,
+            };
             // The one userspace copy of the receive path: socket
             // scratch → exact-size refcounted buffer. The envelope
             // split, reassembly fast path and frame decode below are
             // all views of this allocation.
             let datagram = Bytes::from(scratch[..n].to_vec());
-            let Some((env, body)) = split_envelope(&datagram) else { continue };
+            let Some((env, body)) = split_envelope(&datagram) else {
+                drops.lock().bad_envelope += 1;
+                continue;
+            };
             let src = FlipAddress::from_u64(env.src);
             if !src.is_process() {
+                drops.lock().bad_source += 1;
                 continue;
             }
             let dst = FlipAddress::from_u64(env.dst);
@@ -547,21 +611,21 @@ impl PumpState {
                     .get(&GroupId(dst.id()))
                     .is_some_and(|m| m.contains(&self.me));
                 if !joined {
+                    drops.lock().not_joined += 1;
                     continue;
                 }
             } else if dst != self.me {
-                continue; // stray unicast for somebody else
+                drops.lock().stray_unicast += 1;
+                continue;
             }
             let complete = if env.count == 1 {
                 Some(body)
             } else {
                 let key = FragKey { src, msg_id: env.msg_id };
-                partials.insert(key, env.index, env.count, body, now_ms)
+                partials.insert(key, env.index, env.count, body, now_ms, &mut drops.lock())
             };
             if let Some(buf) = complete {
-                if self.inbox.send((src, WireFrame::from(buf))).is_err() {
-                    return; // driver gone; endpoint is dead
-                }
+                return Some((src, WireFrame::from(buf)));
             }
         }
     }
@@ -586,7 +650,7 @@ mod tests {
         Bytes::from(out)
     }
 
-    fn recv(rx: &Receiver<Datagram>) -> Datagram {
+    fn recv(rx: &Inbox) -> Datagram {
         rx.recv_timeout(Duration::from_secs(5)).expect("delivered")
     }
 
@@ -681,7 +745,7 @@ mod tests {
         let rx3 = net.register(addr(3));
         net.join_mcast(g, addr(1));
         net.join_mcast(g, addr(2));
-        // addr(3) never joins: its pump must filter the group traffic.
+        // addr(3) never joins: its inbox must filter the group traffic.
         let mut tx = net.sender(addr(1));
         tx.multicast(g, frame(b"m".to_vec()));
         let (from, f) = recv(&rx2);
@@ -772,18 +836,19 @@ mod tests {
     }
 
     /// A peer spraying first-fragments (or a lossy wire orphaning
-    /// them) while complete messages keep flowing — so the pump never
+    /// them) while complete messages keep flowing — so the inbox never
     /// sees a quiet tick — must not grow the reassembler past its caps.
     #[test]
     fn orphan_fragments_under_continuous_traffic_stay_under_the_caps() {
         let mut p = Partials::new(Duration::from_millis(500));
+        let d = &mut InboxDrops::default();
         let key = |msg_id| FragKey { src: addr(9), msg_id };
         let body = || Bytes::from_static(&[0u8; 64]);
         for n in 0..1_000u64 {
-            assert!(p.insert(key(n), 0, 2, body(), n).is_none(), "orphan {n}");
+            assert!(p.insert(key(n), 0, 2, body(), n, d).is_none(), "orphan {n}");
             // The continuous traffic: a two-fragment message completes.
-            assert!(p.insert(key(10_000 + n), 0, 2, body(), n).is_none());
-            assert!(p.insert(key(10_000 + n), 1, 2, body(), n).is_some(), "message {n}");
+            assert!(p.insert(key(10_000 + n), 0, 2, body(), n, d).is_none());
+            assert!(p.insert(key(10_000 + n), 1, 2, body(), n, d).is_some(), "message {n}");
             assert!(p.reasm.pending() <= MAX_PARTIALS, "{} pending", p.reasm.pending());
             assert_eq!(p.reasm.pending(), p.held.len(), "ledger and reassembler agree");
         }
@@ -791,15 +856,18 @@ mod tests {
         // message in flight took the 256th place while it lasted).
         assert_eq!(p.reasm.pending(), MAX_PARTIALS - 1);
         assert!(p.stamps.contains_key(&key(999)) && !p.stamps.contains_key(&key(0)));
+        assert_eq!(d.partial_count, 1_000 - (MAX_PARTIALS as u64 - 1));
         // By age, without a quiet tick: one more datagram, late enough.
-        p.trim(999 + 500);
+        p.trim(999 + 500, d);
         assert_eq!((p.reasm.pending(), p.bytes), (0, 0));
+        assert_eq!(d.partial_aged, MAX_PARTIALS as u64 - 1);
         // By bytes: a huge fragment count charges its slot table.
         for n in 0..100u64 {
-            p.insert(key(n), 0, u16::MAX, body(), 2_000);
+            p.insert(key(n), 0, u16::MAX, body(), 2_000, d);
             assert!(p.bytes <= MAX_PARTIAL_BYTES);
         }
         assert!(p.reasm.pending() < 100, "{} pending", p.reasm.pending());
+        assert_eq!(d.partial_bytes, 100 - p.reasm.pending() as u64);
     }
 
     #[test]
@@ -843,5 +911,71 @@ mod tests {
         assert_eq!(env.src, addr(1).as_u64());
         assert_eq!(env.dst, addr(2).as_u64());
         assert_eq!(&body[..], b"remote");
+    }
+
+    /// One datagram of each kind the inbox discards, each read back as
+    /// a count of one under its own reason — and nothing else counted.
+    #[test]
+    fn every_discard_is_counted_under_its_reason() {
+        let raw = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let me = addr(1);
+        // Plugs `me` into a fresh fabric; `flush` sends it one good
+        // datagram and receives it, so everything sent before has been
+        // through the inbox.
+        let plug = |purge_after| {
+            let net = UdpNet::new(UdpConfig { purge_after, ..UdpConfig::default() });
+            let rx = net.register(me);
+            (net.local_addr(me).expect("registered"), rx, net)
+        };
+        let env =
+            |src: u64, dst: u64, msg_id, count| Envelope { src, dst, msg_id, index: 0, count };
+        let send = |at, env: Envelope| raw.send_to(&encode_datagram(&env, b"x"), at).expect("send");
+        let flush = |at, rx: &Inbox| {
+            send(at, env(2, me.as_u64(), 0, 1));
+            assert_eq!(recv(rx).0, addr(2));
+        };
+
+        let (at, rx, net) = plug(Duration::from_secs(60));
+        raw.send_to(b"not an envelope", at).expect("send");
+        send(at, env(GROUP_TAG | 5, me.as_u64(), 1, 1)); // a group cannot be a source
+        send(at, env(2, GROUP_TAG | 9, 2, 1)); // group 9 was never joined
+        send(at, env(2, addr(7).as_u64(), 3, 1)); // somebody else's unicast
+        flush(at, &rx);
+        let simple = InboxDrops {
+            bad_envelope: 1,
+            bad_source: 1,
+            not_joined: 1,
+            stray_unicast: 1,
+            ..InboxDrops::default()
+        };
+        assert_eq!(net.drops(me), Some(simple));
+        // One first-fragment more than the endpoint holds: the oldest
+        // goes. (Flushed as it goes, so the socket buffer never fills.)
+        for n in 0..=MAX_PARTIALS as u64 {
+            send(at, env(2, me.as_u64(), 100 + n, 2));
+            if n % 64 == 63 {
+                flush(at, &rx);
+            }
+        }
+        flush(at, &rx);
+        assert_eq!(net.drops(me), Some(InboxDrops { partial_count: 1, ..simple }));
+
+        // By bytes: each slot table of a 65 535-fragment message is
+        // charged, and the one that crosses the cap evicts the oldest.
+        let (at, rx, net) = plug(Duration::from_secs(60));
+        let charge = 1 + u16::MAX as usize * std::mem::size_of::<Option<Bytes>>();
+        for n in 0..=(MAX_PARTIAL_BYTES / charge) as u64 {
+            send(at, env(2, me.as_u64(), 100 + n, u16::MAX));
+        }
+        flush(at, &rx);
+        assert_eq!(net.drops(me), Some(InboxDrops { partial_bytes: 1, ..InboxDrops::default() }));
+
+        // By age: the next wake after `purge_after` finds it stale.
+        let (at, rx, net) = plug(Duration::from_millis(20));
+        send(at, env(2, me.as_u64(), 100, 2));
+        flush(at, &rx);
+        std::thread::sleep(Duration::from_millis(30));
+        flush(at, &rx);
+        assert_eq!(net.drops(me), Some(InboxDrops { partial_aged: 1, ..InboxDrops::default() }));
     }
 }

@@ -11,7 +11,7 @@ use amoeba_net::{FaultPlan, LiveNet, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 
-use crate::node::{drive, Ctl, NodeShared, OP_DEADLINE};
+use crate::node::{drive, NodeShared, OP_DEADLINE};
 
 /// A live Amoeba "installation": processes created through one `Amoeba`
 /// share its network fabric. The fabric is any [`Transport`] — the
@@ -42,11 +42,6 @@ impl Amoeba {
     /// allocator: in a multi-process deployment each process claims a
     /// disjoint address range so memberships never collide (the
     /// harness assigns process *i* the addresses from `i + 1`).
-    ///
-    /// On a fabric that is not [`Transport::in_process`] every
-    /// membership runs with `history_high_water` raised to
-    /// `history_cap`: the sequencer asks for floors only once its
-    /// history is full, whatever the configuration says (DESIGN.md §2).
     pub fn over_transport(transport: Arc<dyn Transport>, first_addr: u64) -> Self {
         Amoeba { transport, next_addr: AtomicU64::new(first_addr) }
     }
@@ -90,18 +85,10 @@ impl Amoeba {
         config: GroupConfig,
         create: bool,
     ) -> Result<GroupHandle, GroupError> {
-        // The high-water sync round is enabled fabric by fabric: in
-        // process it is on; elsewhere the round still starts at the
-        // refusal (see `Transport::in_process`, DESIGN.md §2).
-        let config = if self.transport.in_process() {
-            config
-        } else {
-            GroupConfig { history_high_water: config.history_cap, ..config }
-        };
         let addr =
             amoeba_flip::FlipAddress::process(self.next_addr.fetch_add(1, Ordering::Relaxed));
         // Plug into the fabric before the protocol starts talking.
-        let data_rx = self.transport.register(addr);
+        let inbox = self.transport.register(addr);
         self.transport.join_mcast(group, addr);
         let (core, actions) = if create {
             GroupCore::create(group, addr, config)?
@@ -109,14 +96,13 @@ impl Amoeba {
             GroupCore::join(group, addr, config)?
         };
         let (events_tx, events_rx) = channel::unbounded();
-        let (ctl_tx, ctl_rx) = channel::unbounded();
-        let shared =
-            NodeShared::new(core, Arc::clone(&self.transport), group, addr, events_tx, ctl_tx);
+        let transport = Arc::clone(&self.transport);
+        let shared = NodeShared::new(core, transport, group, addr, events_tx, inbox.waker());
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("amoeba-{addr}"))
-                .spawn(move || drive(shared, data_rx, ctl_rx))
+                .spawn(move || drive(shared, inbox))
                 .expect("spawn driver thread")
         };
         shared.step(|_| actions);
@@ -254,6 +240,13 @@ impl GroupHandle {
         self.shared.core.lock().stats
     }
 
+    /// Datagrams that reached this member and did not decode as a
+    /// protocol frame: dropped, as a garbled packet on a wire would be.
+    /// (What a UDP endpoint discards before that is `UdpNet::drops`.)
+    pub fn dropped_frames(&self) -> u64 {
+        self.shared.dropped_frames.load(Ordering::Relaxed)
+    }
+
     /// `ResetGroup`: rebuilds the group after failures, requiring at
     /// least `min_members` survivors. Returns the new view.
     ///
@@ -292,7 +285,7 @@ impl GroupHandle {
 
     fn teardown(&mut self) {
         self.shared.net.unregister(self.shared.addr);
-        let _ = self.shared.ctl_tx.send(Ctl::Shutdown);
+        self.shared.shutdown();
         if let Some(h) = self.driver.take() {
             let _ = h.join();
         }
@@ -318,7 +311,7 @@ mod tests {
         let amoeba = Amoeba::new(9, FaultPlan::reliable());
         let _a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
         let mut b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
-        b.shared.ctl_tx.send(Ctl::Shutdown).expect("driver listening");
+        b.shared.shutdown();
         b.driver.take().expect("driver").join().expect("driver exits cleanly");
 
         let soon = Duration::from_millis(100);

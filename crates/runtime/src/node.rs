@@ -2,6 +2,7 @@
 //! expirations to the sans-io [`GroupCore`] and executes its actions.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -10,7 +11,7 @@ use amoeba_core::{
     GroupId, GroupInfo, Seqno, TimerKind,
 };
 use amoeba_flip::FlipAddress;
-use amoeba_net::{Datagram, Transport, TransportSender};
+use amoeba_net::{Inbox, Transport, TransportSender, Waker};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
@@ -57,11 +58,18 @@ impl<T> Slot<T> {
     }
 }
 
-pub(crate) enum Ctl {
-    /// Timer table changed; recompute the select deadline.
-    Kick,
-    /// Stop the driver.
-    Shutdown,
+/// How long a driver with no timer armed sleeps at most.
+const IDLE: Duration = Duration::from_millis(100);
+
+/// The timer table, and what the driver last derived from it.
+struct Timers {
+    due: HashMap<TimerKind, Instant>,
+    /// The instant the driver sleeps until. It never moves later before
+    /// it has passed: a timer armed per operation and cancelled when
+    /// the operation completes (`SendRetransmit`, on every blocking
+    /// send) is then armed *behind* it from the second operation on and
+    /// wakes nobody, at the price of one idle wake-up per timer period.
+    wake_at: Instant,
 }
 
 /// State shared between the driver thread and the API handle.
@@ -79,9 +87,13 @@ pub(crate) struct NodeShared {
     sender: Mutex<Box<dyn TransportSender>>,
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
-    timers: Mutex<HashMap<TimerKind, Instant>>,
+    timers: Mutex<Timers>,
+    /// Interrupts the driver's wait on its inbox: an earlier timer, or
+    /// `stop`.
+    waker: Waker,
+    stop: AtomicBool,
+    pub(crate) dropped_frames: AtomicU64,
     events_tx: Sender<GroupEvent>,
-    pub(crate) ctl_tx: Sender<Ctl>,
     /// Send completions, FIFO: every submitted `SendToGroup` produces
     /// exactly one message here, so a pipelining caller pairs them with
     /// its submissions in order (a channel, not a [`Slot`], because a
@@ -106,7 +118,7 @@ impl NodeShared {
         group: GroupId,
         addr: FlipAddress,
         events_tx: Sender<GroupEvent>,
-        ctl_tx: Sender<Ctl>,
+        waker: Waker,
     ) -> Arc<Self> {
         let (send_done_tx, send_done_rx) = channel::unbounded();
         let sender = Mutex::new(net.sender(addr));
@@ -118,9 +130,11 @@ impl NodeShared {
             sender,
             group,
             addr,
-            timers: Mutex::new(HashMap::new()),
+            timers: Mutex::new(Timers { due: HashMap::new(), wake_at: Instant::now() }),
+            waker,
+            stop: AtomicBool::new(false),
+            dropped_frames: AtomicU64::new(0),
             events_tx,
-            ctl_tx,
             send_done_tx,
             send_done_rx,
             send_lock: Mutex::new(()),
@@ -187,11 +201,16 @@ impl NodeShared {
             }
             Action::SetTimer { kind, after_us } => {
                 let at = Instant::now() + Duration::from_micros(after_us);
-                self.timers.lock().insert(kind, at);
-                let _ = self.ctl_tx.send(Ctl::Kick);
+                let mut timers = self.timers.lock();
+                timers.due.insert(kind, at);
+                let sooner = at < timers.wake_at;
+                drop(timers);
+                if sooner {
+                    (self.waker)();
+                }
             }
             Action::CancelTimer { kind } => {
-                self.timers.lock().remove(&kind);
+                self.timers.lock().due.remove(&kind);
             }
             Action::Deliver(ev) => {
                 let _ = self.events_tx.send(ev);
@@ -235,59 +254,53 @@ impl NodeShared {
         self.send_done_rx.recv_timeout(deadline).unwrap_or(Err(GroupError::Disconnected))
     }
 
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timers.lock().values().min().copied()
+    /// Stops the driver: it returns at its next wake-up, which is now.
+    pub(crate) fn shutdown(&self) {
+        self.stop.store(true, Ordering::Release);
+        (self.waker)();
     }
 
-    fn fire_expired(&self) {
+    /// Fires every timer that is due, then says how long the driver
+    /// may sleep — published as `wake_at` under the lock `SetTimer`
+    /// compares against: a timer armed before this is seen here, one
+    /// armed after sees the new `wake_at`.
+    fn fire_expired(&self) -> Duration {
         let now = Instant::now();
-        let expired: Vec<TimerKind> = {
+        loop {
             let mut timers = self.timers.lock();
-            let kinds: Vec<TimerKind> =
-                timers.iter().filter(|(_, &at)| at <= now).map(|(&k, _)| k).collect();
-            for k in &kinds {
-                timers.remove(k);
-            }
-            kinds
-        };
-        for kind in expired {
+            let expired = timers.due.iter().find(|(_, at)| **at <= now).map(|(kind, _)| *kind);
+            let Some(kind) = expired else {
+                let next = timers.due.values().min().copied().unwrap_or(now + IDLE);
+                timers.wake_at = if timers.wake_at > now { next.min(timers.wake_at) } else { next };
+                return timers.wake_at.saturating_duration_since(Instant::now());
+            };
+            timers.due.remove(&kind);
+            drop(timers);
             self.step(|core| core.handle_timer(kind));
         }
     }
 }
 
-/// The driver loop: packets, control messages and timers.
-pub(crate) fn drive(shared: Arc<NodeShared>, data_rx: Receiver<Datagram>, ctl_rx: Receiver<Ctl>) {
-    loop {
-        let timeout = shared
-            .next_deadline()
-            .map(|at| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(100));
-        channel::select! {
-            recv(data_rx) -> d => {
-                let Ok((from, frame)) = d else { return };
-                // A garbled packet is dropped: the protocol's loss
-                // machinery recovers, as on real wires.
-                if let Ok(msg) = decode_wire_frame(frame) {
-                    shared.step(|core| core.handle_message(from, msg));
-                }
-            }
-            recv(ctl_rx) -> c => {
-                match c {
-                    Ok(Ctl::Kick) => {}
-                    Ok(Ctl::Shutdown) | Err(_) => return,
-                }
-            }
-            default(timeout) => {}
+/// The driver loop: fire what expired, wait on the inbox until the
+/// next deadline, step.
+pub(crate) fn drive(shared: Arc<NodeShared>, inbox: Inbox) {
+    while !shared.stop.load(Ordering::Acquire) {
+        let Ok((from, frame)) = inbox.recv_timeout(shared.fire_expired()) else { continue };
+        // A garbled packet is dropped and counted: the protocol's loss
+        // machinery recovers, as on real wires.
+        match decode_wire_frame(frame) {
+            Ok(msg) => shared.step(|core| core.handle_message(from, msg)),
+            Err(_) => drop(shared.dropped_frames.fetch_add(1, Ordering::Relaxed)),
         }
-        shared.fire_expired();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handle::Amoeba;
     use amoeba_core::{GroupConfig, MemberId, WireFrame};
+    use amoeba_net::{FaultPlan, LiveNet, UdpConfig, UdpNet};
 
     /// A fabric whose sends park until released: it holds a thread
     /// between releasing the core lock and finishing its actions.
@@ -297,8 +310,8 @@ mod tests {
     }
 
     impl Transport for Gate {
-        fn register(&self, _: FlipAddress) -> Receiver<Datagram> {
-            channel::unbounded().1
+        fn register(&self, _: FlipAddress) -> Inbox {
+            Inbox::channel().1
         }
         fn unregister(&self, _: FlipAddress) {}
         fn join_mcast(&self, _: GroupId, _: FlipAddress) {}
@@ -329,9 +342,9 @@ mod tests {
         let (core, join) = GroupCore::join(GroupId(1), addr, GroupConfig::default()).expect("join");
         let send = join.into_iter().find(Action::is_send).expect("a joiner sends its request");
         let (events_tx, events_rx) = channel::unbounded();
-        let (ctl_tx, _ctl_rx) = channel::unbounded();
         let gate = Arc::new(Gate { entered: entered_tx, release: release_rx });
-        let shared = NodeShared::new(core, gate, GroupId(1), addr, events_tx, ctl_tx);
+        let waker = gate.register(addr).waker();
+        let shared = NodeShared::new(core, gate, GroupId(1), addr, events_tx, waker);
         let deliver = |n| {
             Action::Deliver(GroupEvent::Message {
                 seqno: Seqno(n),
@@ -357,5 +370,55 @@ mod tests {
             _ => None,
         };
         assert_eq!([next(), next(), next()], [Some(1), Some(2), None]);
+    }
+
+    /// A timer armed from a caller's thread *ahead of* the instant the
+    /// driver sleeps until must interrupt that sleep, on either fabric:
+    /// without `SetTimer`'s wake it fires when the sequencer's own
+    /// next timer does, ~990 ms late. The bound is the coarsest wait in
+    /// use, not the wake: over UDP the kernel counts the socket timeout
+    /// in ticks and fires it up to two late (8 ms at `HZ=250`, 20 ms at
+    /// `HZ=100`). One attempt in three may be spoiled by the sibling
+    /// tests' threads.
+    #[test]
+    fn a_timer_armed_ahead_of_the_drivers_sleep_fires_on_time() {
+        let fabrics: [Arc<dyn Transport>; 2] =
+            [LiveNet::new(1, FaultPlan::reliable()), UdpNet::new(UdpConfig::default())];
+        for (gid, net) in fabrics.into_iter().enumerate() {
+            let amoeba = Amoeba::over_transport(net, 1);
+            let a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+            let shared = &a.shared;
+            let kind = TimerKind::ProbeTimeout { member: MemberId(9) }; // fires into a no-op
+            let late: Vec<Duration> = (0..3)
+                .map(|_| {
+                    let far = Duration::from_millis(30);
+                    while shared.timers.lock().wake_at < Instant::now() + far {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    let due = Instant::now() + Duration::from_millis(10);
+                    shared.step(|_| vec![Action::SetTimer { kind, after_us: 10_000 }]);
+                    while shared.timers.lock().due.contains_key(&kind) {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    Instant::now().saturating_duration_since(due)
+                })
+                .take_while(|late| *late > Duration::from_millis(25))
+                .collect();
+            assert!(late.len() < 3, "fabric {gid}: fired late by {late:?}");
+        }
+    }
+
+    /// A frame that does not decode is dropped and counted.
+    #[test]
+    fn an_undecodable_frame_is_counted() {
+        let net = LiveNet::new(1, FaultPlan::reliable());
+        let amoeba = Amoeba::over_transport(net.clone(), 1);
+        let a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+        let garbage = WireFrame::from(bytes::Bytes::from_static(b"\xFFgarbage"));
+        net.sender(FlipAddress::process(7)).unicast(a.shared.addr, garbage);
+        while a.dropped_frames() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(a.dropped_frames(), 1);
     }
 }

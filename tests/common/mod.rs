@@ -24,11 +24,12 @@ pub fn collect_messages(handle: &GroupHandle, n: usize) -> Vec<(u64, u32, String
 }
 
 /// Member 1 of three sends `SENDS` 64-byte messages among silent
-/// peers (blocking at window 1, pipelined above); returns the
-/// protocol's own counts, (refusals at the sequencer, sender retries).
-pub fn lone_sender_refusals(amoeba: &Amoeba, gid: GroupId, window: usize) -> (u64, u64) {
+/// peers under `config` (blocking at `send_window` 1, pipelined
+/// above); returns the protocol's own counts, (refusals at the
+/// sequencer, sender retries).
+pub fn lone_sender_refusals(amoeba: &Amoeba, gid: GroupId, config: GroupConfig) -> (u64, u64) {
     const SENDS: usize = 2_000;
-    let config = GroupConfig { send_window: window, ..GroupConfig::default() };
+    let window = config.send_window;
     let a = amoeba.create_group(gid, config.clone()).expect("create");
     let b = amoeba.join_group(gid, config.clone()).expect("join b");
     let c = amoeba.join_group(gid, config).expect("join c");
@@ -58,10 +59,14 @@ pub fn lone_sender_refusals(amoeba: &Amoeba, gid: GroupId, window: usize) -> (u6
 /// for longer than the headroom lasts (64 messages: a few hundred µs
 /// of a pipelined stream), which the sibling tests' threads can cause
 /// — so one clean run in three is asked for. Without the high-water
-/// round every run is refused once per 128 messages.
+/// round every run is refused once per 128 messages. The same on
+/// either fabric: the configuration means one thing.
 pub fn lone_sender_is_never_refused(amoeba: &Amoeba, first_gid: u64, window: usize) {
     let seen: Vec<_> = (0..3)
-        .map(|attempt| lone_sender_refusals(amoeba, GroupId(first_gid + attempt), window))
+        .map(|attempt| {
+            let config = GroupConfig { send_window: window, ..GroupConfig::default() };
+            lone_sender_refusals(amoeba, GroupId(first_gid + attempt), config)
+        })
         .take_while(|&refused| refused != (0, 0))
         .collect();
     assert!(seen.len() < 3, "window {window}: (refusals, sender retries) in three runs: {seen:?}");

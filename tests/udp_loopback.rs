@@ -12,7 +12,7 @@ use std::time::Duration;
 use amoeba::core::{GroupConfig, GroupError, GroupEvent, GroupId};
 use amoeba::runtime::{Amoeba, Transport, UdpConfig, UdpNet};
 use bytes::Bytes;
-use common::{collect_messages, lone_sender_refusals};
+use common::{collect_messages, lone_sender_is_never_refused, lone_sender_refusals};
 
 /// An installation over a fresh UDP fabric; every membership it spawns
 /// binds its own 127.0.0.1 socket.
@@ -40,18 +40,26 @@ fn snappy() -> GroupConfig {
     }
 }
 
-/// The high-water sync round is enabled fabric by fabric, and UDP's
-/// turn has not come (`Transport::in_process`, DESIGN.md §2): over
-/// sockets the sequencer still asks for floors only once its history
-/// is full, so a lone sender is refused once per 128 messages at the
-/// very configuration that is never refused in memory
-/// (`tests/live_total_order.rs`). Flipping UDP turns this test into
-/// `lone_sender_is_never_refused`.
+/// `GroupConfig::default()` means over sockets what it means in memory
+/// (`tests/live_total_order.rs`): the sequencer asks for floors at the
+/// high-water mark, and a lone sender among silent members is never
+/// refused, blocking or pipelined.
 #[test]
-fn over_udp_a_lone_sender_still_meets_the_full_history() {
+fn over_udp_a_lone_sender_is_never_refused() {
     let amoeba = udp_amoeba();
-    for (gid, window) in [(10, 1), (20, 32)] {
-        let (refusals, retries) = lone_sender_refusals(&amoeba, GroupId(gid), window);
+    lone_sender_is_never_refused(&amoeba, 10, 1);
+    lone_sender_is_never_refused(&amoeba, 20, 32);
+}
+
+/// The 1996 profile stays reachable on sockets: with the round at the
+/// refusal (`GroupConfig::paper()`), the same sender meets the full
+/// history once per 128 messages and sits out a retransmit timer.
+#[test]
+fn over_udp_the_paper_profile_still_meets_the_full_history() {
+    let amoeba = udp_amoeba();
+    for (gid, window) in [(30, 1), (40, 32)] {
+        let config = GroupConfig { send_window: window, ..GroupConfig::paper() };
+        let (refusals, retries) = lone_sender_refusals(&amoeba, GroupId(gid), config);
         assert!(refusals > 0 && retries > 0, "window {window}: ({refusals}, {retries})");
     }
 }
