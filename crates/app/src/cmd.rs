@@ -8,6 +8,7 @@
 //! backends cannot drift apart in *what* gets requested; each host
 //! only decides *how* to execute an [`AppCmd`].
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use amoeba_core::{GroupConfig, GroupInfo};
@@ -44,6 +45,11 @@ pub trait HostView {
     fn info(&self) -> GroupInfo;
     /// The group configuration this member runs under.
     fn config(&self) -> GroupConfig;
+    /// [`Ctx::waker`]; a host that cannot be woken keeps this no-op.
+    fn waker(&self, timer: TimerId) -> Arc<dyn Fn() + Send + Sync> {
+        let _ = timer;
+        Arc::new(|| {})
+    }
 }
 
 /// The one `Ctx` implementation: reads delegate to the host's
@@ -84,6 +90,10 @@ impl<V: HostView> Ctx for BufferedCtx<V> {
 
     fn cancel_timer(&mut self, timer: TimerId) {
         self.cmds.push(AppCmd::CancelTimer(timer));
+    }
+
+    fn waker(&self, timer: TimerId) -> Arc<dyn Fn() + Send + Sync> {
+        self.view.waker(timer)
     }
 
     fn now(&self) -> Duration {

@@ -1,6 +1,7 @@
 //! The capability object a host hands to every app callback, and the
 //! events it feeds back.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use amoeba_core::{Error, GroupConfig, GroupEvent, GroupInfo, Seqno};
@@ -78,6 +79,19 @@ pub trait Ctx {
 
     /// Disarms a pending timer (a no-op if it is not pending).
     fn cancel_timer(&mut self, timer: TimerId);
+
+    /// A handle that makes `timer`, if armed, fire now — callable from
+    /// any thread, any number of times, for as long as the caller
+    /// likes. It is a *hint a host may ignore*: `LiveHost` wakes the
+    /// app's pump, `SimHost` (and this default) does nothing, so the
+    /// app must arm `timer` as well and a simulated run sees only its
+    /// timers. For an app whose work arrives from outside the group
+    /// (a queue another thread fills) and which would otherwise find
+    /// it a poll period late.
+    fn waker(&self, timer: TimerId) -> Arc<dyn Fn() + Send + Sync> {
+        let _ = timer;
+        Arc::new(|| {})
+    }
 
     /// Time elapsed since this app started (simulated on `SimHost`,
     /// wall-clock on `LiveHost`).

@@ -18,7 +18,8 @@
 //!   at simulated instants, timers fire in simulated time, and a run
 //!   is deterministic given its seed;
 //! * `LiveHost` (`amoeba-runtime`) pumps each app on a runtime thread
-//!   over the blocking `GroupHandle` — timers fire in wall-clock time.
+//!   over the member's `GroupHandle` — timers fire in wall-clock time,
+//!   or at once when a [`Ctx::waker`] handle asks.
 //!
 //! # The determinism contract
 //!
@@ -26,7 +27,9 @@
 //! *per-member delivery order* on both hosts, because both feed it the
 //! same `GroupCore` total order. For that equivalence to hold the app
 //! must derive its behaviour only from what the host gives it: the
-//! events, the timers, [`Ctx::now`] and [`Ctx::info`]. An app that
+//! events, the timers, [`Ctx::now`] and [`Ctx::info`] (a
+//! [`Ctx::waker`] brings a timer forward on the live host alone: what
+//! the app does then must not depend on how early). An app that
 //! reads wall clocks, spawns threads or keeps global state is outside
 //! the contract (and will still run — it just may diverge between
 //! backends). The cross-backend conformance suite

@@ -3,7 +3,10 @@
 //! Each app gets a pump: a loop (usually on its own thread) that owns
 //! the member's [`GroupHandle`], feeds delivered events and send
 //! completions to the app, fires wall-clock timers, and executes the
-//! app's [`Ctx`] requests. As on the simulated host, mutating `Ctx`
+//! app's [`Ctx`] requests. The pump has one wait: it parks until its
+//! next timer is due, and the member's driver (after every delivery
+//! and completion) or a [`Ctx::waker`](amoeba_app::Ctx::waker) handle
+//! unparks it. As on the simulated host, mutating `Ctx`
 //! calls are buffered during a callback and applied when it returns —
 //! the two hosts present one behavioural contract (DESIGN.md §8,
 //! repository root), which is what lets the cross-backend conformance
@@ -11,14 +14,15 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use amoeba_app::cmd::{AppCmd, BufferedCtx, HostView};
 use amoeba_app::{AppEvent, GroupApp, TimerId};
-use amoeba_core::{GroupConfig, GroupError, GroupEvent, GroupId, GroupInfo, Seqno};
+use amoeba_core::{GroupConfig, GroupId, GroupInfo};
 use bytes::Bytes;
-use crossbeam::channel;
+use crossbeam::channel::TryRecvError;
 
 use amoeba_net::FaultPlan;
 
@@ -45,6 +49,14 @@ enum Terminal {
 struct LiveView<'a> {
     handle: &'a GroupHandle,
     start: Instant,
+    wake: &'a Arc<Wake>,
+}
+
+/// What [`Ctx::waker`](amoeba_app::Ctx::waker) handles share with
+/// their pump: the timers asked to fire now, and the thread to unpark.
+struct Wake {
+    timers: Mutex<Vec<TimerId>>,
+    pump: Thread,
 }
 
 impl HostView for LiveView<'_> {
@@ -59,6 +71,20 @@ impl HostView for LiveView<'_> {
     fn config(&self) -> GroupConfig {
         self.handle.shared.core.lock().config().clone()
     }
+
+    fn waker(&self, timer: TimerId) -> Arc<dyn Fn() + Send + Sync> {
+        let wake = Arc::clone(self.wake);
+        Arc::new(move || {
+            let mut timers = wake.timers.lock().expect("wake list lock");
+            // Already asked and not yet taken: the pump is awake or on
+            // its way, so a burst of calls costs one unpark.
+            if !timers.contains(&timer) {
+                timers.push(timer);
+                drop(timers);
+                wake.pump.unpark();
+            }
+        })
+    }
 }
 
 /// One app being pumped over one membership.
@@ -70,6 +96,7 @@ struct Pump {
     in_flight: usize,
     pending: VecDeque<Bytes>,
     timers: HashMap<TimerId, Instant>,
+    wake: Arc<Wake>,
     terminal: Option<Terminal>,
     /// Raised when a sibling pump panicked: the run is over (see
     /// [`Pumps::join`]).
@@ -87,6 +114,9 @@ impl Drop for AbortOnPanic {
     }
 }
 
+/// The longest a pump parks: it looks at the abort flag that often.
+const IDLE: Duration = Duration::from_millis(100);
+
 enum Call {
     Start,
     Event(AppEvent),
@@ -94,8 +124,12 @@ enum Call {
 }
 
 impl Pump {
+    /// A pump for the calling thread to [`Pump::run`]: that thread is
+    /// the one the driver and the wakers unpark.
     fn new(handle: GroupHandle, app: Box<dyn GroupApp>, abort: Arc<AtomicBool>) -> Self {
         let window = handle.shared.core.lock().config().send_window.max(1);
+        let pump = std::thread::current();
+        let _ = handle.shared.pump.set(pump.clone());
         Pump {
             handle: Some(handle),
             app,
@@ -104,6 +138,7 @@ impl Pump {
             in_flight: 0,
             pending: VecDeque::new(),
             timers: HashMap::new(),
+            wake: Arc::new(Wake { timers: Mutex::new(Vec::new()), pump }),
             terminal: None,
             abort,
         }
@@ -114,7 +149,8 @@ impl Pump {
             return;
         }
         let handle = self.handle.as_ref().expect("handle present until terminal");
-        let mut ctx = BufferedCtx::new(LiveView { handle, start: self.start });
+        let mut ctx =
+            BufferedCtx::new(LiveView { handle, start: self.start, wake: &self.wake });
         match call {
             Call::Start => self.app.on_start(&mut ctx),
             Call::Event(ev) => self.app.on_event(&mut ctx, ev),
@@ -219,6 +255,45 @@ impl Pump {
         }
     }
 
+    /// Feeds the app the next delivery or, when there is none, the next
+    /// completion — a message's own delivery was queued ahead of its
+    /// `SendDone`. False when both queues are empty.
+    fn feed_one(&mut self) -> bool {
+        let handle = self.handle.as_ref().expect("handle present until terminal");
+        let next = match handle.events_rx.try_recv() {
+            Ok(ev) => Ok(AppEvent::Group(ev)),
+            Err(TryRecvError::Empty) => handle.shared.send_done_rx.try_recv().map(|done| {
+                self.in_flight = self.in_flight.saturating_sub(1);
+                AppEvent::SendDone(done.map_err(Into::into))
+            }),
+            Err(gone) => Err(gone),
+        };
+        match next {
+            Ok(event) => self.dispatch(Call::Event(event)),
+            Err(TryRecvError::Empty) => return false,
+            Err(TryRecvError::Disconnected) => self.finish(Terminal::Disconnected),
+        }
+        true
+    }
+
+    /// The pump's one wait: parks until the next timer is due. The
+    /// driver unparks it after queueing a delivery or completion and a
+    /// waker after listing its timer — either may come before the
+    /// park, which then returns at once. Timers asked for are made due.
+    fn wait(&mut self) {
+        let asked = std::mem::take(&mut *self.wake.timers.lock().expect("wake list lock"));
+        if asked.is_empty() {
+            let until = self
+                .next_deadline()
+                .map_or(IDLE, |at| at.saturating_duration_since(Instant::now()));
+            std::thread::park_timeout(until);
+        }
+        let now = Instant::now();
+        for id in asked {
+            self.timers.entry(id).and_modify(|at| *at = now);
+        }
+    }
+
     /// Runs the app to completion; returns it plus the handle (kept
     /// alive on `Ctx::stop`, consumed by leave/crash).
     fn run(mut self) -> Pumped {
@@ -226,44 +301,8 @@ impl Pump {
         // An aborted run ends like a stop: the membership goes back
         // to the host, which tears it down.
         while self.terminal.is_none() && !self.abort.load(Ordering::SeqCst) {
-            let timeout = self
-                .next_deadline()
-                .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(100));
-            let handle = self.handle.as_ref().expect("handle present until terminal");
-            enum Polled {
-                Event(GroupEvent),
-                SendDone(Result<Seqno, GroupError>),
-                Gone,
-                Idle,
-            }
-            let polled = {
-                let events = &handle.events_rx;
-                let dones = &handle.shared.send_done_rx;
-                channel::select! {
-                    recv(events) -> ev => {
-                        match ev {
-                            Ok(ev) => Polled::Event(ev),
-                            Err(_) => Polled::Gone,
-                        }
-                    }
-                    recv(dones) -> r => {
-                        match r {
-                            Ok(r) => Polled::SendDone(r),
-                            Err(_) => Polled::Gone,
-                        }
-                    }
-                    default(timeout) => { Polled::Idle }
-                }
-            };
-            match polled {
-                Polled::Event(ev) => self.dispatch(Call::Event(AppEvent::Group(ev))),
-                Polled::SendDone(r) => {
-                    self.in_flight = self.in_flight.saturating_sub(1);
-                    self.dispatch(Call::Event(AppEvent::SendDone(r.map_err(Into::into))));
-                }
-                Polled::Gone => self.finish(Terminal::Disconnected),
-                Polled::Idle => {}
+            if !self.feed_one() {
+                self.wait();
             }
             self.fire_expired();
         }
@@ -449,6 +488,7 @@ impl LiveHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel;
 
     /// Never ends by itself (it waits for a peer that will not write).
     struct Waits;
@@ -459,6 +499,84 @@ mod tests {
         fn on_start(&mut self, _ctx: &mut dyn amoeba_app::Ctx) {
             panic!("script assertion");
         }
+    }
+
+    /// Arms `TIMER` ten seconds out, hands its waker to the test, and
+    /// on every firing reports in and waits to be told how to go on —
+    /// which holds the pump inside the callback for as long as the test
+    /// likes.
+    struct Sleeper {
+        waker_tx: channel::Sender<Arc<dyn Fn() + Send + Sync>>,
+        fired_tx: channel::Sender<Instant>,
+        /// `true`: arm again; `false`: stop.
+        resume_rx: channel::Receiver<bool>,
+    }
+
+    const TIMER: TimerId = TimerId(7);
+    const FAR: Duration = Duration::from_secs(10);
+
+    impl GroupApp for Sleeper {
+        fn on_start(&mut self, ctx: &mut dyn amoeba_app::Ctx) {
+            ctx.set_timer(TIMER, FAR);
+            self.waker_tx.send(ctx.waker(TIMER)).expect("test is listening");
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn amoeba_app::Ctx, timer: TimerId) {
+            assert_eq!(timer, TIMER);
+            self.fired_tx.send(Instant::now()).expect("test is listening");
+            match self.resume_rx.recv_timeout(FAR) {
+                Ok(true) => ctx.set_timer(TIMER, FAR),
+                _ => ctx.stop(),
+            }
+        }
+    }
+
+    /// A waker called from another thread fires its timer now, not
+    /// when it was armed for; and however many calls arrive while the
+    /// pump is busy, they fire it once more, not once each.
+    #[test]
+    fn a_waker_fires_its_timer_now_and_a_burst_of_calls_fires_it_once() {
+        let (waker_tx, waker_rx) = channel::unbounded();
+        let (fired_tx, fired_rx) = channel::unbounded();
+        let (resume_tx, resume_rx) = channel::unbounded();
+        let mut host =
+            LiveHost::new(4, FaultPlan::reliable(), GroupId(1), GroupConfig::default());
+        host.add_app(Box::new(Sleeper { waker_tx, fired_tx, resume_rx }));
+        let hosted = std::thread::spawn(move || host.run());
+        let wake = waker_rx.recv_timeout(FAR).expect("the app starts");
+        let next_firing = |within| fired_rx.recv_timeout(within);
+
+        // One call, one prompt firing (one attempt in three may be
+        // spoiled by the sibling tests' threads).
+        let late: Vec<Duration> = (0..3)
+            .map(|_| {
+                let called = Instant::now();
+                wake();
+                let fired = next_firing(FAR).expect("a woken timer fires");
+                resume_tx.send(true).expect("app is waiting");
+                fired.saturating_duration_since(called)
+            })
+            .take_while(|late| *late > Duration::from_millis(25))
+            .collect();
+        assert!(late.len() < 3, "woken timers fired after {late:?}");
+
+        // A thousand calls: the first fires the timer, and the rest —
+        // all made while the pump is held in that callback — fire it
+        // exactly once more.
+        wake();
+        next_firing(FAR).expect("the first call of the burst fires");
+        for _ in 1..1_000 {
+            wake();
+        }
+        resume_tx.send(true).expect("app is waiting");
+        next_firing(FAR).expect("the rest of the burst fires once");
+        resume_tx.send(true).expect("app is waiting");
+        assert!(next_firing(Duration::from_millis(50)).is_err(), "the burst fired a third time");
+
+        wake();
+        next_firing(FAR).expect("the last call fires");
+        resume_tx.send(false).expect("app is waiting");
+        hosted.join().expect("the host ends when its app stops");
     }
 
     /// `Pumps::join` joins in index order, so it sits on member 0's

@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use amoeba_core::{
@@ -93,6 +94,10 @@ pub(crate) struct NodeShared {
     waker: Waker,
     stop: AtomicBool,
     pub(crate) dropped_frames: AtomicU64,
+    /// The app pump hosting this member, which parks between events
+    /// and is unparked after every `Deliver` and `SendDone`. Unset
+    /// under the blocking API, whose callers wait on the channels.
+    pub(crate) pump: OnceLock<Thread>,
     events_tx: Sender<GroupEvent>,
     /// Send completions, FIFO: every submitted `SendToGroup` produces
     /// exactly one message here, so a pipelining caller pairs them with
@@ -134,6 +139,7 @@ impl NodeShared {
             waker,
             stop: AtomicBool::new(false),
             dropped_frames: AtomicU64::new(0),
+            pump: OnceLock::new(),
             events_tx,
             send_done_tx,
             send_done_rx,
@@ -214,13 +220,21 @@ impl NodeShared {
             }
             Action::Deliver(ev) => {
                 let _ = self.events_tx.send(ev);
+                self.unpark_pump();
             }
             Action::SendDone(r) => {
                 let _ = self.send_done_tx.send(r);
+                self.unpark_pump();
             }
             Action::JoinDone(r) => self.join_done.put(r),
             Action::LeaveDone(r) => self.leave_done.put(r),
             Action::ResetDone(r) => self.reset_done.put(r),
+        }
+    }
+
+    fn unpark_pump(&self) {
+        if let Some(pump) = self.pump.get() {
+            pump.unpark();
         }
     }
 

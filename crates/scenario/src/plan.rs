@@ -607,6 +607,14 @@ impl ScenarioPlan {
             g.finish()?;
             groups.push(GroupSpec { id, members, base, knobs });
         }
+        // Each knob was in range on its own line; the configuration
+        // the group will run under — base, knobs, de-phasing — must
+        // also be one the core accepts.
+        for (g, (spec, gt)) in groups.iter().zip(&group_tables).enumerate() {
+            spec.config(groups.len(), g, admission)
+                .validate()
+                .map_err(|e| Error::at(gt.line, format!("group {}: {e}", spec.id)))?;
+        }
 
         // [[workload]]
         let mut workloads = Vec::new();

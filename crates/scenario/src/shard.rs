@@ -265,9 +265,10 @@ impl ShardPlan {
                 format!("topology would have {total} nodes, the cap is {MAX_NODES}"),
             ));
         }
-        let config = match s.string("config")? {
-            None | Some(("default", _)) => ShardConfig::Default,
-            Some(("fault_tolerant", _)) => ShardConfig::FaultTolerant,
+        let (config, config_line) = match s.string("config")? {
+            None => (ShardConfig::Default, st.line),
+            Some(("default", line)) => (ShardConfig::Default, line),
+            Some(("fault_tolerant", line)) => (ShardConfig::FaultTolerant, line),
             Some((other, line)) => {
                 return Err(Error::at(
                     line,
@@ -458,7 +459,7 @@ impl ShardPlan {
             }
         };
 
-        Ok(ShardPlan {
+        let plan = ShardPlan {
             name,
             seed,
             shards,
@@ -474,7 +475,16 @@ impl ShardPlan {
             faults,
             limit_ms,
             expect,
-        })
+        };
+        // The shape picks every group's configuration (base, scaling,
+        // de-phasing): each must be one the core accepts.
+        let spec = plan.shard_spec();
+        for g in 0..=spec.data_groups() {
+            spec.config_for(g)
+                .validate()
+                .map_err(|e| Error::at(config_line, format!("group index {g}: {e}")))?;
+        }
+        Ok(plan)
     }
 
     /// Serializes the plan as a canonical shard scenario file:

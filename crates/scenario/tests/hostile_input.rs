@@ -226,6 +226,21 @@ fn fault_tolerant_base_excludes_scaled() {
     );
 }
 
+/// Every knob in range on its own line, and a configuration the core
+/// refuses: `history_cap = 16` puts the high-water mark at 12, four
+/// slots of headroom for a window of eight. The `[[group]]` is blamed.
+#[test]
+fn a_window_wider_than_the_history_headroom_is_rejected() {
+    rejected(
+        &format!(
+            "{HEADER}[topology]\nnodes = 2\n[[group]]\nid = 1\nmembers = \"0..2\"\n\
+             history_cap = 16\nsend_window = 8\n"
+        ),
+        5,
+        "history_cap - history_high_water must be at least send_window",
+    );
+}
+
 /// The shard schema's counterpart of [`rejected`].
 fn shard_rejected(faults: &str, line: usize, fragment: &str) {
     let text = format!(

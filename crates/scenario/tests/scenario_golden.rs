@@ -116,6 +116,12 @@ fn stress_1000() {
 /// §11) and checks its pinned digest plus the invariants every golden
 /// shard scenario must hold: clean audit, zero lost acked writes, and
 /// no failed `[expect]` assertions.
+///
+/// All three were re-pinned once, by the change that put the shard
+/// tier at the live default: its groups ask for floors at 3/4 of the
+/// history (`ShardSpec::config_for` no longer clamps the mark), and a
+/// gateway sends what queued as one multi-body frame, so the same
+/// operations take fewer, differently-timed ordered messages.
 fn golden_shard(file: &str, digest: u64) {
     let path = scenarios_dir().join(file);
     let text = std::fs::read_to_string(&path)
@@ -138,17 +144,17 @@ fn golden_shard(file: &str, digest: u64) {
 
 #[test]
 fn shard_8x32() {
-    golden_shard("shard_8x32.toml", 0x4c81a6b8a327295e);
+    golden_shard("shard_8x32.toml", 0x73bc2e04106d35f4);
 }
 
 #[test]
 fn shard_split_under_load() {
-    golden_shard("shard_split_under_load.toml", 0x4ad2c42514a0420d);
+    golden_shard("shard_split_under_load.toml", 0xd5719609a0f303cf);
 }
 
 #[test]
 fn shard_rebalance_after_crash() {
-    golden_shard("shard_rebalance_after_crash.toml", 0xe97bb9132e1f2e68);
+    golden_shard("shard_rebalance_after_crash.toml", 0xae2252d93ce669fb);
 }
 
 /// Every file in `scenarios/` must be pinned above — a scenario with

@@ -57,8 +57,6 @@ pub struct ShardSpec {
     pub data_config: Option<GroupConfig>,
     /// Meta-group configuration; `None` = scaled defaults.
     pub meta_config: Option<GroupConfig>,
-    /// Gateway inbox poll period (simulated/wall).
-    pub poll: Duration,
 }
 
 impl ShardSpec {
@@ -73,7 +71,6 @@ impl ShardSpec {
             spares: 0,
             data_config: None,
             meta_config: None,
-            poll: Duration::from_millis(1),
         }
     }
 
@@ -121,13 +118,7 @@ impl ShardSpec {
         } else {
             (self.data_config.clone(), self.members)
         };
-        // The shard tier's groups keep the sync round at the refusal
-        // (the parent's behaviour) until their flip is made and
-        // measured on its own; an explicit config is taken as given.
-        let mut c = base.unwrap_or_else(|| {
-            let c = GroupConfig::scaled_for_world(members, groups);
-            GroupConfig { history_high_water: c.history_cap, ..c }
-        });
+        let mut c = base.unwrap_or_else(|| GroupConfig::scaled_for_world(members, groups));
         c.sync_interval_us += g as u64 * (c.sync_round_us / 4);
         c.status_stagger_us += 53 * g as u64;
         c
@@ -175,7 +166,6 @@ fn build_data_group(
     spec: &ShardSpec,
     g: usize,
     map: &ShardMap,
-    poll: Duration,
 ) -> (ShardGroup, Vec<Box<dyn GroupApp>>) {
     let id = g as u64 + 1;
     let owned = map.ranges_of(id);
@@ -187,7 +177,7 @@ fn build_data_group(
     for j in 0..spec.members {
         let store: SharedStore = Arc::new(Mutex::new(BTreeMap::new()));
         let log: SharedLog = Arc::new(Mutex::new(Vec::new()));
-        let gateway = (j == gw_member).then(|| Gateway::new(port.clone(), poll));
+        let gateway = (j == gw_member).then(|| Gateway::new(port.clone()));
         apps.push(Box::new(ShardServerApp::new(
             owned.clone(),
             store.clone(),
@@ -206,7 +196,6 @@ fn build_meta_group(
     spec: &ShardSpec,
     map: &ShardMap,
     board: &MapBoard,
-    poll: Duration,
 ) -> (ShardGroup, Vec<Box<dyn GroupApp>>) {
     let port = GatewayPort::new();
     let gw_member = ShardSpec::gateway_member(spec.meta_members);
@@ -214,7 +203,7 @@ fn build_meta_group(
     let mut apps: Vec<Box<dyn GroupApp>> = Vec::new();
     for j in 0..spec.meta_members {
         let log: SharedLog = Arc::new(Mutex::new(Vec::new()));
-        let gateway = (j == gw_member).then(|| Gateway::new(port.clone(), poll));
+        let gateway = (j == gw_member).then(|| Gateway::new(port.clone()));
         apps.push(Box::new(MetaApp::new(map.clone(), board.clone(), log.clone(), gateway)));
         logs.push(log);
     }
@@ -349,14 +338,14 @@ impl SimCluster {
 
         let map = spec.initial_map();
         let board = new_board(map.clone());
-        let (meta, meta_apps) = build_meta_group(&spec, &map, &board, spec.poll);
+        let (meta, meta_apps) = build_meta_group(&spec, &map, &board);
         for (j, app) in meta_apps.into_iter().enumerate() {
             world.set_app(meta.nodes[j], app);
         }
         let mut groups = Vec::new();
         let mut ports = BTreeMap::new();
         for g in 0..spec.data_groups() {
-            let (group, apps) = build_data_group(&spec, g, &map, spec.poll);
+            let (group, apps) = build_data_group(&spec, g, &map);
             for (j, app) in apps.into_iter().enumerate() {
                 world.set_app(group.nodes[j], app);
             }
@@ -430,13 +419,13 @@ impl LiveCluster {
     pub fn with_amoeba(spec: ShardSpec, amoeba: Amoeba) -> Self {
         let map = spec.initial_map();
         let board = new_board(map.clone());
-        let (meta, mut apps) = build_meta_group(&spec, &map, &board, spec.poll);
+        let (meta, mut apps) = build_meta_group(&spec, &map, &board);
         let mut handles =
             form_group(&amoeba, GroupId(META_GROUP_ID), &spec.config_for(0), spec.meta_members);
         let mut groups = Vec::new();
         let mut ports = BTreeMap::new();
         for g in 0..spec.data_groups() {
-            let (group, group_apps) = build_data_group(&spec, g, &map, spec.poll);
+            let (group, group_apps) = build_data_group(&spec, g, &map);
             handles.extend(form_group(
                 &amoeba,
                 GroupId(group.id),

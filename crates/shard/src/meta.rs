@@ -43,14 +43,17 @@ impl GroupApp for MetaApp {
     fn on_event(&mut self, ctx: &mut dyn Ctx, event: AppEvent) {
         match event {
             AppEvent::Group(GroupEvent::Message { origin, payload, .. }) => {
-                let Ok(text) = std::str::from_utf8(&payload) else { return };
-                let Some((gseq, body)) = unframe(text) else { return };
-                self.log.lock().unwrap().push((origin.0, gseq));
-                if body == "Q" {
-                    ctx.stop();
-                } else if let Some(cmd) = MapCmd::decode(body) {
-                    self.map.apply(&cmd);
-                    publish(&self.board, &self.map);
+                for (gseq, body) in unframe(&payload) {
+                    self.log.lock().unwrap().push((origin.0, gseq));
+                    if body == "Q" {
+                        // What follows the halt in its frame is never
+                        // seen, on any member.
+                        ctx.stop();
+                        break;
+                    } else if let Some(cmd) = MapCmd::decode(body) {
+                        self.map.apply(&cmd);
+                        publish(&self.board, &self.map);
+                    }
                 }
             }
             AppEvent::Group(GroupEvent::ViewInstalled { .. }) => {

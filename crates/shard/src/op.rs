@@ -2,13 +2,18 @@
 //!
 //! Every operation a router wants executed is encoded as a short text
 //! body, handed to the owning group's *gateway* member, and broadcast
-//! by the gateway through that group's total order. The gateway
-//! prefixes each body with its own monotone sequence number
-//! (`"<gseq>|<body>"`); members log `(origin, gseq)` pairs, which is
-//! what [`amoeba_core::audit::DeliveryAudit`]-style checking consumes. A
-//! gateway that must retry a failed send re-encodes the body under a
-//! *fresh* gseq — the audit tolerates gaps but flags duplicates, so
-//! renumbering keeps retries clean.
+//! by the gateway through that group's total order. One ordered
+//! message — a *frame* — carries every body that was waiting when the
+//! gateway sent it: `"<gseq>|<body>\n<body>…"` ([`frame`]; a body
+//! cannot contain the separator, see [`token_ok`]). Body *i* holds the
+//! gateway's monotone sequence number `gseq + i`, and [`unframe`] —
+//! the one walk replicas and meta members share — yields those pairs;
+//! members log `(origin, gseq + i)`, which is what
+//! [`amoeba_core::audit::DeliveryAudit`]-style checking consumes, so a
+//! frame of sixteen bodies and sixteen frames of one leave the same
+//! logs, stores and replies. A gateway that must retry a failed frame
+//! re-encodes its bodies under *fresh* gseqs — the audit tolerates
+//! gaps but flags duplicates, so renumbering keeps retries clean.
 //!
 //! All operations are idempotent at the replica: an ambiguous send
 //! (reported failed but actually ordered) that is retried applies
@@ -227,15 +232,37 @@ impl ShardOp {
     }
 }
 
-/// Frames a body under a gateway sequence number: `"<gseq>|<body>"`.
-pub fn frame(gseq: u64, body: &str) -> String {
-    format!("{gseq}|{body}")
+/// The most bytes [`frame`] spends on a sequence number.
+pub(crate) const GSEQ_MAX_LEN: usize = 20;
+
+/// Frames `bodies` under consecutive gateway sequence numbers from
+/// `gseq`: `"<gseq>|<body>\n<body>…"`.
+pub fn frame<S: AsRef<str>>(gseq: u64, bodies: &[S]) -> String {
+    let mut payload = gseq.to_string();
+    let mut separator = '|';
+    for body in bodies {
+        payload.push(separator);
+        payload.push_str(body.as_ref());
+        separator = '\n';
+    }
+    payload
 }
 
-/// Splits a framed payload back into `(gseq, body)`.
-pub fn unframe(payload: &str) -> Option<(u64, &str)> {
-    let (gseq, body) = payload.split_once('|')?;
-    Some((gseq.parse().ok()?, body))
+/// Walks a delivered payload as `(gseq + i, body)` pairs. Anything a
+/// peer can send is safe to walk: bytes that are not UTF-8 or carry no
+/// numeric gseq yield nothing, an empty body (doubled or trailing
+/// separator) is yielded empty — it held a slot — and a frame whose
+/// numbering would pass `u64::MAX` ends at the last number that exists.
+pub fn unframe(payload: &[u8]) -> impl Iterator<Item = (u64, &str)> {
+    let framed = std::str::from_utf8(payload).ok().and_then(|text| {
+        let (gseq, bodies) = text.split_once('|')?;
+        Some((gseq.parse::<u64>().ok()?, bodies))
+    });
+    framed.into_iter().flat_map(|(gseq, bodies)| {
+        bodies.split('\n').enumerate().map_while(move |(i, body)| {
+            Some((gseq.checked_add(i as u64)?, body))
+        })
+    })
 }
 
 #[cfg(test)]
@@ -280,9 +307,35 @@ mod tests {
 
     #[test]
     fn framing_round_trips() {
-        let p = frame(42, "G|7|k");
-        assert_eq!(unframe(&p), Some((42, "G|7|k")));
-        assert_eq!(unframe("nope"), None);
+        for n in [1usize, 16] {
+            let bodies: Vec<String> =
+                (0..n).map(|i| ShardOp::Get { id: i as u64, key: format!("k{i}") }.encode()).collect();
+            let payload = frame(42, &bodies);
+            let walked: Vec<(u64, &str)> = unframe(payload.as_bytes()).collect();
+            let expect: Vec<(u64, &str)> =
+                bodies.iter().enumerate().map(|(i, b)| (42 + i as u64, b.as_str())).collect();
+            assert_eq!(walked, expect);
+        }
+        assert_eq!(unframe(b"nope").count(), 0);
+    }
+
+    /// What a peer can put on the wire, frame by frame: each walk ends
+    /// without a panic and yields exactly the slots that exist.
+    #[test]
+    fn hostile_frames_walk_to_the_slots_that_exist() {
+        let walk = |p: &str| unframe(p.as_bytes()).map(|(g, b)| (g, b.to_string())).collect::<Vec<_>>();
+        let slot = |g: u64, b: &str| (g, b.to_string());
+        // The numbering passes u64::MAX after two bodies: the rest is dropped.
+        let top = u64::MAX - 1;
+        assert_eq!(walk(&format!("{top}|a\nb\nc\nd")), [slot(top, "a"), slot(u64::MAX, "b")]);
+        // Doubled and trailing separators hold (empty) slots.
+        assert_eq!(walk("5|a\n\nb"), [slot(5, "a"), slot(6, ""), slot(7, "b")]);
+        assert_eq!(walk("5|a\n"), [slot(5, "a"), slot(6, "")]);
+        // No gseq, no frame.
+        assert_eq!(walk("|a\nb"), []);
+        assert_eq!(walk("nan|a"), []);
+        assert_eq!(walk("99999999999999999999|a"), []);
+        assert_eq!(unframe(b"\xff\xfe|a").count(), 0);
     }
 
     #[test]

@@ -305,11 +305,18 @@ impl GroupApp for ShardServerApp {
     fn on_event(&mut self, ctx: &mut dyn Ctx, event: AppEvent) {
         match event {
             AppEvent::Group(GroupEvent::Message { origin, payload, .. }) => {
-                let Ok(text) = std::str::from_utf8(&payload) else { return };
-                let Some((gseq, body)) = unframe(text) else { return };
-                self.log.lock().unwrap().push((origin.0, gseq));
-                if let Some(op) = ShardOp::decode(body) {
-                    self.apply(ctx, origin == self.me, op);
+                for (gseq, body) in unframe(&payload) {
+                    self.log.lock().unwrap().push((origin.0, gseq));
+                    let op = ShardOp::decode(body);
+                    // The app stops here, on every replica alike: what
+                    // follows a `Halt` in its frame is never seen.
+                    let halt = op == Some(ShardOp::Halt);
+                    if let Some(op) = op {
+                        self.apply(ctx, origin == self.me, op);
+                    }
+                    if halt {
+                        break;
+                    }
                 }
             }
             AppEvent::Group(GroupEvent::ViewInstalled { .. }) => {
@@ -341,7 +348,8 @@ impl GroupApp for ShardServerApp {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
     use amoeba_core::{GroupConfig, GroupId, GroupInfo, MemberMeta, Seqno, ViewId};
@@ -352,14 +360,37 @@ mod tests {
 
     use super::*;
 
-    /// A do-nothing stub [`Ctx`] presenting a real single-member view —
-    /// the full `on_event` surface (which reads `info` at start and
-    /// `config` on suspicion) must be drivable through it, not just the
-    /// `apply` core, so hostile-frame tests can cover every arm.
-    struct NullCtx;
+    /// A recording stand-in for a host's [`Ctx`], shared by this crate's
+    /// unit tests. It presents a real single-member view — the full
+    /// `on_event` surface (which reads `info` at start and `config` on
+    /// suspicion) must be drivable through it, not just the `apply`
+    /// core, so hostile-frame tests can cover every arm.
+    pub(crate) struct StubCtx {
+        /// Every payload handed to `send`, in order.
+        pub(crate) sent: Vec<Bytes>,
+        /// Answered by `config`.
+        pub(crate) max_message: usize,
+        /// Whether `stop` was called.
+        pub(crate) stopped: bool,
+        /// How often a handle from `waker` was called.
+        pub(crate) wakes: Arc<AtomicUsize>,
+    }
 
-    impl Ctx for NullCtx {
-        fn send(&mut self, _: bytes::Bytes) {}
+    impl Default for StubCtx {
+        fn default() -> Self {
+            StubCtx {
+                sent: Vec::new(),
+                max_message: GroupConfig::default().max_message,
+                stopped: false,
+                wakes: Arc::default(),
+            }
+        }
+    }
+
+    impl Ctx for StubCtx {
+        fn send(&mut self, payload: Bytes) {
+            self.sent.push(payload);
+        }
         fn reset_group(&mut self, _: usize) {}
         fn leave(&mut self) {}
         fn crash(&mut self) {}
@@ -385,9 +416,17 @@ mod tests {
             }
         }
         fn config(&self) -> GroupConfig {
-            GroupConfig::default()
+            GroupConfig { max_message: self.max_message, ..GroupConfig::default() }
         }
-        fn stop(&mut self) {}
+        fn stop(&mut self) {
+            self.stopped = true;
+        }
+        fn waker(&self, _: TimerId) -> Arc<dyn Fn() + Send + Sync> {
+            let wakes = Arc::clone(&self.wakes);
+            Arc::new(move || {
+                wakes.fetch_add(1, Ordering::SeqCst);
+            })
+        }
     }
 
     fn replica(owned: Vec<(u64, u64)>) -> (ShardServerApp, crate::gateway::GatewayPort) {
@@ -396,7 +435,7 @@ mod tests {
             owned,
             Arc::new(Mutex::new(BTreeMap::new())),
             Arc::new(Mutex::new(Vec::new())),
-            Some(crate::gateway::Gateway::new(port.clone(), Duration::from_millis(1))),
+            Some(crate::gateway::Gateway::new(port.clone())),
         );
         (app, port)
     }
@@ -412,7 +451,7 @@ mod tests {
     #[test]
     fn duplicate_install_does_not_clobber_later_writes() {
         let (mut app, port) = replica(Vec::new());
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         let install = ShardOp::Install {
             mv: 1,
             start: 0,
@@ -433,7 +472,7 @@ mod tests {
     #[test]
     fn duplicate_retire_does_not_drop_a_reinstalled_range() {
         let (mut app, port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.apply(&mut ctx, true, ShardOp::Put { id: 1, key: "k".into(), value: "v1".into() });
         app.apply(&mut ctx, true, ShardOp::Freeze { mv: 2, start: 0, end: 0 });
         app.apply(&mut ctx, true, ShardOp::Retire { mv: 3, start: 0, end: 0 });
@@ -456,7 +495,7 @@ mod tests {
     #[test]
     fn freeze_refuses_staged_locks_until_the_tx_resolves() {
         let (mut app, port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.apply(
             &mut ctx,
             true,
@@ -486,7 +525,7 @@ mod tests {
     #[test]
     fn late_duplicate_prepare_after_commit_stays_ignored() {
         let (mut app, port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         let prepare =
             ShardOp::Prepare { tx: 5, attempt: 1, writes: vec![("k".into(), "v".into())] };
         app.apply(&mut ctx, true, prepare.clone());
@@ -507,7 +546,7 @@ mod tests {
     #[test]
     fn stale_abort_does_not_release_a_newer_attempts_locks() {
         let (mut app, port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.apply(
             &mut ctx,
             true,
@@ -532,7 +571,7 @@ mod tests {
 
     /// Delivers raw bytes through the full `on_event` surface, exactly
     /// as a group message would arrive off the wire.
-    fn deliver(app: &mut ShardServerApp, ctx: &mut NullCtx, seqno: u64, payload: Bytes) {
+    fn deliver(app: &mut ShardServerApp, ctx: &mut StubCtx, seqno: u64, payload: Bytes) {
         app.on_event(
             ctx,
             AppEvent::Group(GroupEvent::Message {
@@ -550,7 +589,7 @@ mod tests {
     #[test]
     fn hostile_payloads_are_dropped_without_panicking() {
         let (mut app, port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.on_start(&mut ctx);
         replies(&port);
         let cases: &[&[u8]] = &[
@@ -578,7 +617,7 @@ mod tests {
             "I|1|0|0",         // Install missing entries
         ];
         for (i, body) in bad_bodies.iter().enumerate() {
-            deliver(&mut app, &mut ctx, i as u64 + 1, Bytes::from(frame(i as u64 + 1, body)));
+            deliver(&mut app, &mut ctx, i as u64 + 1, Bytes::from(frame(i as u64 + 1, &[body])));
         }
         // Framed garbage is logged (it held a slot in the total order)
         // but decodes to nothing, so nothing was applied or replied.
@@ -586,9 +625,72 @@ mod tests {
         assert!(replies(&port).is_empty(), "garbage must not produce replies");
         assert!(app.store.lock().unwrap().is_empty(), "garbage must not write");
 
+        // Frames only a hostile peer builds. Numbering that would pass
+        // u64::MAX: the slots that exist are logged, the rest dropped.
+        // Doubled and trailing separators: empty slots, held and logged.
+        app.log.lock().unwrap().clear();
+        let top = u64::MAX - 1;
+        for raw in [format!("{top}|Z\nZ\nP|1|k|v\nP|2|k|v"), "7|\n\nZ\n".to_string()] {
+            deliver(&mut app, &mut ctx, 20, Bytes::from(raw));
+        }
+        assert_eq!(
+            *app.log.lock().unwrap(),
+            [(3, top), (3, u64::MAX), (3, 7), (3, 8), (3, 9), (3, 10)]
+        );
+        assert!(replies(&port).is_empty(), "hostile frames must not produce replies");
+        assert!(app.store.lock().unwrap().is_empty(), "hostile frames must not write");
+
         // The replica still works after the barrage.
         app.apply(&mut ctx, true, ShardOp::Put { id: 1, key: "k".into(), value: "v".into() });
         assert!(matches!(replies(&port)[..], [Reply::Acked { id: 1, .. }]));
+    }
+
+    /// Sixteen bodies in one frame and the same sixteen in a frame each
+    /// are one history: equal logs, stores and replies.
+    #[test]
+    fn a_frame_of_sixteen_applies_like_sixteen_frames_of_one() {
+        let bodies: Vec<String> = (0..16u64)
+            .map(|i| match i % 4 {
+                0 | 1 => ShardOp::Put { id: i, key: format!("k{}", i % 6), value: format!("v{i}") },
+                2 => ShardOp::Get { id: i, key: format!("k{}", i % 6) },
+                _ => ShardOp::Prepare { tx: i, attempt: 1, writes: vec![("k1".into(), "t".into())] },
+            })
+            .map(|op| op.encode())
+            .collect();
+        let run = |payloads: Vec<String>| {
+            let (mut app, port) = replica(vec![(0, 0)]);
+            let mut ctx = StubCtx::default();
+            app.on_start(&mut ctx);
+            app.me = MemberId(3);
+            for (i, payload) in payloads.into_iter().enumerate() {
+                deliver(&mut app, &mut ctx, i as u64 + 1, Bytes::from(payload));
+            }
+            let log = app.log.lock().unwrap().clone();
+            let store = app.store.lock().unwrap().clone();
+            (log, store, replies(&port))
+        };
+        let together = run(vec![frame(5, &bodies)]);
+        let apart = run(bodies.iter().enumerate().map(|(i, b)| frame(5 + i as u64, &[b])).collect());
+        assert_eq!(together, apart);
+        assert_eq!(together.0.len(), 16);
+        assert_eq!(together.2.len(), 16);
+    }
+
+    /// A `Halt` ends its frame: what follows it is neither logged nor
+    /// applied — on a live host the stop would have applied only after
+    /// the callback, on every replica at a different place.
+    #[test]
+    fn a_halt_ends_its_frame() {
+        let (mut app, port) = replica(vec![(0, 0)]);
+        let mut ctx = StubCtx::default();
+        app.on_start(&mut ctx);
+        app.me = MemberId(3);
+        let bodies = ["P|1|a|1".to_string(), ShardOp::Halt.encode(), "P|2|b|2".to_string()];
+        deliver(&mut app, &mut ctx, 1, Bytes::from(frame(0, &bodies)));
+        assert!(ctx.stopped);
+        assert_eq!(*app.log.lock().unwrap(), [(3, 0), (3, 1)]);
+        assert!(matches!(replies(&port)[..], [Reply::Acked { id: 1, .. }]));
+        assert_eq!(value_of(&app, "b"), None);
     }
 
     /// A `Put` routed to the wrong group (its key hashes outside every
@@ -601,14 +703,14 @@ mod tests {
         // unless h wraps — pick the hash of the probe key plus one.
         let h = crate::map::key_hash("misrouted");
         let (mut app, port) = replica(vec![(h.wrapping_add(1), h.wrapping_add(1))]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.on_start(&mut ctx);
         let op = ShardOp::Put { id: 9, key: "misrouted".into(), value: "v".into() };
         // origin == me (MemberId::max placeholder is never origin 3, so
         // route through apply's origin flag directly via on_event with
         // the replica as origin).
         app.me = MemberId(3);
-        deliver(&mut app, &mut ctx, 1, Bytes::from(frame(1, &op.encode())));
+        deliver(&mut app, &mut ctx, 1, Bytes::from(frame(1, &[op.encode()])));
         assert!(
             matches!(replies(&port)[..], [Reply::Nacked { id: 9, why: NackReason::WrongShard }]),
             "a misrouted Put must nack WrongShard"
@@ -622,7 +724,7 @@ mod tests {
     #[test]
     fn sequencer_suspicion_is_handled_through_the_stub_ctx() {
         let (mut app, _port) = replica(vec![(0, 0)]);
-        let mut ctx = NullCtx;
+        let mut ctx = StubCtx::default();
         app.on_event(&mut ctx, AppEvent::Group(GroupEvent::SequencerSuspected));
     }
 }

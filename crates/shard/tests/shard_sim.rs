@@ -356,3 +356,39 @@ fn uniform_map_matches_spec_boundaries() {
         assert_eq!(map.ranges[i].group, i as u64 + 1);
     }
 }
+
+/// The tier's groups run at the scaled default as it stands: the
+/// sequencer asks for floors at 3/4 of its history, so a stream longer
+/// than the history is never refused and the gateway never re-sends.
+/// (With the mark clamped to the capacity each group was refused once
+/// per history and sat out a retransmission timer.)
+#[test]
+fn a_default_cluster_serves_many_histories_without_a_refusal() {
+    let spec = ShardSpec::new(21, 2, 3);
+    let mut c = SimCluster::new(spec.clone());
+    let mut submitted = 0;
+    let drained = run_until(&mut c, 60_000, |r| {
+        while submitted < 4_000 && r.in_flight() < 32 {
+            r.put(&format!("k{}", submitted % 64), &format!("v{submitted}"));
+            submitted += 1;
+        }
+        r.stats().puts_acked == 4_000
+    });
+    assert!(drained, "4 000 puts did not drain");
+    for g in 0..spec.data_groups() {
+        let stats = |member: usize| {
+            let node = &c.world.sim.world.nodes[spec.data_node(g, member)];
+            node.core.as_ref().expect("a live member").stats
+        };
+        let (sequencer, gateway) = (stats(0), stats(ShardSpec::gateway_member(spec.members)));
+        assert!(
+            sequencer.sequenced > spec.config_for(g + 1).history_cap as u64,
+            "group {g} ordered too little to fill its history: {}",
+            sequencer.sequenced
+        );
+        assert_eq!(sequencer.flow_control_drops, 0, "group {g}: the sequencer refused a send");
+        assert_eq!(gateway.send_retries, 0, "group {g}: the gateway re-sent");
+    }
+    assert!(c.halt(), "apps did not stop");
+    assert_clean(&mut c);
+}

@@ -71,3 +71,11 @@ pub fn lone_sender_is_never_refused(amoeba: &Amoeba, first_gid: u64, window: usi
         .collect();
     assert!(seen.len() < 3, "window {window}: (refusals, sender retries) in three runs: {seen:?}");
 }
+
+/// How many threads of this process have a name starting with
+/// `prefix` (`None` where there is no procfs to ask).
+pub fn threads_named(prefix: &str) -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    let names = tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
+    Some(names.filter(|name| name.starts_with(prefix)).count())
+}

@@ -5,6 +5,8 @@
 //! that outlives its member, is a red run.
 #![cfg(target_os = "linux")]
 
+mod common;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,11 +15,7 @@ use amoeba::runtime::{Amoeba, Transport, UdpConfig, UdpNet};
 
 /// (threads named `amoeba-*`, threads named `udp-*`) in this process.
 fn census() -> (usize, usize) {
-    let names: Vec<String> = std::fs::read_dir("/proc/self/task")
-        .expect("procfs")
-        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .collect();
-    let count = |prefix| names.iter().filter(|n| n.starts_with(prefix)).count();
+    let count = |prefix| common::threads_named(prefix).expect("procfs");
     (count("amoeba-"), count("udp-"))
 }
 
