@@ -83,7 +83,7 @@ pub trait Ctx {
     /// A handle that makes `timer`, if armed, fire now — callable from
     /// any thread, any number of times, for as long as the caller
     /// likes. It is a *hint a host may ignore*: `LiveHost` wakes the
-    /// app's pump, `SimHost` (and this default) does nothing, so the
+    /// app's member, `SimHost` (and this default) does nothing, so the
     /// app must arm `timer` as well and a simulated run sees only its
     /// timers. For an app whose work arrives from outside the group
     /// (a queue another thread fills) and which would otherwise find

@@ -17,9 +17,10 @@
 //!   event loop on the calibrated 1996 cost model — callbacks execute
 //!   at simulated instants, timers fire in simulated time, and a run
 //!   is deterministic given its seed;
-//! * `LiveHost` (`amoeba-runtime`) pumps each app on a runtime thread
-//!   over the member's `GroupHandle` — timers fire in wall-clock time,
-//!   or at once when a [`Ctx::waker`] handle asks.
+//! * `LiveHost` (`amoeba-runtime`) runs each app on its member's one
+//!   thread, the driver, between two waits on the member's inbox —
+//!   timers fire in wall-clock time, or at once when a [`Ctx::waker`]
+//!   handle asks.
 //!
 //! # The determinism contract
 //!
@@ -50,9 +51,10 @@ pub use ctx::{AppEvent, Ctx, TimerId};
 /// All callbacks receive a [`Ctx`] capability object scoped to this
 /// member. Callbacks must not block: on the simulated host they run
 /// inline in the event loop (blocking would hang the simulation), and
-/// on the live host they run on the member's pump thread (blocking
-/// stalls delivery). Request long waits with [`Ctx::set_timer`]
-/// instead.
+/// on the live host they run on the member's driver thread (blocking
+/// stalls the member's protocol — its acknowledgements, its
+/// retransmissions, its sequencing — and not only its deliveries).
+/// Request long waits with [`Ctx::set_timer`] instead.
 pub trait GroupApp: Send {
     /// Called once, after this member's admission completes and before
     /// any event is delivered.

@@ -1,7 +1,5 @@
 //! Group configuration: the knobs the paper exposes to users.
 
-use serde::{Deserialize, Serialize};
-
 /// Length of the group protocol header on the wire (paper: 28 bytes).
 pub const GROUP_HEADER_LEN: u32 = 28;
 
@@ -33,7 +31,7 @@ pub const BATCH_ITEMS_BUDGET: u32 = BATCH_FRAME_BUDGET - GROUP_HEADER_LEN - 2;
 /// `send_window` > 1 correspondingly coalesce queued requests into
 /// `BcastReqBatch` frames. `Off` (the default) reproduces the paper's
 /// one-multicast-per-message behaviour bit for bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BatchPolicy {
     /// No batching: every stamped message is its own multicast (the
     /// paper's protocol, and the default).
@@ -75,7 +73,7 @@ impl BatchPolicy {
 }
 
 /// Which broadcast method `SendToGroup` uses (paper §3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     /// Point-to-point to the sequencer, which multicasts the stamped
     /// message. Two network traversals of the payload (2n bytes), but
@@ -132,7 +130,7 @@ impl Default for Method {
 ///
 /// All times are in microseconds (the simulator's clock unit); the live
 /// runtime maps them onto wall-clock microseconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupConfig {
     /// Resilience degree *r*: `SendToGroup` returns only once ≥ r other
     /// kernels hold the message (paper §3.1). 0 = fastest, no tolerance
@@ -166,9 +164,8 @@ pub struct GroupConfig {
     /// already open — to learn the floors of members that never send,
     /// while it goes on admitting up to `history_cap`. Equal to
     /// `history_cap`, the round starts only at the refusal (the 1996
-    /// behaviour, [`GroupConfig::paper`]). The live runtime honours a
-    /// lower mark on in-process fabrics only and raises it to
-    /// `history_cap` elsewhere (DESIGN.md §2).
+    /// behaviour, [`GroupConfig::paper`]). Every backend and fabric
+    /// honours the mark as configured (DESIGN.md §2).
     ///
     /// The headroom `history_cap − history_high_water` is what the
     /// group can order while the round is out, so the buffer stays

@@ -1,10 +1,8 @@
 //! Protocol identifiers.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a process group. Also determines the group's FLIP address
 /// ([`GroupId::flip_address`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u64);
 
 impl GroupId {
@@ -27,7 +25,7 @@ impl std::fmt::Display for GroupId {
 /// acknowledgements are sent by the "r lowest-numbered" live members
 /// (paper §3.1), which must be unambiguous across membership changes.
 /// The group's creator is member 0 and the initial sequencer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemberId(pub u32);
 
 impl MemberId {
@@ -61,7 +59,7 @@ impl std::fmt::Display for MemberId {
 /// cascading recoveries). With the pair, concurrent incarnations get
 /// distinct, totally-ordered ids; the higher one wins and the other
 /// lineage's members learn they are out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ViewId(
     /// The recovery epoch (1 at creation).
     pub u32,
@@ -99,7 +97,7 @@ impl std::fmt::Display for ViewId {
 /// A global sequence number stamped by the sequencer. The sequence is
 /// dense: every seqno from 1 upward names exactly one accepted event
 /// (message, join, or leave), group-wide. `Seqno(0)` means "nothing yet".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Seqno(pub u64);
 
 impl Seqno {

@@ -2,10 +2,8 @@
 //! "3 + r FLIP messages per resilient broadcast") and by the evaluation
 //! harness.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by [`crate::GroupCore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Packets handed to the driver for transmission.
     pub msgs_out: u64,

@@ -1,13 +1,12 @@
 //! Group views: who is in the group, and who sequences.
 
 use amoeba_flip::FlipAddress;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{MemberId, ViewId};
 
 /// One member's identity: its group-local id and its FLIP process
 /// address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemberMeta {
     /// Group-local member id (stable, never reused).
     pub id: MemberId,
@@ -20,7 +19,7 @@ pub struct MemberMeta {
 /// Views change in two ways: *in-band* (joins and leaves sequenced
 /// through the total order, same [`ViewId`]) and *out-of-band* (a
 /// `ResetGroup` recovery installs a view with the next [`ViewId`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupView {
     /// The incarnation.
     pub view_id: ViewId,

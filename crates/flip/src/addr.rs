@@ -1,7 +1,5 @@
 //! FLIP addresses: location-independent names for processes and groups.
 
-use serde::{Deserialize, Serialize};
-
 /// A 64-bit FLIP address naming a process or a process group.
 ///
 /// Real FLIP addresses are 64-bit random bitstrings chosen by the owner
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(g.is_group());
 /// assert_ne!(p, g);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlipAddress(u64);
 
 const GROUP_TAG: u64 = 1 << 63;

@@ -5,7 +5,6 @@
 //! here is sized to exactly that.
 
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::FlipAddress;
 
@@ -19,7 +18,7 @@ const MAGIC: u16 = 0xF11F;
 /// Real FLIP distinguishes several operations; the evaluation exercises
 /// point-to-point sends and group sends, plus the locate mechanism that
 /// resolves an address the sender has no route for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlipKind {
     /// Point-to-point datagram to a process address.
     Unidata,
@@ -60,7 +59,7 @@ impl FlipKind {
 /// into `frag_count` fragments; this packet carries fragment
 /// `frag_index`. Unfragmented messages use `frag_index = 0`,
 /// `frag_count = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlipHeader {
     /// Packet type.
     pub kind: FlipKind,

@@ -12,10 +12,9 @@
 //! `amoeba-bench` verify the fit end to end.
 
 use amoeba_core::Body;
-use serde::{Deserialize, Serialize};
 
 /// Per-layer CPU costs in microseconds, plus per-byte copy costs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// U1: `SendToGroup` entry — trap, validation, thread bookkeeping.
     pub user_send_entry: u64,

@@ -14,10 +14,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use amoeba_sim::{SimDuration, Simulation};
-use serde::{Deserialize, Serialize};
 
 /// Dispatch priority of a CPU work item (higher runs first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CpuPriority {
     /// Application threads (`SendToGroup` callers, receive loops).
     User = 0,
@@ -28,7 +27,7 @@ pub enum CpuPriority {
 }
 
 /// Per-CPU accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CpuStats {
     /// Total microseconds of work executed.
     pub busy_us: u64,

@@ -1,14 +1,12 @@
 //! Ethernet frames, station addresses and multicast groups.
 
-use serde::{Deserialize, Serialize};
-
 use crate::net::HostId;
 
 /// A station (MAC-level) address on the simulated segment.
 ///
 /// One segment hosts at most a few dozen stations, so station addresses
 /// are small indices assigned by [`crate::Net::add_host`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr(pub u16);
 
 impl std::fmt::Display for MacAddr {
@@ -24,7 +22,7 @@ impl std::fmt::Display for MacAddr {
 /// subscribed station except the sender (the Lance does not loop back its
 /// own transmissions — local delivery is the kernel's job, exactly as in
 /// Amoeba).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct McastAddr(pub u32);
 
 impl std::fmt::Display for McastAddr {
@@ -34,7 +32,7 @@ impl std::fmt::Display for McastAddr {
 }
 
 /// The destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameDst {
     /// One station.
     Unicast(MacAddr),

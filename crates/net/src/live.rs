@@ -223,17 +223,6 @@ impl LiveNet {
         let _ = inbox.send(Delayed { due, seq, tx, datagram });
     }
 
-    /// Replaces the fault plan at runtime (tests heal the network this
-    /// way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new plan is invalid.
-    pub fn set_fault(&self, fault: FaultPlan) {
-        fault.validate().expect("valid fault plan");
-        self.table.publish(|reg| reg.fault = fault);
-    }
-
     /// Overrides the fault plan for the *directed* link `from → to`
     /// (other links keep the global plan). One direction only, so
     /// asymmetric partitions are scriptable; cut both directions for a

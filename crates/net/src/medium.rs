@@ -1,7 +1,6 @@
 //! The shared CSMA/CD medium (classic 10 Mbit/s Ethernet).
 
 use amoeba_sim::{EventId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::net::HostId;
 
@@ -28,7 +27,7 @@ pub enum MediumState {
 /// Aggregate wire statistics, used for the utilization numbers of the
 /// paper's Figure 6 (61 % Ethernet utilization at peak aggregate
 /// throughput).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumStats {
     /// Microseconds the wire carried a (successful) transmission.
     pub busy_us: u64,

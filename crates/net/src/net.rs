@@ -4,7 +4,6 @@
 use std::collections::{BTreeSet, HashMap};
 
 use amoeba_sim::{SimDuration, SimTime, Simulation, SplitMix64};
-use serde::{Deserialize, Serialize};
 
 use crate::chaos::{ChaosPlan, ChaosState, ChaosStats};
 use crate::cpu::{Cpu, CpuPriority};
@@ -13,7 +12,7 @@ use crate::medium::{Medium, MediumState};
 use crate::nic::{Nic, TxState};
 
 /// Identifies a host (station) on the simulated segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub usize);
 
 impl std::fmt::Display for HostId {
@@ -27,7 +26,7 @@ impl std::fmt::Display for HostId {
 /// The defaults ([`NetConfig::ether_10mbps`]) match the paper's testbed:
 /// 10 Mbit/s Ethernet, 51.2 µs slot time, 9.6 µs inter-frame gap,
 /// 1514-byte frames, Lance interfaces buffering 32 packets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetConfig {
     /// Link speed in bits per second.
     pub bit_rate: u64,
@@ -64,11 +63,6 @@ impl NetConfig {
     pub fn wire_time(&self, frame_len: u32) -> SimDuration {
         let bytes = 8 + u64::from(frame_len.max(60)) + 4;
         SimDuration::from_micros(bytes * 8 * 1_000_000 / self.bit_rate)
-    }
-
-    /// Largest payload carriable above a `header` -byte stack of headers.
-    pub fn max_payload(&self, header: u32) -> u32 {
-        self.mtu.saturating_sub(header)
     }
 }
 
@@ -189,11 +183,6 @@ impl<W: NetView> Net<W> {
         );
         self.hosts.push(Host { id, nic, cpu: Cpu::new() });
         id
-    }
-
-    /// The number of attached hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
     }
 
     /// Immutable access to a host.

@@ -9,7 +9,6 @@
 use std::collections::{HashSet, VecDeque};
 
 use amoeba_sim::SplitMix64;
-use serde::{Deserialize, Serialize};
 
 use crate::frame::{Frame, MacAddr, McastAddr};
 
@@ -27,7 +26,7 @@ pub(crate) enum TxState {
 }
 
 /// Per-interface statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NicStats {
     /// Frames fully transmitted.
     pub tx_frames: u64,
@@ -105,11 +104,6 @@ impl<P> Nic<P> {
     /// Number of frames currently buffered in the receive ring.
     pub fn rx_pending(&self) -> usize {
         self.rx_ring.len()
-    }
-
-    /// Number of frames queued for transmission (including in flight).
-    pub fn tx_pending(&self) -> usize {
-        self.tx_queue.len()
     }
 
     /// Accepts a frame into the receive ring, or drops it on overflow.

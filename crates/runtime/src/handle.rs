@@ -210,24 +210,6 @@ impl GroupHandle {
         })
     }
 
-    /// Non-blocking `ReceiveFromGroup`: returns the next event if one
-    /// is already queued, `Ok(None)` otherwise. The poll-loop
-    /// counterpart of [`GroupHandle::receive_from_group`] (event-driven
-    /// hosts and latency-sensitive applications poll between other
-    /// work instead of parking a thread).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Disconnected`] once membership has ended and the queue
-    /// is drained.
-    pub fn try_receive(&self) -> Result<Option<GroupEvent>, Error> {
-        match self.events_rx.try_recv() {
-            Ok(ev) => Ok(Some(ev)),
-            Err(channel::TryRecvError::Empty) => Ok(None),
-            Err(channel::TryRecvError::Disconnected) => Err(Error::Disconnected),
-        }
-    }
-
     /// `GetInfoGroup`: a snapshot of this member's view.
     pub fn info(&self) -> GroupInfo {
         self.shared.core.lock().info()
@@ -284,7 +266,6 @@ impl GroupHandle {
     }
 
     fn teardown(&mut self) {
-        self.shared.net.unregister(self.shared.addr);
         self.shared.shutdown();
         if let Some(h) = self.driver.take() {
             let _ = h.join();

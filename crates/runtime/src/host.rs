@@ -1,121 +1,89 @@
 //! Hosting [`GroupApp`]s on the live runtime.
 //!
-//! Each app gets a pump: a loop (usually on its own thread) that owns
-//! the member's [`GroupHandle`], feeds delivered events and send
-//! completions to the app, fires wall-clock timers, and executes the
-//! app's [`Ctx`] requests. The pump has one wait: it parks until its
-//! next timer is due, and the member's driver (after every delivery
-//! and completion) or a [`Ctx::waker`](amoeba_app::Ctx::waker) handle
-//! unparks it. As on the simulated host, mutating `Ctx`
-//! calls are buffered during a callback and applied when it returns —
-//! the two hosts present one behavioural contract (DESIGN.md §8,
-//! repository root), which is what lets the cross-backend conformance
-//! suite assert identical per-member delivery orders.
+//! A hosted app is run by its member's driver thread ([`crate::node`]):
+//! between two waits on its inbox the driver drains the two channels a
+//! blocking caller would — delivered events, then send completions —
+//! into the app, fires its wall-clock timers out of the member's one
+//! timer table, and executes its [`Ctx`](amoeba_app::Ctx) requests. A
+//! member is one thread, hosted or not; the [`GroupHandle`] stays with
+//! the host, which alone joins that thread. As on the simulated host,
+//! callbacks run to completion, mutating `Ctx` calls are buffered
+//! during a callback and applied when it returns, and nothing a
+//! callback asks for blocks — the two hosts present one behavioural
+//! contract (DESIGN.md §8, repository root), which is what lets the
+//! cross-backend conformance suite assert identical per-member
+//! delivery orders.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amoeba_app::cmd::{AppCmd, BufferedCtx, HostView};
 use amoeba_app::{AppEvent, GroupApp, TimerId};
-use amoeba_core::{GroupConfig, GroupId, GroupInfo};
+use amoeba_core::{GroupConfig, GroupEvent, GroupId, GroupInfo};
 use bytes::Bytes;
-use crossbeam::channel::TryRecvError;
+use crossbeam::channel::{self, Receiver, Sender};
 
 use amoeba_net::FaultPlan;
 
 use crate::handle::{Amoeba, GroupHandle};
-
-/// How an app's hosting ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Terminal {
-    /// `Ctx::stop`: cease pumping, keep the membership alive until the
-    /// host tears down.
-    Stop,
-    /// `Ctx::leave`: leave the group gracefully.
-    Leave,
-    /// `Ctx::crash`: vanish without a leave.
-    Crash,
-    /// The event stream disconnected under us (expelled, or the
-    /// runtime is shutting down).
-    Disconnected,
-}
+use crate::node::{NodeShared, Timer, OP_DEADLINE};
 
 /// What a live app reads synchronously during a callback (the
 /// buffering of its writes lives in [`BufferedCtx`], shared with the
 /// simulated host).
 struct LiveView<'a> {
-    handle: &'a GroupHandle,
-    start: Instant,
-    wake: &'a Arc<Wake>,
-}
-
-/// What [`Ctx::waker`](amoeba_app::Ctx::waker) handles share with
-/// their pump: the timers asked to fire now, and the thread to unpark.
-struct Wake {
-    timers: Mutex<Vec<TimerId>>,
-    pump: Thread,
+    node: &'a Arc<NodeShared>,
+    started: Instant,
 }
 
 impl HostView for LiveView<'_> {
     fn now(&self) -> Duration {
-        self.start.elapsed()
+        self.started.elapsed()
     }
 
     fn info(&self) -> GroupInfo {
-        self.handle.info()
+        self.node.core.lock().info()
     }
 
     fn config(&self) -> GroupConfig {
-        self.handle.shared.core.lock().config().clone()
+        self.node.core.lock().config().clone()
     }
 
     fn waker(&self, timer: TimerId) -> Arc<dyn Fn() + Send + Sync> {
-        let wake = Arc::clone(self.wake);
+        // Weak: an app may keep its own waker, and the member keeps the
+        // app.
+        let node = Arc::downgrade(self.node);
         Arc::new(move || {
-            let mut timers = wake.timers.lock().expect("wake list lock");
-            // Already asked and not yet taken: the pump is awake or on
-            // its way, so a burst of calls costs one unpark.
-            if !timers.contains(&timer) {
-                timers.push(timer);
-                drop(timers);
-                wake.pump.unpark();
+            if let Some(node) = node.upgrade() {
+                node.wake_timer(timer);
             }
         })
     }
 }
 
-/// One app being pumped over one membership.
-struct Pump {
-    handle: Option<GroupHandle>,
-    app: Box<dyn GroupApp>,
-    start: Instant,
+/// What a driver hands back when its app's hosting is over: which app,
+/// then the app and whether its membership is still alive (`Ctx::stop`;
+/// not after leave or crash) — or the panic that ended it.
+type Ended = (usize, Result<(Box<dyn GroupApp>, bool), Box<dyn Any + Send>>);
+
+/// One app hosted on one member, run by that member's driver thread.
+pub(crate) struct Pump {
+    index: usize,
+    /// `None` once the app has gone back to the host.
+    app: Option<Box<dyn GroupApp>>,
+    ended_tx: Sender<Ended>,
+    events_rx: Receiver<GroupEvent>,
+    /// When `on_start` ran; `None` until it has.
+    started: Option<Instant>,
+    /// Set by `Ctx::leave`: no further callbacks, and the app goes back
+    /// once the leave completes, or at this instant at the latest.
+    leaving: Option<Instant>,
     window: usize,
     in_flight: usize,
     pending: VecDeque<Bytes>,
-    timers: HashMap<TimerId, Instant>,
-    wake: Arc<Wake>,
-    terminal: Option<Terminal>,
-    /// Raised when a sibling pump panicked: the run is over (see
-    /// [`Pumps::join`]).
-    abort: Arc<AtomicBool>,
 }
-
-/// Raises the siblings' abort flag if its pump thread unwinds.
-struct AbortOnPanic(Arc<AtomicBool>);
-
-impl Drop for AbortOnPanic {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.store(true, Ordering::SeqCst);
-        }
-    }
-}
-
-/// The longest a pump parks: it looks at the abort flag that often.
-const IDLE: Duration = Duration::from_millis(100);
 
 enum Call {
     Start,
@@ -124,207 +92,119 @@ enum Call {
 }
 
 impl Pump {
-    /// A pump for the calling thread to [`Pump::run`]: that thread is
-    /// the one the driver and the wakers unpark.
-    fn new(handle: GroupHandle, app: Box<dyn GroupApp>, abort: Arc<AtomicBool>) -> Self {
-        let window = handle.shared.core.lock().config().send_window.max(1);
-        let pump = std::thread::current();
-        let _ = handle.shared.pump.set(pump.clone());
-        Pump {
-            handle: Some(handle),
-            app,
-            start: Instant::now(),
-            window,
-            in_flight: 0,
-            pending: VecDeque::new(),
-            timers: HashMap::new(),
-            wake: Arc::new(Wake { timers: Mutex::new(Vec::new()), pump }),
-            terminal: None,
-            abort,
+    /// The app's next turn, if it has something to be told: `on_start`,
+    /// else the next delivery, else the next completion — a message's
+    /// own delivery was queued ahead of its `SendDone`. One event a
+    /// turn, so that a member which sends from every callback still
+    /// reads its inbox in between. False when there was nothing.
+    pub(crate) fn feed_one(&mut self, node: &Arc<NodeShared>) -> bool {
+        if self.app.is_none() {
+            return false;
         }
-    }
-
-    fn dispatch(&mut self, call: Call) {
-        if self.terminal.is_some() {
-            return;
+        if let Some(until) = self.leaving {
+            if node.leave_done.try_take().is_some() || Instant::now() >= until {
+                node.shutdown();
+                self.end(node, false);
+            }
+            return false;
         }
-        let handle = self.handle.as_ref().expect("handle present until terminal");
-        let mut ctx =
-            BufferedCtx::new(LiveView { handle, start: self.start, wake: &self.wake });
-        match call {
-            Call::Start => self.app.on_start(&mut ctx),
-            Call::Event(ev) => self.app.on_event(&mut ctx, ev),
-            Call::Timer(id) => self.app.on_timer(&mut ctx, id),
-        }
-        let cmds = ctx.cmds;
-        let mut followups = Vec::new();
-        for cmd in cmds {
-            // Terminal requests void the rest of the batch (identical
-            // to the simulated host).
-            if !self.apply(cmd, &mut followups) {
-                break;
-            }
-        }
-        self.flush_sends();
-        // Completions of blocking requests (ResetDone) dispatch only
-        // after the requesting callback's whole batch has applied —
-        // the same "asynchronous, after the apply" ordering their
-        // protocol counterparts have on the simulated host.
-        for ev in followups {
-            self.dispatch(Call::Event(ev));
-        }
-    }
-
-    /// Applies one request; returns false if it was terminal (the rest
-    /// of the batch is void).
-    fn apply(&mut self, cmd: AppCmd, followups: &mut Vec<AppEvent>) -> bool {
-        match cmd {
-            AppCmd::Send(payload) => self.pending.push_back(payload),
-            AppCmd::Reset(min_members) => {
-                // Blocking recovery on the pump thread: deliveries
-                // queue up behind it, exactly like an application
-                // thread calling the paper's ResetGroup.
-                let result = self
-                    .handle
-                    .as_ref()
-                    .expect("handle present until terminal")
-                    .reset_group(min_members);
-                followups.push(AppEvent::ResetDone(result.map_err(Into::into)));
-            }
-            AppCmd::Leave => {
-                self.finish(Terminal::Leave);
-                return false;
-            }
-            AppCmd::Crash => {
-                self.finish(Terminal::Crash);
-                return false;
-            }
-            AppCmd::SetTimer(id, after) => {
-                self.timers.insert(id, Instant::now() + after);
-            }
-            AppCmd::CancelTimer(id) => {
-                self.timers.remove(&id);
-            }
-            AppCmd::Stop => {
-                self.finish(Terminal::Stop);
-                return false;
-            }
-        }
+        let call = if self.started.is_none() {
+            Call::Start
+        } else if let Ok(event) = self.events_rx.try_recv() {
+            Call::Event(AppEvent::Group(event))
+        } else if let Ok(done) = node.send_done_rx.try_recv() {
+            self.in_flight = self.in_flight.saturating_sub(1);
+            Call::Event(AppEvent::SendDone(done.map_err(Into::into)))
+        } else if let Some(reset) = node.reset_done.try_take() {
+            Call::Event(AppEvent::ResetDone(reset.map_err(Into::into)))
+        } else {
+            return false;
+        };
+        self.dispatch(node, call);
         true
     }
 
-    fn finish(&mut self, terminal: Terminal) {
-        if self.terminal.is_none() {
-            self.terminal = Some(terminal);
-            self.timers.clear();
-            self.pending.clear();
-        }
+    /// App timer `id` is due.
+    pub(crate) fn fire(&mut self, node: &Arc<NodeShared>, id: TimerId) {
+        self.dispatch(node, Call::Timer(id));
     }
 
-    fn flush_sends(&mut self) {
-        if self.terminal.is_some() {
-            return;
+    /// Runs one callback — outside any [`NodeShared::step`], which its
+    /// sends re-enter — then applies what it asked for.
+    fn dispatch(&mut self, node: &Arc<NodeShared>, call: Call) {
+        let Some(app) = self.app.as_mut() else { return };
+        let started = *self.started.get_or_insert_with(Instant::now);
+        let mut ctx = BufferedCtx::new(LiveView { node, started });
+        match call {
+            Call::Start => app.on_start(&mut ctx),
+            Call::Event(ev) => app.on_event(&mut ctx, ev),
+            Call::Timer(id) => app.on_timer(&mut ctx, id),
         }
-        let Some(handle) = self.handle.as_ref() else { return };
+        for cmd in ctx.cmds {
+            // Terminal requests void the rest of the batch (identical
+            // to the simulated host).
+            if !self.apply(node, cmd) {
+                return;
+            }
+        }
         while self.in_flight < self.window {
             let Some(payload) = self.pending.pop_front() else { break };
-            handle.shared.submit_send(payload);
+            node.submit_send(payload);
             self.in_flight += 1;
         }
     }
 
-    fn next_deadline(&self) -> Option<Instant> {
-        self.timers.values().min().copied()
-    }
-
-    fn fire_expired(&mut self) {
-        loop {
-            if self.terminal.is_some() {
-                return;
+    /// Applies one request; returns false if it was terminal (the rest
+    /// of the batch is void). Nothing here waits: this thread is the
+    /// one that would complete what it waited for.
+    fn apply(&mut self, node: &Arc<NodeShared>, cmd: AppCmd) -> bool {
+        match cmd {
+            AppCmd::Send(payload) => self.pending.push_back(payload),
+            AppCmd::Reset(min_members) => {
+                node.reset_done.clear();
+                node.step(|core| core.reset(min_members));
             }
-            let now = Instant::now();
-            let due = self
-                .timers
-                .iter()
-                .filter(|(_, &at)| at <= now)
-                .map(|(&id, &at)| (at, id))
-                .min();
-            let Some((_, id)) = due else { return };
-            self.timers.remove(&id);
-            self.dispatch(Call::Timer(id));
-        }
-    }
-
-    /// Feeds the app the next delivery or, when there is none, the next
-    /// completion — a message's own delivery was queued ahead of its
-    /// `SendDone`. False when both queues are empty.
-    fn feed_one(&mut self) -> bool {
-        let handle = self.handle.as_ref().expect("handle present until terminal");
-        let next = match handle.events_rx.try_recv() {
-            Ok(ev) => Ok(AppEvent::Group(ev)),
-            Err(TryRecvError::Empty) => handle.shared.send_done_rx.try_recv().map(|done| {
-                self.in_flight = self.in_flight.saturating_sub(1);
-                AppEvent::SendDone(done.map_err(Into::into))
-            }),
-            Err(gone) => Err(gone),
-        };
-        match next {
-            Ok(event) => self.dispatch(Call::Event(event)),
-            Err(TryRecvError::Empty) => return false,
-            Err(TryRecvError::Disconnected) => self.finish(Terminal::Disconnected),
+            AppCmd::SetTimer(id, after) => node.set_timer(Timer::App(id), after),
+            AppCmd::CancelTimer(id) => node.cancel_timer(Timer::App(id)),
+            AppCmd::Leave => {
+                self.quiesce(node);
+                self.leaving = Some(Instant::now() + OP_DEADLINE);
+                node.leave_done.clear();
+                node.step(|core| core.leave());
+                return false;
+            }
+            AppCmd::Crash => {
+                node.shutdown();
+                self.end(node, false);
+                return false;
+            }
+            // The member outlives its app: a stopped sequencer goes on
+            // sequencing until the host has every app.
+            AppCmd::Stop => {
+                self.end(node, true);
+                return false;
+            }
         }
         true
     }
 
-    /// The pump's one wait: parks until the next timer is due. The
-    /// driver unparks it after queueing a delivery or completion and a
-    /// waker after listing its timer — either may come before the
-    /// park, which then returns at once. Timers asked for are made due.
-    fn wait(&mut self) {
-        let asked = std::mem::take(&mut *self.wake.timers.lock().expect("wake list lock"));
-        if asked.is_empty() {
-            let until = self
-                .next_deadline()
-                .map_or(IDLE, |at| at.saturating_duration_since(Instant::now()));
-            std::thread::park_timeout(until);
-        }
-        let now = Instant::now();
-        for id in asked {
-            self.timers.entry(id).and_modify(|at| *at = now);
+    /// No further timers, no further sends.
+    fn quiesce(&mut self, node: &NodeShared) {
+        node.cancel_app_timers();
+        self.pending.clear();
+    }
+
+    /// Sends the app back to the host.
+    fn end(&mut self, node: &NodeShared, alive: bool) {
+        self.quiesce(node);
+        if let Some(app) = self.app.take() {
+            let _ = self.ended_tx.send((self.index, Ok((app, alive))));
         }
     }
 
-    /// Runs the app to completion; returns it plus the handle (kept
-    /// alive on `Ctx::stop`, consumed by leave/crash).
-    fn run(mut self) -> Pumped {
-        self.dispatch(Call::Start);
-        // An aborted run ends like a stop: the membership goes back
-        // to the host, which tears it down.
-        while self.terminal.is_none() && !self.abort.load(Ordering::SeqCst) {
-            if !self.feed_one() {
-                self.wait();
-            }
-            self.fire_expired();
-        }
-        let handle = self.handle.take();
-        match self.terminal {
-            Some(Terminal::Leave) => {
-                if let Some(h) = handle {
-                    let _ = h.leave_group();
-                }
-                (self.app, None)
-            }
-            Some(Terminal::Crash) => {
-                if let Some(h) = handle {
-                    h.crash();
-                }
-                (self.app, None)
-            }
-            // Stop / Disconnected: hand the membership back so the
-            // host controls when it ends (mirrors the simulated host,
-            // where a stopped app's protocol entity keeps running).
-            _ => (self.app, handle),
-        }
+    /// The driver unwound with `payload`, out of this app or around it.
+    pub(crate) fn panicked(self, payload: Box<dyn Any + Send>) {
+        let _ = self.ended_tx.send((self.index, Err(payload)));
     }
 }
 
@@ -355,33 +235,47 @@ pub fn form_group(
         .collect()
 }
 
-/// What a finished pump hands back: the app, and its membership if
-/// the app merely stopped (`None` after leave/crash, which consume it).
+/// What a finished app's host gets back: the app, and its membership
+/// if the app merely stopped (`None` after leave/crash, which end it).
 type Pumped = (Box<dyn GroupApp>, Option<GroupHandle>);
 
-/// Apps being pumped, one thread per membership (see [`pump_apps`]).
-#[derive(Default)]
-pub struct Pumps(Vec<std::thread::JoinHandle<Pumped>>);
+/// Apps being run, each by its member's driver thread (see
+/// [`pump_apps`]), and their memberships.
+pub struct Pumps {
+    handles: Vec<GroupHandle>,
+    ended_rx: Receiver<Ended>,
+}
 
-/// Starts one pump thread per `(handle, app)` pair, in order.
+impl Default for Pumps {
+    fn default() -> Self {
+        pump_apps(Vec::new(), Vec::new())
+    }
+}
+
+/// Hands each app to the driver of its membership, in order; the
+/// drivers start them at once.
 ///
 /// # Panics
 ///
-/// Panics if the two lists differ in length or a thread cannot spawn.
+/// Panics if the two lists differ in length.
 pub fn pump_apps(handles: Vec<GroupHandle>, apps: Vec<Box<dyn GroupApp>>) -> Pumps {
     assert_eq!(handles.len(), apps.len(), "one app per membership");
-    let abort = Arc::new(AtomicBool::new(false));
-    let threads = handles.into_iter().zip(apps).enumerate().map(|(i, (handle, app))| {
-        let abort = Arc::clone(&abort);
-        std::thread::Builder::new()
-            .name(format!("amoeba-app-{i}"))
-            .spawn(move || {
-                let _guard = AbortOnPanic(Arc::clone(&abort));
-                Pump::new(handle, app, abort).run()
-            })
-            .expect("spawn app pump thread")
-    });
-    Pumps(threads.collect())
+    let (ended_tx, ended_rx) = channel::unbounded();
+    for (index, (handle, app)) in handles.iter().zip(apps).enumerate() {
+        let window = handle.shared.core.lock().config().send_window.max(1);
+        handle.shared.host(Pump {
+            index,
+            app: Some(app),
+            ended_tx: ended_tx.clone(),
+            events_rx: handle.events_rx.clone(),
+            started: None,
+            leaving: None,
+            window,
+            in_flight: 0,
+            pending: VecDeque::new(),
+        });
+    }
+    Pumps { handles, ended_rx }
 }
 
 impl Pumps {
@@ -390,36 +284,42 @@ impl Pumps {
     /// app is in, so a stopped member never looks crashed to one that
     /// is still running, and are torn down together here.
     ///
-    /// A panic on one pump thread (a failed assertion in an app) ends
-    /// the run: the other pumps stop within one poll interval instead
-    /// of waiting for ever on a member that is gone.
+    /// A panic in an app callback — a failed assertion — or anywhere
+    /// else on a member's thread ends the run at once: nobody waits
+    /// for ever on a member that is gone.
     ///
     /// # Panics
     ///
     /// Resumes the first such panic, after every membership has been
     /// torn down.
     pub fn join(self) -> Vec<Box<dyn GroupApp>> {
-        let results: Vec<_> = self.0.into_iter().map(std::thread::JoinHandle::join).collect();
-        let mut apps = Vec::new();
-        let mut panic = None;
-        for result in results {
-            match result {
-                // The survivor's membership drops — tears down — here.
-                Ok((app, _survivor)) => apps.push(app),
-                Err(payload) => panic = panic.or(Some(payload)),
+        self.wait().into_iter().map(|(app, _survivor)| app).collect()
+    }
+
+    fn wait(self) -> Vec<Pumped> {
+        let Pumps { handles, ended_rx } = self;
+        let mut ended: Vec<_> = handles.iter().map(|_| None).collect();
+        for _ in 0..handles.len() {
+            match ended_rx.recv().expect("a member's driver is gone, and its app with it") {
+                (index, Ok(back)) => ended[index] = Some(back),
+                (_, Err(payload)) => {
+                    drop(handles);
+                    std::panic::resume_unwind(payload);
+                }
             }
         }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-        apps
+        let pumped = ended.into_iter().zip(handles).map(|(back, handle)| {
+            let (app, alive) = back.expect("one report per app");
+            (app, alive.then_some(handle))
+        });
+        pumped.collect()
     }
 }
 
 /// Hosts a set of [`GroupApp`]s as one live group: the first app added
 /// founds the group (and sequences), the rest join in order (so member
-/// ids match the simulated host), then every app is pumped on its own
-/// runtime thread. [`LiveHost::run`] returns once every app has ended;
+/// ids match the simulated host), then every app is run by its member's
+/// driver thread. [`LiveHost::run`] returns once every app has ended;
 /// memberships of merely *stopped* apps are torn down together at that
 /// point.
 ///
@@ -442,7 +342,7 @@ impl LiveHost {
     /// A host over an existing installation — whatever transport it
     /// runs on. This is how the UDP backend hosts unmodified apps: an
     /// `Amoeba::over_transport(udp_net, …)` installation slots in and
-    /// everything above (formation order, pumping, the conformance
+    /// everything above (formation order, hosting, the conformance
     /// contract) stays identical.
     pub fn with_amoeba(amoeba: Amoeba, group: GroupId, config: GroupConfig) -> Self {
         LiveHost { amoeba, group, config, apps: Vec::new() }
@@ -455,25 +355,25 @@ impl LiveHost {
         self.apps.len() - 1
     }
 
-    /// Runs one app over an existing membership on the calling thread,
-    /// returning the app when it stops, leaves, or crashes. The
-    /// building block under [`pump_apps`], public for custom
-    /// topologies (multiple groups, staggered joins).
+    /// Runs one app over an existing membership and blocks the caller
+    /// until it stops, leaves, or crashes: [`pump_apps`] and
+    /// [`Pumps::join`] for one app, for custom topologies (multiple
+    /// groups, staggered joins).
     ///
     /// The second value is the still-live handle when the app merely
     /// *stopped* (`Ctx::stop` promises the membership outlives the
     /// app until the host tears down — the caller decides when that
     /// is, typically after every cooperating app has finished);
-    /// `None` after `leave`/`crash`, which consume it.
+    /// `None` after `leave`/`crash`, which end it.
     pub fn pump(
         handle: GroupHandle,
         app: Box<dyn GroupApp>,
     ) -> (Box<dyn GroupApp>, Option<GroupHandle>) {
-        Pump::new(handle, app, Arc::default()).run()
+        pump_apps(vec![handle], vec![app]).wait().pop().expect("one app in, one app out")
     }
 
-    /// Forms the group, pumps every app on its own thread, and returns
-    /// the apps (in `add_app` order) once all have ended.
+    /// Forms the group, hosts every app on its member, and returns the
+    /// apps (in `add_app` order) once all have ended.
     ///
     /// # Panics
     ///
@@ -488,11 +388,20 @@ impl LiveHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    use amoeba_core::WireFrame;
+    use amoeba_flip::FlipAddress;
+    use amoeba_net::{Inbox, LiveNet, Transport, TransportSender};
 
     /// Never ends by itself (it waits for a peer that will not write).
     struct Waits;
     impl GroupApp for Waits {}
+
+    fn live_host(seed: u64) -> LiveHost {
+        LiveHost::new(seed, FaultPlan::reliable(), GroupId(1), GroupConfig::default())
+    }
 
     struct FailsItsScript;
     impl GroupApp for FailsItsScript {
@@ -539,8 +448,7 @@ mod tests {
         let (waker_tx, waker_rx) = channel::unbounded();
         let (fired_tx, fired_rx) = channel::unbounded();
         let (resume_tx, resume_rx) = channel::unbounded();
-        let mut host =
-            LiveHost::new(4, FaultPlan::reliable(), GroupId(1), GroupConfig::default());
+        let mut host = live_host(4);
         host.add_app(Box::new(Sleeper { waker_tx, fired_tx, resume_rx }));
         let hosted = std::thread::spawn(move || host.run());
         let wake = waker_rx.recv_timeout(FAR).expect("the app starts");
@@ -585,10 +493,197 @@ mod tests {
     #[test]
     #[should_panic(expected = "script assertion")]
     fn a_panicked_pump_ends_the_run_and_reaches_the_caller() {
-        let mut host =
-            LiveHost::new(3, FaultPlan::reliable(), GroupId(1), GroupConfig::default());
+        let mut host = live_host(3);
         host.add_app(Box::new(Waits));
         host.add_app(Box::new(FailsItsScript));
         host.run();
+    }
+
+    /// Sends `left` messages, the next when the last is done, and
+    /// counts what it is delivered.
+    struct Streams {
+        left: usize,
+        delivered: Arc<AtomicUsize>,
+    }
+
+    impl GroupApp for Streams {
+        fn on_start(&mut self, ctx: &mut dyn amoeba_app::Ctx) {
+            ctx.send(Bytes::from_static(b"next"));
+        }
+
+        fn on_event(&mut self, ctx: &mut dyn amoeba_app::Ctx, event: AppEvent) {
+            match event {
+                AppEvent::Group(GroupEvent::Message { .. }) => {
+                    self.delivered.fetch_add(1, Ordering::SeqCst);
+                }
+                AppEvent::SendDone(done) => {
+                    done.expect("a stopped founder still sequences");
+                    self.left -= 1;
+                    if self.left == 0 {
+                        ctx.stop();
+                    } else {
+                        ctx.send(Bytes::from_static(b"next"));
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    struct StopsAtOnce;
+    impl GroupApp for StopsAtOnce {
+        fn on_start(&mut self, ctx: &mut dyn amoeba_app::Ctx) {
+            ctx.stop();
+        }
+    }
+
+    /// `Ctx::stop` ends the app, not the member: the founder's driver
+    /// goes on sequencing for the member that is still running.
+    #[test]
+    fn a_founder_whose_app_stopped_goes_on_sequencing() {
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let mut host = live_host(5);
+        host.add_app(Box::new(StopsAtOnce));
+        host.add_app(Box::new(Streams { left: 200, delivered: Arc::clone(&delivered) }));
+        host.run();
+        assert_eq!(delivered.load(Ordering::SeqCst), 200);
+    }
+
+    /// Resets its one-member group from `on_start`, sends when the
+    /// reset is done, stops when that message arrives.
+    struct ResetsItself(Arc<Mutex<Vec<&'static str>>>);
+
+    impl GroupApp for ResetsItself {
+        fn on_start(&mut self, ctx: &mut dyn amoeba_app::Ctx) {
+            ctx.reset_group(1);
+        }
+
+        fn on_event(&mut self, ctx: &mut dyn amoeba_app::Ctx, event: AppEvent) {
+            let mut seen = self.0.lock().expect("log lock");
+            match event {
+                AppEvent::ResetDone(done) => {
+                    assert_eq!(done.expect("a member is its own quorum of one").num_members(), 1);
+                    seen.push("reset done");
+                    ctx.send(Bytes::from_static(b"after the reset"));
+                }
+                AppEvent::Group(GroupEvent::Message { .. }) => {
+                    seen.push("message");
+                    ctx.stop();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// A reset asked for in a callback completes as an event: the
+    /// driver thread, which runs both the callback and the recovery,
+    /// never waits on itself.
+    #[test]
+    fn a_reset_from_a_callback_completes_as_an_event() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut host = live_host(6);
+        host.add_app(Box::new(ResetsItself(Arc::clone(&seen))));
+        host.run();
+        assert_eq!(*seen.lock().expect("log lock"), ["reset done", "message"]);
+    }
+
+    /// Arms eight timers, the later-named the sooner, and overstays
+    /// them all in the same callback.
+    struct Oversleeps(Arc<Mutex<Vec<u64>>>);
+
+    impl GroupApp for Oversleeps {
+        fn on_start(&mut self, ctx: &mut dyn amoeba_app::Ctx) {
+            for id in 0..8 {
+                ctx.set_timer(TimerId(id), Duration::from_millis(8 - id));
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut dyn amoeba_app::Ctx, timer: TimerId) {
+            let mut fired = self.0.lock().expect("log lock");
+            if fired.is_empty() {
+                // The other seven run out while this callback holds
+                // the driver.
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            fired.push(timer.0);
+            if fired.len() == 8 {
+                ctx.stop();
+            }
+        }
+    }
+
+    /// Timers that are all overdue when the driver next looks fire
+    /// earliest deadline first — not in the table's hash order.
+    #[test]
+    fn overdue_timers_fire_in_deadline_order() {
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let mut host = live_host(7);
+        host.add_app(Box::new(Oversleeps(Arc::clone(&fired))));
+        host.run();
+        assert_eq!(*fired.lock().expect("log lock"), [7, 6, 5, 4, 3, 2, 1, 0]);
+    }
+
+    /// A [`LiveNet`] on which the founder's port gives way at its
+    /// `left`-th multicast.
+    struct Brittle {
+        net: Arc<LiveNet>,
+        left: Arc<AtomicUsize>,
+    }
+
+    struct BrittlePort {
+        port: Box<dyn TransportSender>,
+        left: Option<Arc<AtomicUsize>>,
+    }
+
+    impl Transport for Brittle {
+        fn register(&self, addr: FlipAddress) -> Inbox {
+            self.net.register(addr)
+        }
+        fn unregister(&self, addr: FlipAddress) {
+            self.net.unregister(addr);
+        }
+        fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
+            self.net.join_mcast(group, addr);
+        }
+        fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
+            let founder = from == FlipAddress::process(1);
+            Box::new(BrittlePort {
+                port: self.net.sender(from),
+                left: founder.then(|| Arc::clone(&self.left)),
+            })
+        }
+    }
+
+    impl TransportSender for BrittlePort {
+        fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
+            self.port.unicast(to, frame);
+        }
+        fn multicast(&mut self, group: GroupId, frame: WireFrame) {
+            if let Some(left) = &self.left {
+                assert!(left.fetch_sub(1, Ordering::SeqCst) > 1, "the fabric gave way");
+            }
+            self.port.multicast(group, frame);
+        }
+    }
+
+    /// A driver that unwinds outside any callback — here out of the
+    /// fabric, under a founder whose app only waits — still ends the
+    /// run and reaches the caller, at once.
+    #[test]
+    fn a_panicked_driver_ends_the_run_and_reaches_the_caller() {
+        let net = LiveNet::new(8, FaultPlan::reliable());
+        let fabric = Arc::new(Brittle { net, left: Arc::new(AtomicUsize::new(20)) });
+        let amoeba = Amoeba::over_transport(fabric, 1);
+        let mut host = LiveHost::with_amoeba(amoeba, GroupId(1), GroupConfig::default());
+        host.add_app(Box::new(Waits));
+        host.add_app(Box::new(Streams { left: usize::MAX, delivered: Arc::default() }));
+        let (ended_tx, ended_rx) = channel::unbounded();
+        std::thread::spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| drop(host.run()));
+            ended_tx.send(std::panic::catch_unwind(run))
+        });
+        let ended = ended_rx.recv_timeout(Duration::from_secs(1)).expect("the run ends");
+        let payload = ended.expect_err("the run ends in the driver's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the fabric gave way"));
     }
 }

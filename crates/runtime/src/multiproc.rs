@@ -19,7 +19,7 @@
 //!    `ready 0`; then to child 1, and so on — strictly sequential, so
 //!    member ids are deterministic (member *i* = process *i*), exactly
 //!    like the single-process hosts;
-//! 4. `start` (broadcast) releases every child to pump its app;
+//! 4. `start` (broadcast) releases every child to host its app;
 //! 5. each child reports `done i <report>` when its app stops, then
 //!    waits; `exit` (broadcast once *all* surviving children are done)
 //!    lets it tear down — the linger keeps every endpoint alive until

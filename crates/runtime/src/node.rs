@@ -1,12 +1,15 @@
-//! The per-member driver: a thread that feeds packets and timer
-//! expirations to the sans-io [`GroupCore`] and executes its actions.
+//! The per-member driver: the one thread of a member. It feeds packets
+//! and timer expirations to the sans-io [`GroupCore`], executes its
+//! actions and, when the member hosts an app ([`crate::host`]), runs
+//! the app's callbacks between two waits on the inbox.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use amoeba_app::TimerId;
 use amoeba_core::{
     decode_wire_frame, Action, Dest, FrameEncoder, GroupCore, GroupError, GroupEvent,
     GroupId, GroupInfo, Seqno, TimerKind,
@@ -15,6 +18,8 @@ use amoeba_flip::FlipAddress;
 use amoeba_net::{Inbox, Transport, TransportSender, Waker};
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
+
+use crate::host::Pump;
 
 /// How long a blocking primitive waits for its completion. The
 /// protocol's own retry budgets bound every operation far below this,
@@ -54,7 +59,13 @@ impl<T> Slot<T> {
         guard.take().expect("checked above")
     }
 
-    fn clear(&self) {
+    /// The completion, if it has arrived: what the driver thread asks
+    /// instead of [`Slot::wait`], since it is the one that fills slots.
+    pub(crate) fn try_take(&self) -> Option<Result<T, GroupError>> {
+        self.value.lock().take()
+    }
+
+    pub(crate) fn clear(&self) {
         *self.value.lock() = None;
     }
 }
@@ -62,15 +73,26 @@ impl<T> Slot<T> {
 /// How long a driver with no timer armed sleeps at most.
 const IDLE: Duration = Duration::from_millis(100);
 
-/// The timer table, and what the driver last derived from it.
+/// Whose timer: the protocol's or the hosted app's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Timer {
+    Proto(TimerKind),
+    App(TimerId),
+}
+
+/// The member's one timer table, and what the driver last derived from
+/// it.
 struct Timers {
-    due: HashMap<TimerKind, Instant>,
+    due: HashMap<Timer, Instant>,
     /// The instant the driver sleeps until. It never moves later before
     /// it has passed: a timer armed per operation and cancelled when
     /// the operation completes (`SendRetransmit`, on every blocking
     /// send) is then armed *behind* it from the second operation on and
     /// wakes nobody, at the price of one idle wake-up per timer period.
     wake_at: Instant,
+    /// App timers a [`Ctx::waker`](amoeba_app::Ctx::waker) handle asked
+    /// to fire now, until the driver next looks.
+    asked: Vec<TimerId>,
 }
 
 /// State shared between the driver thread and the API handle.
@@ -89,15 +111,15 @@ pub(crate) struct NodeShared {
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
     timers: Mutex<Timers>,
-    /// Interrupts the driver's wait on its inbox: an earlier timer, or
+    /// Interrupts the driver's wait on its inbox: an earlier timer, an
+    /// app to host, a [`Ctx::waker`](amoeba_app::Ctx::waker) call, or
     /// `stop`.
     waker: Waker,
     stop: AtomicBool,
     pub(crate) dropped_frames: AtomicU64,
-    /// The app pump hosting this member, which parks between events
-    /// and is unparked after every `Deliver` and `SendDone`. Unset
-    /// under the blocking API, whose callers wait on the channels.
-    pub(crate) pump: OnceLock<Thread>,
+    /// The app this member's driver runs. Empty under the blocking
+    /// API, whose callers drain the two channels below themselves.
+    hosted: Mutex<Option<Pump>>,
     events_tx: Sender<GroupEvent>,
     /// Send completions, FIFO: every submitted `SendToGroup` produces
     /// exactly one message here, so a pipelining caller pairs them with
@@ -135,11 +157,15 @@ impl NodeShared {
             sender,
             group,
             addr,
-            timers: Mutex::new(Timers { due: HashMap::new(), wake_at: Instant::now() }),
+            timers: Mutex::new(Timers {
+                due: HashMap::new(),
+                wake_at: Instant::now(),
+                asked: Vec::new(),
+            }),
             waker,
             stop: AtomicBool::new(false),
             dropped_frames: AtomicU64::new(0),
-            pump: OnceLock::new(),
+            hosted: Mutex::new(None),
             events_tx,
             send_done_tx,
             send_done_rx,
@@ -206,36 +232,63 @@ impl NodeShared {
                 }
             }
             Action::SetTimer { kind, after_us } => {
-                let at = Instant::now() + Duration::from_micros(after_us);
-                let mut timers = self.timers.lock();
-                timers.due.insert(kind, at);
-                let sooner = at < timers.wake_at;
-                drop(timers);
-                if sooner {
-                    (self.waker)();
-                }
+                self.set_timer(Timer::Proto(kind), Duration::from_micros(after_us));
             }
-            Action::CancelTimer { kind } => {
-                self.timers.lock().due.remove(&kind);
-            }
-            Action::Deliver(ev) => {
-                let _ = self.events_tx.send(ev);
-                self.unpark_pump();
-            }
-            Action::SendDone(r) => {
-                let _ = self.send_done_tx.send(r);
-                self.unpark_pump();
-            }
+            Action::CancelTimer { kind } => self.cancel_timer(Timer::Proto(kind)),
+            Action::Deliver(ev) => drop(self.events_tx.send(ev)),
+            Action::SendDone(r) => drop(self.send_done_tx.send(r)),
             Action::JoinDone(r) => self.join_done.put(r),
             Action::LeaveDone(r) => self.leave_done.put(r),
             Action::ResetDone(r) => self.reset_done.put(r),
         }
     }
 
-    fn unpark_pump(&self) {
-        if let Some(pump) = self.pump.get() {
-            pump.unpark();
+    /// Arms (or re-arms) `timer`, and wakes the driver if that is
+    /// sooner than it sleeps until.
+    pub(crate) fn set_timer(&self, timer: Timer, after: Duration) {
+        let at = Instant::now() + after;
+        let mut timers = self.timers.lock();
+        timers.due.insert(timer, at);
+        let sooner = at < timers.wake_at;
+        drop(timers);
+        if sooner {
+            (self.waker)();
         }
+    }
+
+    pub(crate) fn cancel_timer(&self, timer: Timer) {
+        self.timers.lock().due.remove(&timer);
+    }
+
+    /// Disarms every app timer: the app has ended.
+    pub(crate) fn cancel_app_timers(&self) {
+        self.timers.lock().due.retain(|timer, _| matches!(timer, Timer::Proto(_)));
+    }
+
+    /// A [`Ctx::waker`](amoeba_app::Ctx::waker) call: lists `timer` for
+    /// the driver, which makes it due when it next looks — if it is
+    /// armed then: a waker never invents a callback.
+    pub(crate) fn wake_timer(&self, timer: TimerId) {
+        let mut timers = self.timers.lock();
+        // Already asked and not yet looked at: the driver is awake or
+        // on its way, so a burst of calls costs one wake-up.
+        if !timers.asked.contains(&timer) {
+            timers.asked.push(timer);
+            drop(timers);
+            (self.waker)();
+        }
+    }
+
+    /// Hands `pump`'s app to the driver, which starts it at its next
+    /// wake-up: now.
+    pub(crate) fn host(&self, pump: Pump) {
+        *self.hosted.lock() = Some(pump);
+        (self.waker)();
+    }
+
+    /// Gives the hosted app, if there is one, its next turn.
+    fn app_turn<R>(self: &Arc<Self>, turn: impl FnOnce(&mut Pump, &Arc<Self>) -> R) -> Option<R> {
+        self.hosted.lock().as_mut().map(|pump| turn(pump, self))
     }
 
     /// Runs a blocking primitive: clears its slot, applies `op` to the
@@ -268,43 +321,86 @@ impl NodeShared {
         self.send_done_rx.recv_timeout(deadline).unwrap_or(Err(GroupError::Disconnected))
     }
 
-    /// Stops the driver: it returns at its next wake-up, which is now.
+    /// Ends this member: it vanishes from the fabric and its driver
+    /// returns at its next wake-up, which is now. Callable from the
+    /// driver thread too, which cannot join itself: the
+    /// [`GroupHandle`](crate::GroupHandle) does that when it drops.
     pub(crate) fn shutdown(&self) {
+        self.net.unregister(self.addr);
         self.stop.store(true, Ordering::Release);
         (self.waker)();
     }
 
-    /// Fires every timer that is due, then says how long the driver
-    /// may sleep — published as `wake_at` under the lock `SetTimer`
-    /// compares against: a timer armed before this is seen here, one
-    /// armed after sees the new `wake_at`.
-    fn fire_expired(&self) -> Duration {
+    /// Fires the timers that are due, earliest deadline first (the
+    /// protocol's before the app's on a tie), then says how long the
+    /// driver may sleep — published as `wake_at` under the lock
+    /// `set_timer` compares against: a timer armed before this is seen
+    /// here, one armed after sees the new `wake_at`. No time at all if
+    /// anything fired: a timer's actions or its app callback may have
+    /// queued events for this very thread.
+    fn fire_expired(self: &Arc<Self>) -> Duration {
         let now = Instant::now();
-        loop {
-            let mut timers = self.timers.lock();
-            let expired = timers.due.iter().find(|(_, at)| **at <= now).map(|(kind, _)| *kind);
-            let Some(kind) = expired else {
-                let next = timers.due.values().min().copied().unwrap_or(now + IDLE);
-                timers.wake_at = if timers.wake_at > now { next.min(timers.wake_at) } else { next };
-                return timers.wake_at.saturating_duration_since(Instant::now());
-            };
-            timers.due.remove(&kind);
-            drop(timers);
-            self.step(|core| core.handle_timer(kind));
+        let mut timers = self.timers.lock();
+        let Timers { due, asked, .. } = &mut *timers;
+        for id in asked.drain(..) {
+            due.entry(Timer::App(id)).and_modify(|at| *at = now);
         }
+        let mut fired = false;
+        loop {
+            let expired = timers
+                .due
+                .iter()
+                .filter(|(_, at)| **at <= now)
+                .min_by_key(|(timer, at)| (**at, matches!(timer, Timer::App(_))))
+                .map(|(timer, _)| *timer);
+            let Some(timer) = expired else { break };
+            timers.due.remove(&timer);
+            drop(timers);
+            fired = true;
+            match timer {
+                Timer::Proto(kind) => self.step(|core| core.handle_timer(kind)),
+                Timer::App(id) => drop(self.app_turn(|pump, node| pump.fire(node, id))),
+            }
+            timers = self.timers.lock();
+        }
+        if fired {
+            return Duration::ZERO;
+        }
+        let next = timers.due.values().min().copied().unwrap_or(now + IDLE);
+        timers.wake_at = if timers.wake_at > now { next.min(timers.wake_at) } else { next };
+        timers.wake_at.saturating_duration_since(Instant::now())
     }
 }
 
-/// The driver loop: fire what expired, wait on the inbox until the
-/// next deadline, step.
+/// The driver loop: give the hosted app its next event, fire what
+/// expired, wait on the inbox until the next deadline, step. The wait
+/// is taken only after a pass that fed nothing and fired nothing — an
+/// app's send at a sequencer, or a timer's actions, queue events for
+/// this thread, which nobody else would wake for them.
+///
+/// A panic, in an app callback or anywhere below, ends the member like
+/// a crash; if it hosts an app the payload goes to `Pumps::join`, which
+/// would otherwise wait for that app for ever.
 pub(crate) fn drive(shared: Arc<NodeShared>, inbox: Inbox) {
-    while !shared.stop.load(Ordering::Acquire) {
-        let Ok((from, frame)) = inbox.recv_timeout(shared.fire_expired()) else { continue };
-        // A garbled packet is dropped and counted: the protocol's loss
-        // machinery recovers, as on real wires.
-        match decode_wire_frame(frame) {
-            Ok(msg) => shared.step(|core| core.handle_message(from, msg)),
-            Err(_) => drop(shared.dropped_frames.fetch_add(1, Ordering::Relaxed)),
+    let run = || {
+        while !shared.stop.load(Ordering::Acquire) {
+            let fed = shared.app_turn(Pump::feed_one).unwrap_or(false);
+            let sleep = shared.fire_expired();
+            let timeout = if fed { Duration::ZERO } else { sleep };
+            let Ok((from, frame)) = inbox.recv_timeout(timeout) else { continue };
+            // A garbled packet is dropped and counted: the protocol's
+            // loss machinery recovers, as on real wires.
+            match decode_wire_frame(frame) {
+                Ok(msg) => shared.step(|core| core.handle_message(from, msg)),
+                Err(_) => drop(shared.dropped_frames.fetch_add(1, Ordering::Relaxed)),
+            }
+        }
+    };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(run)) {
+        shared.shutdown();
+        match shared.hosted.lock().take() {
+            Some(pump) => pump.panicked(payload),
+            None => resume_unwind(payload),
         }
     }
 }
@@ -411,7 +507,7 @@ mod tests {
                     }
                     let due = Instant::now() + Duration::from_millis(10);
                     shared.step(|_| vec![Action::SetTimer { kind, after_us: 10_000 }]);
-                    while shared.timers.lock().due.contains_key(&kind) {
+                    while shared.timers.lock().due.contains_key(&Timer::Proto(kind)) {
                         std::thread::sleep(Duration::from_micros(200));
                     }
                     Instant::now().saturating_duration_since(due)

@@ -223,7 +223,9 @@ pub trait Cluster {
     /// A clone of the meta gateway's endpoints (for map commands).
     fn meta_port(&self) -> GatewayPort;
     /// Broadcast `Halt` through every group and wait for every app to
-    /// end. Returns whether everything shut down inside the limit.
+    /// end. Returns whether everything shut down inside the limit: the
+    /// simulated cluster has one (30 simulated seconds); the live one
+    /// has none — it returns, `true`, when the last app is back.
     fn halt(&mut self) -> bool;
 }
 
@@ -390,8 +392,9 @@ impl Cluster for SimCluster {
 // Live backend
 // ---------------------------------------------------------------------
 
-/// The sharded cluster on the live runtime: one pump thread per
-/// member, identical node/member layout to [`SimCluster`].
+/// The sharded cluster on the live runtime: one thread per member,
+/// which drives the protocol and runs the member's app; identical
+/// node/member layout to [`SimCluster`].
 pub struct LiveCluster {
     /// The cluster's shape.
     pub spec: ShardSpec,
@@ -437,7 +440,7 @@ impl LiveCluster {
             groups.push(group);
         }
 
-        // Every member formed; now start the pumps.
+        // Every member formed; now start the apps.
         let pumps = pump_apps(handles, apps);
         let router = Router::new(board.clone(), ports);
         LiveCluster { spec, board, meta, groups, router, pumps }

@@ -4,8 +4,6 @@
 //! and rates (throughput figures); these types keep that bookkeeping out
 //! of the protocol code.
 
-use serde::{Deserialize, Serialize};
-
 /// A monotonically increasing event counter.
 ///
 /// # Example
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// sent.incr();
 /// assert_eq!(sent.get(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -54,7 +52,7 @@ impl Counter {
 /// assert_eq!(h.mean(), 2.5);
 /// assert_eq!(h.max(), 4.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Histogram {
     samples: Vec<f64>,
     sorted: bool,
@@ -143,7 +141,7 @@ impl PipeFinite for f64 {
 /// s.push(30.0, 2.8);
 /// assert_eq!(s.points().len(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Series {
     label: String,
     points: Vec<(f64, f64)>,

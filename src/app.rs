@@ -4,7 +4,8 @@
 //! the [`GroupApp`] trait and [`Ctx`] capability object from
 //! `amoeba-app`, the simulated host ([`SimHost`], inline in the
 //! discrete-event kernel on the calibrated 1996 cost model) and the
-//! live host ([`LiveHost`], one runtime thread per member) — plus
+//! live host ([`LiveHost`], one thread per member, which drives the
+//! protocol and runs the app) — plus
 //! [`run`], the one-call harness every ported example uses for its
 //! `--sim` flag.
 //!
@@ -136,12 +137,6 @@ impl RunSpec {
     /// Replaces the group id.
     pub fn with_group(mut self, group: GroupId) -> Self {
         self.group = group;
-        self
-    }
-
-    /// Replaces the live fault plan.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
         self
     }
 }

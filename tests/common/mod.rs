@@ -1,7 +1,7 @@
 //! Helpers shared by the live-fabric integration tests.
 #![allow(dead_code)] // each test binary uses a different subset
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use amoeba::core::{GroupConfig, GroupEvent, GroupId};
 use amoeba::runtime::{Amoeba, GroupHandle};
@@ -78,4 +78,19 @@ pub fn threads_named(prefix: &str) -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let names = tasks.filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok());
     Some(names.filter(|name| name.starts_with(prefix)).count())
+}
+
+/// Asserts that this process has `expect` threads named `prefix*`,
+/// where procfs can tell. A thread names itself as it starts, and
+/// `join` returns a moment before procfs forgets the thread: the
+/// census is given those moments.
+pub fn threads_settle_at(prefix: &str, expect: usize) {
+    if threads_named(prefix).is_none() {
+        return;
+    }
+    let until = Instant::now() + Duration::from_secs(2);
+    while threads_named(prefix) != Some(expect) && Instant::now() < until {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(threads_named(prefix), Some(expect), "`{prefix}*` threads");
 }

@@ -1,6 +1,6 @@
 //! The shard tier on the live runtime waits for wake-ups, not for poll
 //! periods (DESIGN.md §11.2): the router's push wakes the gateway's
-//! pump, so a routed operation with nothing ahead of it takes a few
+//! member, so a routed operation with nothing ahead of it takes a few
 //! thread hand-offs. One test in this binary, so that its thread
 //! census counts no sibling's members.
 
@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use amoeba::core::audit::EndFate;
 use amoeba::runtime::FaultPlan;
 use amoeba::shard::{audit_group, lost_acked_writes, Cluster, Completion, LiveCluster, ShardSpec};
-use common::threads_named;
+use common::threads_settle_at;
 
 const PUTS: usize = 300;
 
@@ -21,18 +21,9 @@ const PUTS: usize = 300;
 fn sequential_puts(seed: u64) -> Duration {
     let spec = ShardSpec::new(seed, 2, 3);
     let mut cluster = LiveCluster::new(spec.clone(), FaultPlan::reliable());
-    // A hosted member is two threads, its driver and its app's pump:
-    // being woken costs a gateway no thread of its own. (A thread names
-    // itself as it starts: the census is given that moment.)
-    let census = || threads_named("amoeba-");
-    if census().is_some() {
-        let expect = Some(2 * spec.total_nodes());
-        let until = Instant::now() + Duration::from_secs(2);
-        while census() != expect && Instant::now() < until {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(census(), expect, "`amoeba-*` threads");
-    }
+    // A hosted member is one thread, its driver, which runs the app
+    // too: neither hosting nor being woken costs a thread.
+    threads_settle_at("amoeba-", spec.total_nodes());
 
     let started = Instant::now();
     for i in 0..PUTS {
@@ -58,13 +49,15 @@ fn sequential_puts(seed: u64) -> Duration {
     }
     let lost = lost_acked_writes(&acked, &cluster.board, &cluster.groups, |_| 0);
     assert!(lost.is_empty(), "lost acked writes: {lost:?}");
+    drop(cluster);
+    threads_settle_at("amoeba-", 0);
     took
 }
 
 /// Polled, every put waits out the rest of a 1 ms period: 300 of them
 /// take 300 ms and more, on any machine. Woken, they take as long as
 /// the hand-offs do — tens of milliseconds — unless the scheduler
-/// parks one of the eighteen threads involved, so one clean run in
+/// parks one of the nine threads involved, so one clean run in
 /// three is asked for, as the lone-sender tests do.
 #[test]
 fn sequential_puts_wait_for_a_wake_up_not_a_poll_period() {
