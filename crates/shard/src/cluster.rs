@@ -380,10 +380,9 @@ impl Cluster for SimCluster {
     }
 
     fn halt(&mut self) -> bool {
-        for group in &self.groups {
+        for group in self.groups.iter().chain([&self.meta]) {
             group.port.push(ShardOp::Halt.encode());
         }
-        self.meta.port.push("Q".to_string());
         self.world.run_until_apps_done(SimDuration::from_secs(30))
     }
 }
@@ -448,7 +447,10 @@ impl LiveCluster {
 }
 
 impl Cluster for LiveCluster {
+    /// Pumps before it sleeps too: work submitted since the last pump is
+    /// handed to its gateways now, not at their next poll.
     fn advance(&mut self) {
+        self.router.pump();
         std::thread::sleep(Duration::from_millis(2));
         self.router.pump();
     }
@@ -462,10 +464,9 @@ impl Cluster for LiveCluster {
     }
 
     fn halt(&mut self) -> bool {
-        for group in &self.groups {
+        for group in self.groups.iter().chain([&self.meta]) {
             group.port.push(ShardOp::Halt.encode());
         }
-        self.meta.port.push("Q".to_string());
         std::mem::take(&mut self.pumps).join();
         true
     }

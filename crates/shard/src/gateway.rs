@@ -10,15 +10,16 @@
 //!
 //! **One frame in flight, one frame per drain** (DESIGN.md §11.2).
 //! Whenever the gateway has no send outstanding — its poll timer
-//! fired, a push woke it, the previous send completed, a view was
-//! installed — it moves everything in its inbox into one ordered
-//! message ([`crate::op::frame`]), up to the group's `max_message`; a
-//! body that alone exceeds it rides alone. The batch is whatever
-//! arrived while the previous frame was being ordered: no flush timer,
-//! no batch bound, and one history slot per frame. The poll timer is
-//! the only trigger a simulated run has and the safety net of a live
-//! one, where the push that finds the inbox empty fires it through a
-//! [`Ctx::waker`].
+//! fired, the router's pump woke it, the previous send completed, a
+//! view was installed — it moves everything in its inbox into one
+//! ordered message ([`crate::op::frame`]), up to the group's
+//! `max_message`; a body that alone exceeds it rides alone. The batch
+//! is whatever arrived while the previous frame was being ordered: no
+//! flush timer, no batch bound, and one history slot per frame. The
+//! poll timer is the only trigger a simulated run has and the safety
+//! net of a live one, where it is fired through a [`Ctx::waker`] by
+//! the router's next pump after a body found the inbox empty, or at
+//! once by a direct [`GatewayPort::push`].
 //!
 //! The bodies of a failed frame are held back until a recovery installs
 //! a new view or a retry timer fires, then lead the next frame, in
@@ -70,14 +71,23 @@ impl GatewayPort {
     /// gateway takes all it finds, or leaves the rest with a frame in
     /// flight whose completion looks again.
     pub fn push(&self, body: String) {
+        if self.enqueue(body) {
+            self.wake();
+        }
+    }
+
+    /// Queues one body without waking; true if the inbox was empty, so
+    /// the gateway must be [woken](Self::wake) for it.
+    pub(crate) fn enqueue(&self, body: String) -> bool {
         let mut inbox = self.inbox.lock().unwrap();
-        let first = inbox.is_empty();
         inbox.push_back(body);
-        drop(inbox);
-        if first {
-            if let Some(wake) = self.waker.get() {
-                wake();
-            }
+        inbox.len() == 1
+    }
+
+    /// Fires the gateway's poll timer now (nothing before its start).
+    pub(crate) fn wake(&self) {
+        if let Some(wake) = self.waker.get() {
+            wake();
         }
     }
 }

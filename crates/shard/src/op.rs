@@ -119,6 +119,14 @@ fn encode_entries(entries: &[(String, String)]) -> String {
     parts.join(";")
 }
 
+/// Formats a hot body in one allocation: `strings` bytes of key and
+/// value, plus room for the tag, the separators and the widest id.
+fn sized(strings: usize, body: std::fmt::Arguments) -> String {
+    let mut s = String::with_capacity(24 + strings);
+    let _ = std::fmt::Write::write_fmt(&mut s, body);
+    s
+}
+
 fn decode_entries(s: &str) -> Option<Vec<(String, String)>> {
     if s.is_empty() {
         return Some(Vec::new());
@@ -136,8 +144,10 @@ impl ShardOp {
     /// prefix).
     pub fn encode(&self) -> String {
         match self {
-            ShardOp::Put { id, key, value } => format!("P|{id}|{key}|{value}"),
-            ShardOp::Get { id, key } => format!("G|{id}|{key}"),
+            ShardOp::Put { id, key, value } => {
+                sized(key.len() + value.len(), format_args!("P|{id}|{key}|{value}"))
+            }
+            ShardOp::Get { id, key } => sized(key.len(), format_args!("G|{id}|{key}")),
             ShardOp::Fence { id, attempt, keys } => format!("X|{id}|{attempt}|{}", keys.join(";")),
             ShardOp::Freeze { mv, start, end } => format!("F|{mv}|{start}|{end}"),
             ShardOp::Install { mv, start, end, entries } => {

@@ -126,17 +126,20 @@ impl ShardServerApp {
                     }
                 }
             }
+            // A read changes nothing: only the replica that answers it
+            // looks the keys up.
             ShardOp::Get { id, key } => match self.availability(&key) {
                 Some(why) => self.reply(is_origin, Reply::Nacked { id, why }),
-                None => {
+                None if is_origin => {
                     let value = self.store.lock().unwrap().get(&key).cloned();
                     self.reply(is_origin, Reply::Acked { id, value });
                 }
+                None => {}
             },
             ShardOp::Fence { id, attempt, keys } => {
                 if let Some(why) = keys.iter().find_map(|k| self.availability(k)) {
                     self.reply(is_origin, Reply::Nacked { id, why });
-                } else {
+                } else if is_origin {
                     let store = self.store.lock().unwrap();
                     let values =
                         keys.iter().map(|k| (k.clone(), store.get(k).cloned())).collect();
@@ -305,8 +308,10 @@ impl GroupApp for ShardServerApp {
     fn on_event(&mut self, ctx: &mut dyn Ctx, event: AppEvent) {
         match event {
             AppEvent::Group(GroupEvent::Message { origin, payload, .. }) => {
+                let log = Arc::clone(&self.log);
+                let mut log = log.lock().unwrap();
                 for (gseq, body) in unframe(&payload) {
-                    self.log.lock().unwrap().push((origin.0, gseq));
+                    log.push((origin.0, gseq));
                     let op = ShardOp::decode(body);
                     // The app stops here, on every replica alike: what
                     // follows a `Halt` in its frame is never seen.

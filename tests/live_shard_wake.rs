@@ -1,5 +1,5 @@
 //! The shard tier on the live runtime waits for wake-ups, not for poll
-//! periods (DESIGN.md §11.2): the router's push wakes the gateway's
+//! periods (DESIGN.md §11.2): the router's pump wakes the gateway's
 //! member, so a routed operation with nothing ahead of it takes a few
 //! thread hand-offs. One test in this binary, so that its thread
 //! census counts no sibling's members.
