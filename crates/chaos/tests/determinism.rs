@@ -42,9 +42,9 @@ fn same_seed_same_run_bit_for_bit() {
 
 /// The scale pin: the thousand-node, eight-group scenario world must
 /// replay bit-for-bit. The chaos engine's determinism argument covers
-/// small worlds case by case; this extends it to the calendar-wheel
-/// hot path at full scale, where a single unstable ordering decision
-/// (a heap tie, an iteration over an unordered map, a stray
+/// small worlds case by case; this extends it to the event lanes' hot
+/// path at full scale, where a single unstable ordering decision
+/// (a same-instant tie, an iteration over an unordered map, a stray
 /// `HashMap` in per-node state) would shift the digest.
 #[test]
 fn thousand_node_scenario_replays_bit_for_bit() {
@@ -76,4 +76,26 @@ fn different_seeds_and_cases_diverge() {
         run_plan(&gen_case(1, 1)).digest,
         "different case indices must explore different runs"
     );
+}
+
+/// The CI smoke (`chaos --seed 2 --cases 64`) pinned to its totals. The
+/// golden digests missed a `run_until` that ran one event past its
+/// deadline; these totals did not. An engine change that reorders,
+/// drops or adds an event turns this red instead of going unnoticed.
+#[test]
+fn the_ci_smoke_seed_replays_to_its_pinned_totals() {
+    let (mut submitted, mut errs, mut events) = (0, 0, 0);
+    let mut faults = [0u64; 4];
+    for k in 0..64 {
+        let out = run_plan(&gen_case(2, k));
+        submitted += out.submitted;
+        errs += out.sends_err;
+        events += out.events;
+        let c = &out.chaos;
+        for (total, n) in faults.iter_mut().zip([c.dropped, c.duplicated, c.reordered, c.partitioned]) {
+            *total += n;
+        }
+    }
+    assert_eq!((submitted, errs, events), (2_247, 183, 401_645), "submitted, send errors, events");
+    assert_eq!(faults, [10_912, 2_153, 2_960, 3_586], "dropped, duplicated, reordered, partitioned");
 }

@@ -179,6 +179,9 @@ impl<T> SeqRing<T> {
     /// Drops every entry with seqno strictly below `bound` (the floor
     /// advance). Returns how many occupied slots were discarded.
     pub(crate) fn remove_below(&mut self, bound: Seqno) -> usize {
+        if self.slots.is_empty() || bound.0 <= self.base {
+            return 0; // nothing below; the ends are already trimmed
+        }
         let mut dropped = 0;
         while !self.slots.is_empty() && self.base < bound.0 {
             if self.slots.pop_front().expect("non-empty").is_some() {

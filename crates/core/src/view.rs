@@ -68,7 +68,13 @@ impl GroupView {
 
     /// Looks up a member by id.
     pub fn member(&self, id: MemberId) -> Option<MemberMeta> {
-        self.members.iter().find(|m| m.id == id).copied()
+        self.position(id).ok().map(|i| self.members[i])
+    }
+
+    /// Where `id` is (`Ok`) or would be inserted (`Err`) in the sorted
+    /// member list.
+    fn position(&self, id: MemberId) -> Result<usize, usize> {
+        self.members.binary_search_by_key(&id, |m| m.id)
     }
 
     /// Looks up a member by process address.
@@ -93,15 +99,16 @@ impl GroupView {
 
     /// Adds a member (in-band join). Idempotent by member id.
     pub fn add(&mut self, meta: MemberMeta) {
-        if !self.contains(meta.id) {
-            self.members.push(meta);
-            self.members.sort_by_key(|m| m.id);
+        if let Err(i) = self.position(meta.id) {
+            self.members.insert(i, meta);
         }
     }
 
     /// Removes a member (in-band leave). Idempotent.
     pub fn remove(&mut self, id: MemberId) {
-        self.members.retain(|m| m.id != id);
+        if let Ok(i) = self.position(id) {
+            self.members.remove(i);
+        }
     }
 
     /// The `r` lowest-numbered members excluding the sequencer — the
@@ -186,6 +193,37 @@ mod tests {
         v.add(meta(4));
         v.add(meta(2));
         assert_eq!(v.handoff_candidate(), Some(MemberId(2)));
+    }
+
+    /// Binary-searched lookups and positional inserts agree with an
+    /// ordered map under random adds (ids out of order, repeats) and
+    /// removes.
+    #[test]
+    fn random_edits_match_an_ordered_map() {
+        let mut v = GroupView::initial(meta(0));
+        let mut reference = std::collections::BTreeMap::from([(MemberId(0), meta(0))]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..5_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let id = MemberId((x >> 8) as u32 % 200);
+            match x % 3 {
+                0 if id != v.sequencer => {
+                    v.remove(id);
+                    reference.remove(&id);
+                }
+                _ => {
+                    v.add(meta(id.0));
+                    reference.entry(id).or_insert(meta(id.0));
+                }
+            }
+            assert_eq!(v.members(), reference.values().copied().collect::<Vec<_>>());
+            let probe = MemberId((x >> 32) as u32 % 220);
+            assert_eq!(v.member(probe), reference.get(&probe).copied());
+            assert_eq!(v.contains(probe), reference.contains_key(&probe));
+        }
+        assert_eq!(v.sequencer_meta(), meta(0));
     }
 
     #[test]

@@ -154,8 +154,11 @@ impl<B> Reassembler<B> {
             return None; // malformed; header decoding normally rejects this
         }
         if count == 1 {
-            // Fast path: unfragmented.
-            self.pending.remove(&key);
+            // Fast path: unfragmented (a stale partial under the same
+            // key is dropped; with none pending there is nothing to hash).
+            if !self.pending.is_empty() {
+                self.pending.remove(&key);
+            }
             return Some(vec![body]);
         }
         let entry = self.pending.entry(key).or_insert_with(|| Pending {

@@ -10,8 +10,7 @@
 //! millisecond, matching the granularity at which the Amoeba kernel
 //! disabled interrupts anyway.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use amoeba_sim::{SimDuration, Simulation};
 
@@ -39,43 +38,23 @@ pub struct CpuStats {
 pub(crate) type WorkFn<W> = Box<dyn FnOnce(&mut Simulation<W>)>;
 
 pub(crate) struct Work<W> {
-    prio: CpuPriority,
-    seq: u64,
     pub(crate) cost: SimDuration,
     pub(crate) run: WorkFn<W>,
 }
 
-impl<W> PartialEq for Work<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.prio == other.prio && self.seq == other.seq
-    }
-}
-impl<W> Eq for Work<W> {}
-impl<W> PartialOrd for Work<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for Work<W> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap: higher priority first, then FIFO (lower seq first).
-        (self.prio, std::cmp::Reverse(self.seq)).cmp(&(other.prio, std::cmp::Reverse(other.seq)))
-    }
-}
-
-/// One host's CPU: a priority queue of costed work items, executed
-/// one at a time on the simulated clock.
+/// One host's CPU: queued work items, executed one at a time on the
+/// simulated clock.
 pub struct Cpu<W> {
     pub(crate) busy: bool,
-    pub(crate) queue: BinaryHeap<Work<W>>,
-    pub(crate) next_seq: u64,
+    /// One FIFO per [`CpuPriority`], indexed by its discriminant.
+    queues: [VecDeque<Work<W>>; 3],
     /// Accounting.
     pub stats: CpuStats,
 }
 
 impl<W> Cpu<W> {
     pub(crate) fn new() -> Self {
-        Cpu { busy: false, queue: BinaryHeap::new(), next_seq: 0, stats: CpuStats::default() }
+        Cpu { busy: false, queues: Default::default(), stats: CpuStats::default() }
     }
 
     /// Whether the CPU is currently executing a work item.
@@ -85,18 +64,16 @@ impl<W> Cpu<W> {
 
     /// Number of queued (not yet started) work items.
     pub fn queued(&self) -> usize {
-        self.queue.len()
+        self.queues.iter().map(VecDeque::len).sum()
     }
 
-    pub(crate) fn enqueue(
-        &mut self,
-        prio: CpuPriority,
-        cost: SimDuration,
-        run: WorkFn<W>,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Work { prio, seq, cost, run });
+    pub(crate) fn enqueue(&mut self, prio: CpuPriority, cost: SimDuration, run: WorkFn<W>) {
+        self.queues[prio as usize].push_back(Work { cost, run });
+    }
+
+    /// The next item to run: highest priority first, FIFO within one.
+    pub(crate) fn dequeue(&mut self) -> Option<Work<W>> {
+        self.queues.iter_mut().rev().find_map(VecDeque::pop_front)
     }
 }
 
@@ -104,7 +81,7 @@ impl<W> std::fmt::Debug for Cpu<W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cpu")
             .field("busy", &self.busy)
-            .field("queued", &self.queue.len())
+            .field("queued", &self.queued())
             .field("stats", &self.stats)
             .finish()
     }
@@ -116,17 +93,25 @@ mod tests {
 
     #[test]
     fn priority_order_interrupt_first_then_fifo() {
-        let mut cpu: Cpu<()> = Cpu::new();
-        cpu.enqueue(CpuPriority::User, SimDuration::ZERO, Box::new(|_| {}));
-        cpu.enqueue(CpuPriority::Interrupt, SimDuration::ZERO, Box::new(|_| {}));
-        cpu.enqueue(CpuPriority::Kernel, SimDuration::ZERO, Box::new(|_| {}));
-        cpu.enqueue(CpuPriority::Interrupt, SimDuration::ZERO, Box::new(|_| {}));
-        let order: Vec<(CpuPriority, u64)> = std::iter::from_fn(|| {
-            cpu.queue.pop().map(|w| (w.prio, w.seq))
-        })
-        .collect();
+        // Each item records its priority and enqueue index when run.
+        type Order = Vec<(CpuPriority, u64)>;
+        let mut cpu: Cpu<Order> = Cpu::new();
+        let prios = [
+            CpuPriority::User,
+            CpuPriority::Interrupt,
+            CpuPriority::Kernel,
+            CpuPriority::Interrupt,
+        ];
+        for (seq, prio) in (0u64..).zip(prios) {
+            cpu.enqueue(prio, SimDuration::ZERO, Box::new(move |s| s.world.push((prio, seq))));
+        }
+        assert_eq!(cpu.queued(), 4);
+        let mut sim = Simulation::new(Order::new(), 0);
+        while let Some(w) = cpu.dequeue() {
+            (w.run)(&mut sim);
+        }
         assert_eq!(
-            order,
+            sim.world,
             vec![
                 (CpuPriority::Interrupt, 1),
                 (CpuPriority::Interrupt, 3),

@@ -503,7 +503,7 @@ impl<W: NetView> Net<W> {
             cpu.enqueue(prio, cost, Box::new(work));
         } else {
             cpu.busy = true;
-            Self::execute(sim, host, cost, Box::new(work));
+            Self::execute(sim, host, cost, work);
         }
     }
 
@@ -511,7 +511,7 @@ impl<W: NetView> Net<W> {
         sim: &mut Simulation<W>,
         host: HostId,
         cost: SimDuration,
-        work: crate::cpu::WorkFn<W>,
+        work: impl FnOnce(&mut Simulation<W>) + 'static,
     ) {
         {
             let cpu = &mut sim.world.net().hosts[host.0].cpu;
@@ -525,7 +525,7 @@ impl<W: NetView> Net<W> {
     }
 
     fn cpu_complete(sim: &mut Simulation<W>, host: HostId) {
-        let next = sim.world.net().hosts[host.0].cpu.queue.pop();
+        let next = sim.world.net().hosts[host.0].cpu.dequeue();
         match next {
             Some(w) => Self::execute(sim, host, w.cost, w.run),
             None => sim.world.net().hosts[host.0].cpu.busy = false,

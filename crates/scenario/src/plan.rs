@@ -19,8 +19,8 @@ use amoeba_shard::fault_tolerant_config;
 use crate::toml::{self, Doc, Entry, Table, Value};
 use crate::Error;
 
-/// Hard cap on world size (the event wheel and per-node state are
-/// sized for thousands, not millions).
+/// Hard cap on world size (the simulator's event lanes and per-node
+/// state are sized for thousands, not millions).
 pub const MAX_NODES: usize = 4096;
 /// Hard cap on per-sender submissions: the message index is the
 /// application-level seqno, and a scenario asking for more than this

@@ -1,14 +1,15 @@
 //! The event queue and simulation driver.
 
-use std::collections::HashSet;
-
+use crate::lanes::Lanes;
 use crate::rng::SplitMix64;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::CalendarQueue;
 
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
+pub struct EventId {
+    at: u64,
+    seq: u64,
+}
 
 type EventFn<W> = Box<dyn FnOnce(&mut Simulation<W>)>;
 
@@ -34,12 +35,10 @@ pub struct Simulation<W> {
     /// The state mutated by events.
     pub world: W,
     now: SimTime,
-    /// Future-event set: an indexed calendar queue popping in exact
-    /// `(at, seq)` order. The event's sequence number doubles as its
-    /// [`EventId`].
-    queue: CalendarQueue<EventFn<W>>,
+    /// Future-event set: one FIFO lane per instant, popping in exact
+    /// `(at, seq)` order. That key is the event's [`EventId`].
+    queue: Lanes<EventFn<W>>,
     next_seq: u64,
-    cancelled: HashSet<EventId>,
     rng: SplitMix64,
     executed: u64,
 }
@@ -50,9 +49,8 @@ impl<W> Simulation<W> {
         Simulation {
             world,
             now: SimTime::ZERO,
-            queue: CalendarQueue::new(),
+            queue: Lanes::new(),
             next_seq: 0,
-            cancelled: HashSet::new(),
             rng: SplitMix64::new(seed),
             executed: 0,
         }
@@ -84,8 +82,8 @@ impl<W> Simulation<W> {
         event: impl FnOnce(&mut Simulation<W>) + 'static,
     ) -> EventId {
         assert!(at >= self.now, "cannot schedule into the past ({at} < {})", self.now);
-        let id = EventId(self.next_seq);
-        self.queue.push(at.as_micros(), self.next_seq, Box::new(event));
+        let id = EventId { at: at.as_micros(), seq: self.next_seq };
+        self.queue.push(id.at, id.seq, Box::new(event));
         self.next_seq += 1;
         id
     }
@@ -102,25 +100,22 @@ impl<W> Simulation<W> {
     /// Cancels a scheduled event. Cancelling an already-executed or
     /// already-cancelled event is a no-op.
     pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
+        self.queue.remove(id.at, id.seq);
     }
 
     /// Runs the next pending event, advancing the clock to it.
     ///
     /// Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        while let Some((at, seq, run)) = self.queue.pop() {
-            if self.cancelled.remove(&EventId(seq)) {
-                continue;
-            }
-            let at = SimTime::from_micros(at);
-            debug_assert!(at >= self.now);
-            self.now = at;
-            self.executed += 1;
-            run(self);
-            return true;
-        }
-        false
+        let Some((at, _, run)) = self.queue.pop() else {
+            return false;
+        };
+        let at = SimTime::from_micros(at);
+        debug_assert!(at >= self.now);
+        self.now = at;
+        self.executed += 1;
+        run(self);
+        true
     }
 
     /// Runs events until the queue is empty.
@@ -132,7 +127,7 @@ impl<W> Simulation<W> {
     /// `deadline`. Events scheduled exactly at the deadline still run;
     /// the clock never advances beyond the last executed event.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some((at, _)) = self.queue.peek() {
+        while let Some(at) = self.queue.peek() {
             if SimTime::from_micros(at) > deadline {
                 break;
             }
@@ -156,8 +151,7 @@ impl<W> Simulation<W> {
 }
 
 impl<W> Simulation<W> {
-    /// The number of events still queued (including cancelled ones not
-    /// yet reaped).
+    /// The number of events still queued.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -221,6 +215,18 @@ mod tests {
         sim.cancel(id);
         sim.run();
         assert_eq!(sim.world, 100);
+    }
+
+    #[test]
+    fn a_cancelled_head_does_not_carry_run_until_past_its_deadline() {
+        let mut sim = Simulation::new(Vec::new(), 0);
+        let id = sim.schedule_in(SimDuration::from_micros(10), |s| s.world.push(10));
+        sim.schedule_in(SimDuration::from_micros(30), |s| s.world.push(30));
+        sim.cancel(id);
+        sim.run_until(SimTime::from_micros(20));
+        assert!(sim.world.is_empty(), "ran {:?} before the 20 µs deadline", sim.world);
+        assert_eq!(sim.now(), SimTime::from_micros(20));
+        assert_eq!(sim.pending(), 1);
     }
 
     #[test]

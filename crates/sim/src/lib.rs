@@ -29,13 +29,12 @@
 //! ```
 
 mod event;
+mod lanes;
 mod rng;
 mod stats;
 mod time;
-mod wheel;
 
 pub use event::{EventId, Simulation};
-pub use wheel::CalendarQueue;
 pub use rng::SplitMix64;
 pub use stats::{Counter, Histogram, Series};
 pub use time::{SimDuration, SimTime};
