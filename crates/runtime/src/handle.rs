@@ -302,4 +302,24 @@ mod tests {
         assert_eq!(reset.map(|_| ()), Err(GroupError::Disconnected));
         b.teardown();
     }
+
+    /// `Duration::MAX` is "no deadline", not an overflow.
+    #[test]
+    fn receive_timeout_without_a_representable_deadline_waits() {
+        let amoeba = Amoeba::new(10, FaultPlan::reliable());
+        let a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                a.send_to_group(Bytes::from_static(b"late")).expect("send");
+            });
+            let payload = loop {
+                let event = a.receive_timeout(Duration::MAX).expect("event");
+                if let GroupEvent::Message { payload, .. } = event {
+                    break payload;
+                }
+            };
+            assert_eq!(&payload[..], b"late");
+        });
+    }
 }
