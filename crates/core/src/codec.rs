@@ -204,7 +204,7 @@ fn get_sequenced_gather(buf: &mut Bytes, tail: Bytes) -> Result<Sequenced, Decod
             let origin = MemberId(buf.get_u32());
             let sender_seq = buf.get_u64();
             let payload = take_tail(buf, tail)?;
-            Ok(Sequenced { seqno, kind: SequencedKind::App { origin, sender_seq, payload } })
+            Ok(Sequenced::new(seqno, SequencedKind::App { origin, sender_seq, payload }))
         }
         other => Err(DecodeError::BadKindTag(other)),
     }
@@ -722,7 +722,7 @@ fn get_sequenced(buf: &mut Bytes) -> Result<Sequenced, DecodeError> {
         }
         other => return Err(DecodeError::BadKindTag(other)),
     };
-    Ok(Sequenced { seqno, kind })
+    Ok(Sequenced::new(seqno, kind))
 }
 
 fn put_members(buf: &mut BytesMut, members: &[MemberMeta]) {
@@ -794,30 +794,30 @@ mod tests {
     #[test]
     fn roundtrip_every_body_variant() {
         let meta = MemberMeta { id: MemberId(4), addr: FlipAddress::process(44) };
-        let app = Sequenced {
-            seqno: Seqno(9),
-            kind: SequencedKind::App {
+        let app = Sequenced::new(
+            Seqno(9),
+            SequencedKind::App {
                 origin: MemberId(1),
                 sender_seq: 2,
                 payload: Bytes::from_static(b"data"),
             },
-        };
+        );
         roundtrip(Body::BcastReq { sender_seq: 1, payload: Bytes::from_static(b"xyz") });
         roundtrip(Body::BcastData { entry: app.clone() });
         roundtrip(Body::BcastData {
-            entry: Sequenced { seqno: Seqno(1), kind: SequencedKind::Join { member: meta } },
+            entry: Sequenced::new(Seqno(1), SequencedKind::Join { member: meta }),
         });
         roundtrip(Body::BcastData {
-            entry: Sequenced {
-                seqno: Seqno(2),
-                kind: SequencedKind::Leave { member: MemberId(9), forced: true },
-            },
+            entry: Sequenced::new(
+                Seqno(2),
+                SequencedKind::Leave { member: MemberId(9), forced: true },
+            ),
         });
         roundtrip(Body::BcastData {
-            entry: Sequenced {
-                seqno: Seqno(3),
-                kind: SequencedKind::SequencerHandoff { new_sequencer: MemberId(2) },
-            },
+            entry: Sequenced::new(
+                Seqno(3),
+                SequencedKind::SequencerHandoff { new_sequencer: MemberId(2) },
+            ),
         });
         roundtrip(Body::BcastOrig { sender_seq: 8, payload: Bytes::new() });
         roundtrip(Body::BcastBatch { items: Vec::new() });
@@ -825,10 +825,10 @@ mod tests {
             items: vec![
                 BatchItem::Entry(app.clone()),
                 BatchItem::Accept { seqno: Seqno(10), origin: MemberId(2), sender_seq: 3 },
-                BatchItem::Entry(Sequenced {
-                    seqno: Seqno(11),
-                    kind: SequencedKind::Leave { member: MemberId(5), forced: false },
-                }),
+                BatchItem::Entry(Sequenced::new(
+                    Seqno(11),
+                    SequencedKind::Leave { member: MemberId(5), forced: false },
+                )),
             ],
         });
         roundtrip(Body::BcastReqBatch { reqs: Vec::new() });
@@ -904,14 +904,14 @@ mod tests {
             hdr: hdr(),
             body: Body::BcastBatch {
                 items: vec![
-                    BatchItem::Entry(Sequenced {
-                        seqno: Seqno(9),
-                        kind: SequencedKind::App {
+                    BatchItem::Entry(Sequenced::new(
+                        Seqno(9),
+                        SequencedKind::App {
                             origin: MemberId(1),
                             sender_seq: 2,
                             payload: Bytes::from_static(b"data"),
                         },
-                    }),
+                    )),
                     BatchItem::Accept { seqno: Seqno(10), origin: MemberId(2), sender_seq: 3 },
                 ],
             },

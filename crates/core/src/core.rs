@@ -479,6 +479,13 @@ impl GroupCore {
         matches!(self.mode, Mode::Normal | Mode::Recovering(_))
     }
 
+    /// The history buffer (the sequencer's retransmission store, a
+    /// member's cache), for test harnesses.
+    #[doc(hidden)]
+    pub fn history(&self) -> &HistoryBuffer {
+        &self.history
+    }
+
     /// One-line dump of the ordering internals, for test harnesses and
     /// chaos-run triage (not a stable format).
     #[doc(hidden)]
@@ -729,10 +736,13 @@ impl GroupCore {
     fn deliver_entry(&mut self, entry: Sequenced) {
         debug_assert_eq!(entry.seqno, self.next_expected);
         self.next_expected = self.next_expected.next();
-        self.history.insert_evicting(entry.clone());
-        self.stats.delivered += 1;
         let seqno = entry.seqno;
-        match entry.kind {
+        // The application gets the kind (a payload refcount); the
+        // shared entry itself moves into the history cache.
+        let kind = entry.kind.clone();
+        self.history.insert_evicting(entry);
+        self.stats.delivered += 1;
+        match kind {
             SequencedKind::App { origin, sender_seq, payload } => {
                 if origin == self.me {
                     if self.is_sequencer() {

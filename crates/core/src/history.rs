@@ -183,21 +183,15 @@ mod tests {
     use bytes::Bytes;
 
     fn app(seqno: u64, origin: u32, sender_seq: u64) -> Sequenced {
-        Sequenced {
-            seqno: Seqno(seqno),
-            kind: SequencedKind::App {
-                origin: MemberId(origin),
-                sender_seq,
-                payload: Bytes::new(),
-            },
-        }
+        Sequenced::new(
+            Seqno(seqno),
+            SequencedKind::App { origin: MemberId(origin), sender_seq, payload: Bytes::new() },
+        )
     }
 
     fn leave(seqno: u64, member: u32) -> Sequenced {
-        Sequenced {
-            seqno: Seqno(seqno),
-            kind: SequencedKind::Leave { member: MemberId(member), forced: true },
-        }
+        let kind = SequencedKind::Leave { member: MemberId(member), forced: true };
+        Sequenced::new(Seqno(seqno), kind)
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub use history::HistoryBuffer;
 pub use ids::{GroupId, MemberId, Seqno, ViewId};
 pub use info::GroupInfo;
 pub use message::{
-    pack_batch_items, BatchItem, BatchReq, Body, Hdr, Sequenced, SequencedKind, WireMsg,
+    pack_batch_items, BatchItem, BatchReq, Body, Hdr, Sequenced, SequencedKind, Stamped, WireMsg,
 };
 pub use stats::CoreStats;
 pub use timer::TimerKind;

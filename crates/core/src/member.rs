@@ -139,8 +139,7 @@ impl GroupCore {
         if let Some(payload) = parked {
             // BB: we hold the multicast payload; the accept gives it its
             // place in the total order.
-            let entry =
-                Sequenced { seqno, kind: SequencedKind::App { origin, sender_seq, payload } };
+            let entry = Sequenced::new(seqno, SequencedKind::App { origin, sender_seq, payload });
             self.ingest_sequenced(entry);
             self.maybe_report_floor();
             return;
@@ -173,8 +172,7 @@ impl GroupCore {
         let origin = hdr.sender;
         if let Some(seqno) = self.accepted_awaiting_data.remove(origin, sender_seq) {
             self.pre_accepted.remove(&seqno);
-            let entry =
-                Sequenced { seqno, kind: SequencedKind::App { origin, sender_seq, payload } };
+            let entry = Sequenced::new(seqno, SequencedKind::App { origin, sender_seq, payload });
             self.ingest_sequenced(entry);
             return;
         }

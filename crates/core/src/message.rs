@@ -4,6 +4,9 @@
 //! several protocol messages in one packet so that one multicast and
 //! one receive interrupt are amortized over the whole batch.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use amoeba_flip::FlipAddress;
 use bytes::Bytes;
 
@@ -38,12 +41,55 @@ pub struct Hdr {
 /// messages and membership changes flow through the *same* ordered,
 /// reliable stream — exactly the property the paper advertises ("even
 /// the events of a new member joining the group … are totally-ordered").
+///
+/// A shared handle: the entry is allocated once, where it is stamped
+/// (or decoded off a wire), and every later holder — the sequencer's
+/// history, the `BcastData`/`Tentative`/batch bodies, each member's
+/// out-of-order window and history cache, retransmission answers —
+/// keeps a refcount on that one allocation (DESIGN.md §7). Fields read
+/// through [`Deref`]; equality compares contents.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Sequenced(Arc<Stamped>);
+
+/// The contents of a [`Sequenced`] entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sequenced {
+pub struct Stamped {
     /// Position in the group's total order.
     pub seqno: Seqno,
     /// What happened at that position.
     pub kind: SequencedKind,
+}
+
+impl Sequenced {
+    /// Allocates the entry stamped `seqno` for `kind`.
+    pub fn new(seqno: Seqno, kind: SequencedKind) -> Self {
+        Sequenced(Arc::new(Stamped { seqno, kind }))
+    }
+
+    /// Whether `a` and `b` are handles on the same allocation.
+    pub fn ptr_eq(a: &Sequenced, b: &Sequenced) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl From<Stamped> for Sequenced {
+    fn from(stamped: Stamped) -> Self {
+        Sequenced(Arc::new(stamped))
+    }
+}
+
+impl Deref for Sequenced {
+    type Target = Stamped;
+
+    fn deref(&self) -> &Stamped {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Sequenced {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sequenced").field("seqno", &self.seqno).field("kind", &self.kind).finish()
+    }
 }
 
 /// The payload of a [`Sequenced`] slot.
@@ -499,15 +545,36 @@ mod tests {
         assert_eq!(tags.len(), bodies.len());
     }
 
+    /// Every member's history cache and out-of-order window is a ring
+    /// of `Option<Sequenced>` slots, written once per delivery: a
+    /// handle, not an inline copy of the entry.
+    #[test]
+    fn a_ring_slot_is_one_pointer() {
+        assert_eq!(std::mem::size_of::<Option<Sequenced>>(), 8);
+    }
+
+    #[test]
+    fn clones_share_the_entry_and_compare_by_value() {
+        let kind = SequencedKind::Leave { member: MemberId(3), forced: false };
+        let a = Sequenced::new(Seqno(4), kind.clone());
+        let b = a.clone();
+        assert!(Sequenced::ptr_eq(&a, &b));
+        let c: Sequenced = Stamped { seqno: Seqno(4), kind }.into();
+        assert!(!Sequenced::ptr_eq(&a, &c));
+        assert_eq!(a, c);
+        assert_eq!(format!("{a:?}"), format!("{c:?}"));
+        assert!(format!("{a:?}").starts_with("Sequenced { seqno: "));
+    }
+
     fn entry_item(seqno: u64, payload_len: usize) -> BatchItem {
-        BatchItem::Entry(Sequenced {
-            seqno: Seqno(seqno),
-            kind: SequencedKind::App {
+        BatchItem::Entry(Sequenced::new(
+            Seqno(seqno),
+            SequencedKind::App {
                 origin: MemberId(1),
                 sender_seq: seqno,
                 payload: Bytes::from(vec![0u8; payload_len]),
             },
-        })
+        ))
     }
 
     #[test]

@@ -231,7 +231,9 @@ impl GroupCore {
                 );
             }
         }
-        let entry = Sequenced { seqno, kind };
+        // The one allocation of this entry: history, the local
+        // delivery and the multicast body below share it.
+        let entry = Sequenced::new(seqno, kind);
         self.history.insert(entry.clone());
         self.stats.sequenced += 1;
         // The sequencer's member delivers immediately: it defines the

@@ -195,14 +195,14 @@ fn method_selection_shapes_the_wire() {
     let bcast = WireMsg {
         hdr: hdr_from(0, 1),
         body: Body::BcastData {
-            entry: amoeba_core::Sequenced {
+            entry: amoeba_core::Stamped {
                 seqno: Seqno(2),
                 kind: amoeba_core::SequencedKind::App {
                     origin: MemberId(1),
                     sender_seq: 1,
                     payload: Bytes::from(vec![0u8; 50]),
                 },
-            },
+            }.into(),
         },
     };
     let actions = core.handle_message(FlipAddress::process(10), bcast);

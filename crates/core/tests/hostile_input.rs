@@ -6,7 +6,7 @@
 //! overflow instead of resizing the dense tables.
 
 use amoeba_core::{
-    Body, GroupConfig, GroupCore, GroupId, Hdr, MemberId, Seqno, Sequenced, SequencedKind,
+    Body, GroupConfig, GroupCore, GroupId, Hdr, MemberId, Seqno, SequencedKind, Stamped,
     ViewId,
 };
 use amoeba_flip::FlipAddress;
@@ -61,14 +61,14 @@ fn absurd_seqno_is_dropped_like_a_garbled_packet() {
         let msg = amoeba_core::WireMsg {
             hdr: hdr_from(MemberId(0)),
             body: Body::BcastData {
-                entry: Sequenced {
+                entry: Stamped {
                     seqno: Seqno(seqno),
                     kind: SequencedKind::App {
                         origin: MemberId(0),
                         sender_seq: 1,
                         payload: Bytes::from_static(b"evil"),
                     },
-                },
+                }.into(),
             },
         };
         // Must not OOM/panic; must not deliver.
@@ -82,14 +82,14 @@ fn absurd_seqno_is_dropped_like_a_garbled_packet() {
     let msg = amoeba_core::WireMsg {
         hdr: hdr_from(MemberId(0)),
         body: Body::Tentative {
-            entry: Sequenced {
+            entry: Stamped {
                 seqno: Seqno(u64::MAX - 7),
                 kind: SequencedKind::App {
                     origin: MemberId(0),
                     sender_seq: 2,
                     payload: Bytes::new(),
                 },
-            },
+            }.into(),
             resilience: 1,
         },
     };
@@ -105,14 +105,14 @@ fn seqno_plausibility_window_edge_is_exact() {
     let make = |seqno: u64| amoeba_core::WireMsg {
         hdr: hdr_from(MemberId(0)),
         body: Body::BcastData {
-            entry: Sequenced {
+            entry: Stamped {
                 seqno: Seqno(seqno),
                 kind: SequencedKind::App {
                     origin: MemberId(0),
                     sender_seq: 1,
                     payload: Bytes::from_static(b"edge"),
                 },
-            },
+            }.into(),
         },
     };
     let seq_addr = FlipAddress::process(1);
@@ -170,14 +170,14 @@ fn absurd_member_ids_do_not_resize_the_flat_tables() {
     let normal = amoeba_core::WireMsg {
         hdr: hdr_from(MemberId(0)),
         body: Body::BcastData {
-            entry: Sequenced {
+            entry: Stamped {
                 seqno: Seqno(2),
                 kind: SequencedKind::App {
                     origin: MemberId(0),
                     sender_seq: 1,
                     payload: Bytes::from_static(b"ok"),
                 },
-            },
+            }.into(),
         },
     };
     let actions = core.handle_message(FlipAddress::process(1), normal);

@@ -8,9 +8,10 @@
 //! three PRs later.
 
 use amoeba_core::{
-    decode_wire_msg, encode_wire_msg, BatchItem, Body, FrameEncoder, GroupId, Hdr, MemberId,
-    Seqno, Sequenced, SequencedKind, ViewId, WireMsg,
+    decode_wire_msg, encode_wire_msg, Action, BatchItem, Body, FrameEncoder, GroupConfig,
+    GroupCore, GroupId, Hdr, MemberId, Seqno, Sequenced, SequencedKind, Stamped, ViewId, WireMsg,
 };
+use amoeba_flip::FlipAddress;
 use bytes::Bytes;
 
 fn hdr() -> Hdr {
@@ -24,10 +25,10 @@ fn hdr() -> Hdr {
 }
 
 fn app_entry(seqno: u64, payload: Bytes) -> Sequenced {
-    Sequenced {
+    Stamped {
         seqno: Seqno(seqno),
         kind: SequencedKind::App { origin: MemberId(2), sender_seq: seqno, payload },
-    }
+    }.into()
 }
 
 /// The payload of a decoded message, or a panic if it is not an app
@@ -150,4 +151,84 @@ fn encoder_and_oneshot_produce_identical_frames() {
         let oneshot = encode_wire_msg(&msg);
         assert_eq!(pooled, oneshot, "scratch reuse must not change the wire bytes");
     }
+}
+
+// ---------------------------------------------------------------------
+// Stamped entries: one allocation per stamp (DESIGN.md §7)
+// ---------------------------------------------------------------------
+
+const SEQ_ADDR: FlipAddress = FlipAddress::process(10);
+const MEMBER_ADDR: FlipAddress = FlipAddress::process(20);
+
+/// The packets among `actions`. In a two-member group every one of
+/// them is addressed to the other member.
+fn sent(actions: Vec<Action>) -> Vec<WireMsg> {
+    actions
+        .into_iter()
+        .filter_map(|a| match a {
+            Action::Send { msg, .. } => Some(msg),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A sequencer and one member, formed sans-io by handing each packet
+/// to the other core as it is: no codec, so nothing on the way is
+/// decoded into a fresh allocation.
+fn sequencer_and_member() -> (GroupCore, GroupCore) {
+    let config = GroupConfig::default();
+    let (mut seq, _) = GroupCore::create(GroupId(1), SEQ_ADDR, config.clone()).expect("valid");
+    let (mut member, join) = GroupCore::join(GroupId(1), MEMBER_ADDR, config).expect("valid");
+    let mut to_seq = sent(join);
+    while !to_seq.is_empty() {
+        let to_member: Vec<WireMsg> =
+            to_seq.drain(..).flat_map(|m| sent(seq.handle_message(MEMBER_ADDR, m))).collect();
+        to_seq = to_member
+            .into_iter()
+            .flat_map(|m| sent(member.handle_message(SEQ_ADDR, m)))
+            .collect();
+    }
+    assert!(member.is_member(), "the member was admitted");
+    (seq, member)
+}
+
+fn entry_of(msg: &WireMsg) -> &Sequenced {
+    match &msg.body {
+        Body::BcastData { entry } => entry,
+        other => panic!("expected BcastData, got {other:?}"),
+    }
+}
+
+/// The entry the sequencer stamps is the one its multicast carries, the
+/// one the member caches in its history, and the one a retransmission
+/// answer carries: every holder shares the stamp's allocation.
+#[test]
+fn a_stamped_entry_is_one_allocation_in_every_holder() {
+    let (mut seq, mut member) = sequencer_and_member();
+    let msgs = sent(seq.send_to_group(Bytes::from_static(b"shared")));
+    let [bcast] = &msgs[..] else { panic!("one multicast per send, got {msgs:?}") };
+    let seqno = entry_of(bcast).seqno;
+    let stamped = seq.history().get(seqno).expect("the sequencer keeps its stamp").clone();
+    assert!(Sequenced::ptr_eq(entry_of(bcast), &stamped), "the multicast copied the entry");
+
+    for msg in msgs {
+        member.handle_message(SEQ_ADDR, msg);
+    }
+    let cached = member.history().get(seqno).expect("the member caches what it delivered");
+    assert!(Sequenced::ptr_eq(cached, &stamped), "the member's history copied the entry");
+
+    let info = member.info();
+    let nack = WireMsg {
+        hdr: Hdr {
+            group: GroupId(1),
+            view: info.view,
+            sender: info.me,
+            last_delivered: Seqno::ZERO,
+            gc_floor: Seqno::ZERO,
+        },
+        body: Body::RetransReq { from: seqno, to: seqno },
+    };
+    let answer = sent(seq.handle_message(MEMBER_ADDR, nack));
+    let [resent] = &answer[..] else { panic!("one retransmission, got {answer:?}") };
+    assert!(Sequenced::ptr_eq(entry_of(resent), &stamped), "the retransmission copied the entry");
 }

@@ -147,27 +147,19 @@ mod tests {
     fn batch_frames_amortize_the_per_packet_cost() {
         use amoeba_core::{BatchItem, MemberId, Sequenced, SequencedKind};
         let c = CostModel::mc68030_ether10();
-        let item = |s: u64| {
-            BatchItem::Entry(Sequenced {
-                seqno: Seqno(s),
-                kind: SequencedKind::App {
+        let entry = |s: u64| {
+            Sequenced::new(
+                Seqno(s),
+                SequencedKind::App {
                     origin: MemberId(1),
                     sender_seq: s,
                     payload: bytes::Bytes::new(),
                 },
-            })
+            )
         };
-        let batch8 = Body::BcastBatch { items: (1..=8).map(item).collect() };
-        let one = Body::BcastData {
-            entry: Sequenced {
-                seqno: Seqno(1),
-                kind: SequencedKind::App {
-                    origin: MemberId(1),
-                    sender_seq: 1,
-                    payload: bytes::Bytes::new(),
-                },
-            },
-        };
+        let batch8 =
+            Body::BcastBatch { items: (1..=8).map(|s| BatchItem::Entry(entry(s))).collect() };
+        let one = Body::BcastData { entry: entry(1) };
         let batched = c.group_layer_rx(false, &batch8);
         let unbatched = 8 * c.group_layer_rx(false, &one);
         assert!(batched < unbatched, "batched {batched} vs 8 singles {unbatched}");

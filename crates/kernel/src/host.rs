@@ -121,8 +121,13 @@ impl Apps {
                     if let Some(old) = sim.world.nodes[n].app_timers.remove(&id) {
                         sim.cancel(old);
                     }
-                    let after = SimDuration::from_micros(after.as_micros() as u64);
-                    let ev = sim.schedule_in(after, move |sim| {
+                    // A deadline the simulated clock cannot represent is
+                    // no deadline: the timer stays disarmed.
+                    let at = u64::try_from(after.as_micros())
+                        .ok()
+                        .and_then(|us| sim.now().checked_add(SimDuration::from_micros(us)));
+                    let Some(at) = at else { continue };
+                    let ev = sim.schedule_at(at, move |sim| {
                         sim.world.nodes[n].app_timers.remove(&id);
                         Apps::call(sim, n, AppCall::Timer(id));
                     });

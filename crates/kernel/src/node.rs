@@ -1,6 +1,8 @@
 //! One simulated machine: its kernel protocol entities and the
 //! application workload driving them.
 
+use std::rc::Rc;
+
 use amoeba_app::{GroupApp, TimerId};
 use amoeba_core::{GroupCore, GroupId, TimerKind};
 use amoeba_flip::{FlipAddress, Reassembler};
@@ -86,7 +88,7 @@ pub struct SimNode {
     /// window has room.
     pub(crate) pending_sends: std::collections::VecDeque<bytes::Bytes>,
     /// Fragment reassembly (per-sender streams).
-    pub(crate) reasm: Reassembler<SimPacket>,
+    pub(crate) reasm: Reassembler<Rc<SimPacket>>,
     pub(crate) next_frag_id: u64,
     /// The receive-interrupt drain loop is running.
     pub(crate) draining: bool,

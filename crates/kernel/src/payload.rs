@@ -1,5 +1,7 @@
 //! What travels inside simulated Ethernet frames.
 
+use std::rc::Rc;
+
 use amoeba_core::WireMsg;
 use amoeba_flip::FlipAddress;
 use amoeba_rpc::RpcMsg;
@@ -41,18 +43,34 @@ impl SimPacket {
 }
 
 /// One FLIP fragment of a [`SimPacket`]. The simulator never serializes
-/// payload bytes: each fragment carries a (cheap, `Bytes`-backed) clone
-/// of the whole logical packet, and reassembly counts fragments — only
+/// payload bytes: each fragment carries a handle on the whole logical
+/// packet, allocated once per send and shared by the send's fragments
+/// and by every receive ring the medium copies a frame into (chaos
+/// duplicates included), and reassembly counts fragments — only
 /// *timing* is simulated at this layer, byte-exact framing is covered by
-/// the real codecs' unit tests.
+/// the real codecs' unit tests. `Rc`, not `Arc`: a simulation runs on
+/// one thread.
 #[derive(Debug, Clone)]
 pub struct SimFrag {
     /// The logical packet this fragment belongs to.
-    pub packet: SimPacket,
+    pub packet: Rc<SimPacket>,
     /// Sender-local fragment-stream id.
     pub msg_id: u64,
     /// Fragment index.
     pub index: u16,
     /// Total fragments in the packet.
     pub count: u16,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_net::Frame;
+
+    /// A receive-ring slot holds a handle on the packet, not a copy of
+    /// it: the medium writes one per receiver per fragment.
+    #[test]
+    fn a_ring_slot_holds_a_handle_not_the_packet() {
+        assert!(std::mem::size_of::<Frame<SimFrag>>() <= 40);
+    }
 }

@@ -3,6 +3,7 @@
 //! with every layer's CPU cost charged per the calibrated [`CostModel`].
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use amoeba_app::{AppEvent, GroupApp, SenderApp};
 use amoeba_core::{
@@ -152,16 +153,18 @@ impl Kernel {
             node.reasm.purge_older_than(now.saturating_sub(1_000_000));
         }
         let done = node.reasm.insert(key, frag.index, frag.count, frag.packet, now);
-        if let Some(mut parts) = done {
-            let packet = parts.pop().expect("at least one fragment");
+        // The fragments' handles are one packet: keep one.
+        if let Some(packet) = done.and_then(|mut parts| parts.pop()) {
             Self::dispatch(sim, n, packet);
         }
     }
 
     /// A whole packet is assembled: charge the owning layer and run the
-    /// protocol state machine.
-    fn dispatch(sim: &mut Sim, n: usize, packet: SimPacket) {
-        match packet {
+    /// protocol state machine. The protocol consumes its own copy of the
+    /// message; the packet itself stays shared with the other receivers
+    /// (the last one to get here takes it without a copy).
+    fn dispatch(sim: &mut Sim, n: usize, packet: Rc<SimPacket>) {
+        match Rc::unwrap_or_clone(packet) {
             SimPacket::Group { from, msg } => {
                 let is_seq =
                     sim.world.nodes[n].core.as_ref().map(|c| c.is_sequencer()).unwrap_or(false);
@@ -198,6 +201,9 @@ impl Kernel {
     fn send_packet(sim: &mut Sim, n: usize, dest: PacketDest, packet: SimPacket) {
         let mtu_payload = sim.world.net.config.mtu - LINK_HEADER_LEN - FLIP_HEADER_LEN;
         let size = packet.wire_size();
+        // One allocation per send: every fragment, and every receive
+        // ring the medium copies a frame into, holds this handle.
+        let packet = Rc::new(packet);
         let lens = amoeba_flip::split_lens(size, mtu_payload);
         let count = lens.len() as u16;
         let msg_id = {
@@ -218,7 +224,7 @@ impl Kernel {
                                     host,
                                     LINK_HEADER_LEN + FLIP_HEADER_LEN + len,
                                     SimFrag {
-                                        packet: packet.clone(),
+                                        packet: Rc::clone(&packet),
                                         msg_id,
                                         index: i as u16,
                                         count,
@@ -244,7 +250,7 @@ impl Kernel {
                                             mcast,
                                             LINK_HEADER_LEN + FLIP_HEADER_LEN + len,
                                             SimFrag {
-                                                packet: packet.clone(),
+                                                packet: Rc::clone(&packet),
                                                 msg_id,
                                                 index: i as u16,
                                                 count,
@@ -943,15 +949,16 @@ impl SimWorld {
     }
 
     /// Runs until every installed app has ended (stopped, left or
-    /// crashed), or `limit` of simulated time has passed. Returns
-    /// whether all apps finished.
+    /// crashed), or `limit` of simulated time has passed (a limit the
+    /// clock cannot represent is none). Returns whether all apps
+    /// finished.
     pub fn run_until_apps_done(&mut self, limit: SimDuration) -> bool {
-        let deadline = self.sim.now() + limit;
+        let deadline = self.sim.now().checked_add(limit);
         loop {
             if self.sim.world.running_apps == 0 {
                 return true;
             }
-            if self.sim.now() > deadline || !self.sim.step() {
+            if deadline.is_some_and(|d| self.sim.now() > d) || !self.sim.step() {
                 return false;
             }
         }
@@ -970,5 +977,57 @@ impl SimWorld {
     /// Resets throughput counters (for measuring after warm-up).
     pub fn snapshot_sends(&self) -> u64 {
         self.sim.world.metrics.sends_ok.get()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use amoeba_core::{Body, Hdr, MemberId, ViewId, WireMsg};
+
+    /// One multicast on a three-node segment is one `SimPacket`
+    /// allocation, shared by every fragment of the send and by every
+    /// receive ring the medium copies a frame into.
+    #[test]
+    fn one_multicast_reaches_every_receiver_as_the_same_packet() {
+        let mut w = SimWorld::new(CostModel::mc68030_ether10(), 1);
+        let group = GroupId(1);
+        for n in 0..3 {
+            w.add_node();
+            Kernel::register_membership(&mut w.sim, n, group);
+        }
+        // A receiver whose drain loop looks busy leaves its frames in
+        // the ring, where they can be inspected.
+        for n in 1..3 {
+            w.sim.world.nodes[n].draining = true;
+        }
+        let msg = WireMsg {
+            hdr: Hdr {
+                group,
+                view: ViewId::INITIAL,
+                sender: MemberId(0),
+                last_delivered: Seqno::ZERO,
+                gc_floor: Seqno::ZERO,
+            },
+            body: Body::BcastOrig { sender_seq: 1, payload: Bytes::from(vec![0u8; 3_000]) },
+        };
+        let packet = SimPacket::Group { from: w.sim.world.nodes[0].addr, msg };
+        Kernel::send_packet(&mut w.sim, 0, PacketDest::Group(group), packet);
+        w.sim.run();
+        let mut frames = Vec::new();
+        for n in 1..3 {
+            while let Some(frame) = w.sim.world.net.host_mut(HostId(n)).nic.pop_rx() {
+                frames.push(frame);
+            }
+        }
+        let count = usize::from(frames[0].payload.count);
+        assert!(count > 1, "a 3 000-byte packet fragments");
+        assert_eq!(frames.len(), 2 * count, "every fragment reaches both receivers");
+        let packet = &frames[0].payload.packet;
+        assert!(
+            frames.iter().all(|f| Rc::ptr_eq(&f.payload.packet, packet)),
+            "a ring copied the packet"
+        );
+        assert_eq!(Rc::strong_count(packet), frames.len(), "only the rings hold it now");
     }
 }

@@ -127,3 +127,31 @@ impl Inbox {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{UdpConfig, UdpNet};
+
+    /// A timeout the clock cannot represent is a wait with no
+    /// deadline, on both sources alike, and the waker still ends it
+    /// from another thread (before or after the wait begins: either
+    /// way nothing else can end it).
+    #[test]
+    fn a_waker_ends_a_wait_with_no_deadline_on_both_sources() {
+        let udp = UdpNet::new(UdpConfig::default());
+        for (source, inbox) in
+            [("channel", Inbox::channel().1), ("udp", udp.register(FlipAddress::process(1)))]
+        {
+            let waker = inbox.waker();
+            std::thread::scope(|s| {
+                s.spawn(&waker);
+                assert_eq!(
+                    inbox.recv_timeout(Duration::MAX).err(),
+                    Some(RecvTimeoutError::Timeout),
+                    "{source}"
+                );
+            });
+        }
+    }
+}

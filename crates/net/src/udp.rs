@@ -560,13 +560,14 @@ impl UdpInbox {
 
     /// See [`Inbox::recv_timeout`]; `None` is its `Timeout`. A zero
     /// `timeout` polls: it reads what the socket already holds and
-    /// returns at the first read that would block.
+    /// returns at the first read that would block. A `timeout` the
+    /// clock cannot represent waits with no deadline.
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Datagram> {
         let RecvState { scratch, partials, cache } = &mut *self.state.borrow_mut();
         let Endpoint { sock, drops, .. } = &*self.endpoint;
         let poll = timeout.is_zero();
         let mut now = Instant::now();
-        let deadline = now + timeout;
+        let deadline = now.checked_add(timeout);
         loop {
             let received = if poll {
                 // Sends share the socket: it blocks again at once.
@@ -575,11 +576,11 @@ impl UdpInbox {
                 let _ = sock.set_nonblocking(false);
                 received
             } else {
-                let left = deadline.saturating_duration_since(now);
-                if left.is_zero() {
+                let left = deadline.map(|d| d.saturating_duration_since(now));
+                if left.is_some_and(|left| left.is_zero()) {
                     return None;
                 }
-                let _ = sock.set_read_timeout(Some(left));
+                let _ = sock.set_read_timeout(left);
                 sock.recv_from(scratch)
             };
             now = Instant::now();

@@ -244,10 +244,14 @@ impl NodeShared {
     }
 
     /// Arms (or re-arms) `timer`, and wakes the driver if that is
-    /// sooner than it sleeps until.
+    /// sooner than it sleeps until. A deadline the clock cannot
+    /// represent is no deadline: the timer is disarmed and never fires.
     pub(crate) fn set_timer(&self, timer: Timer, after: Duration) {
-        let at = Instant::now() + after;
         let mut timers = self.timers.lock();
+        let Some(at) = Instant::now().checked_add(after) else {
+            timers.due.remove(&timer);
+            return;
+        };
         timers.due.insert(timer, at);
         let sooner = at < timers.wake_at;
         drop(timers);

@@ -44,6 +44,15 @@ impl SimTime {
         self.0 as f64 / 1_000_000.0
     }
 
+    /// The instant `d` after this one, or `None` if the clock cannot
+    /// represent it.
+    pub const fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        match self.0.checked_add(d.0) {
+            Some(us) => Some(SimTime(us)),
+            None => None,
+        }
+    }
+
     /// The duration elapsed since `earlier`.
     ///
     /// # Panics
@@ -195,6 +204,14 @@ mod tests {
         assert_eq!(SimDuration::from_secs(1), SimDuration::from_millis(1_000));
         assert_eq!(SimDuration::from_millis(1), SimDuration::from_micros(1_000));
         assert_eq!(SimDuration::from_micros(1_500).as_millis_f64(), 1.5);
+    }
+
+    #[test]
+    fn checked_add_refuses_what_the_clock_cannot_hold() {
+        let t = SimTime::from_micros(7);
+        assert_eq!(t.checked_add(SimDuration::from_micros(3)), Some(SimTime::from_micros(10)));
+        assert_eq!(t.checked_add(SimDuration::from_micros(u64::MAX - 7)), Some(SimTime(u64::MAX)));
+        assert_eq!(t.checked_add(SimDuration::from_micros(u64::MAX - 6)), None);
     }
 
     #[test]

@@ -161,7 +161,8 @@ pub fn run(
     match backend {
         Backend::Sim => {
             let mut host = SimHost::new(spec.seed, spec.group, spec.config);
-            host.set_limit(SimDuration::from_micros(spec.sim_limit.as_micros() as u64));
+            let limit_us = u64::try_from(spec.sim_limit.as_micros()).unwrap_or(u64::MAX);
+            host.set_limit(SimDuration::from_micros(limit_us));
             for app in apps {
                 host.add_app(app);
             }

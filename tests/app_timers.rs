@@ -1,8 +1,9 @@
 //! `Ctx::set_timer` semantics on both hosts: timers fire in simulated
 //! time on `SimHost` (exact instants, deterministic) and wall-clock
 //! time on `LiveHost` (lower-bounded), in deadline order either way;
-//! `cancel_timer` disarms; and `leave`/`crash`/`stop` cancel whatever
-//! is pending — a dead app never hears a late timer.
+//! `cancel_timer` disarms; `leave`/`crash`/`stop` cancel whatever
+//! is pending — a dead app never hears a late timer; and a deadline the
+//! clock cannot represent never fires, on `UdpNet` too.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -91,6 +92,44 @@ fn cancel_timer_disarms_on_both_backends() {
         let fired = fired.lock().unwrap().clone();
         assert_eq!(fired.len(), 1, "[{backend}] cancelled timer fired: {fired:?}");
         assert_eq!(fired[0].0, 8, "[{backend}] wrong timer fired");
+    }
+}
+
+/// From a callback at t > 0, arms timer 1 at 5 ms and re-arms it at
+/// `Duration::MAX`, then arms timer 2 at 10 ms and stops on it. A
+/// deadline the clock cannot represent is no deadline: re-arming
+/// replaces the 5 ms one, timer 1 never fires, and the run ends.
+struct FarTimer {
+    fired: Fired,
+}
+
+impl GroupApp for FarTimer {
+    fn on_start(&mut self, ctx: &mut dyn Ctx) {
+        ctx.set_timer(TimerId(0), Duration::from_millis(1));
+    }
+
+    fn on_timer(&mut self, ctx: &mut dyn Ctx, timer: TimerId) {
+        self.fired.lock().unwrap().push((timer.0, ctx.now()));
+        match timer {
+            TimerId(0) => {
+                ctx.set_timer(TimerId(1), Duration::from_millis(5));
+                ctx.set_timer(TimerId(1), Duration::MAX);
+                ctx.set_timer(TimerId(2), Duration::from_millis(10));
+            }
+            TimerId(2) => ctx.stop(),
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn a_deadline_the_clock_cannot_represent_never_fires_on_every_backend() {
+    for backend in [Backend::Sim, Backend::Live, Backend::Udp] {
+        let fired: Fired = Arc::new(Mutex::new(Vec::new()));
+        let app = Box::new(FarTimer { fired: Arc::clone(&fired) });
+        amoeba::app::run(backend, RunSpec::new(24), vec![app]);
+        let ids: Vec<u64> = fired.lock().unwrap().iter().map(|&(id, _)| id).collect();
+        assert_eq!(ids, vec![0, 2], "[{backend}] timers fired");
     }
 }
 

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use amoeba::core::{HistoryBuffer, MemberId, Seqno, Sequenced, SequencedKind};
+use amoeba::core::{HistoryBuffer, MemberId, Seqno, Sequenced, SequencedKind, Stamped};
 use bytes::Bytes;
 use proptest::prelude::*;
 
@@ -112,21 +112,21 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 fn app(seqno: u64, origin: u32, sender_seq: u64) -> Sequenced {
-    Sequenced {
+    Stamped {
         seqno: Seqno(seqno),
         kind: SequencedKind::App {
             origin: MemberId(origin),
             sender_seq,
             payload: Bytes::new(),
         },
-    }
+    }.into()
 }
 
 fn control(seqno: u64, member: u32) -> Sequenced {
-    Sequenced {
+    Stamped {
         seqno: Seqno(seqno),
         kind: SequencedKind::Leave { member: MemberId(member), forced: false },
-    }
+    }.into()
 }
 
 fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer) {

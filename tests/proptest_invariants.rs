@@ -4,7 +4,7 @@
 
 use amoeba::core::{
     decode_wire_frame, decode_wire_msg, encode_wire_msg, pack_batch_items, BatchItem, BatchReq,
-    Body, FrameEncoder, GroupId, Hdr, HistoryBuffer, MemberId, Seqno, Sequenced, SequencedKind,
+    Body, FrameEncoder, GroupId, Hdr, HistoryBuffer, MemberId, Seqno, SequencedKind, Stamped,
     ViewId, WireMsg, BATCH_FRAME_BUDGET,
 };
 use amoeba::flip::{split_lens, FlipAddress, FragKey, Reassembler};
@@ -49,7 +49,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
         (any::<u64>(), arb_payload())
             .prop_map(|(sender_seq, payload)| Body::BcastReq { sender_seq, payload }),
         (arb_seqno(), arb_kind()).prop_map(|(seqno, kind)| Body::BcastData {
-            entry: Sequenced { seqno, kind }
+            entry: Stamped { seqno, kind }.into()
         }),
         (any::<u64>(), arb_payload())
             .prop_map(|(sender_seq, payload)| Body::BcastOrig { sender_seq, payload }),
@@ -57,7 +57,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
             Body::Accept { seqno, origin, sender_seq }
         }),
         (arb_seqno(), arb_kind(), 0u32..32).prop_map(|(seqno, kind, resilience)| {
-            Body::Tentative { entry: Sequenced { seqno, kind }, resilience }
+            Body::Tentative { entry: Stamped { seqno, kind }.into(), resilience }
         }),
         arb_seqno().prop_map(|seqno| Body::TentAck { seqno }),
         (arb_seqno(), arb_seqno()).prop_map(|(from, to)| Body::RetransReq { from, to }),
@@ -87,7 +87,7 @@ fn arb_body() -> impl Strategy<Value = Body> {
 fn arb_batch_item() -> impl Strategy<Value = BatchItem> {
     prop_oneof![
         (arb_seqno(), arb_kind())
-            .prop_map(|(seqno, kind)| BatchItem::Entry(Sequenced { seqno, kind })),
+            .prop_map(|(seqno, kind)| BatchItem::Entry(Stamped { seqno, kind }.into())),
         (arb_seqno(), arb_member(), any::<u64>()).prop_map(|(seqno, origin, sender_seq)| {
             BatchItem::Accept { seqno, origin, sender_seq }
         }),
@@ -244,14 +244,14 @@ proptest! {
         prop_assume!((inserts as usize) <= cap);
         let mut h = HistoryBuffer::new(cap);
         for i in 1..=inserts {
-            h.insert(Sequenced {
+            h.insert(Stamped {
                 seqno: Seqno(i),
                 kind: SequencedKind::App {
                     origin: MemberId(0),
                     sender_seq: i,
                     payload: Bytes::new(),
                 },
-            });
+            }.into());
         }
         h.gc(Seqno(floor));
         let expected_remaining = inserts.saturating_sub(floor);
@@ -269,14 +269,14 @@ proptest! {
     ) {
         let mut h = HistoryBuffer::new(cap);
         for i in 1..=inserts {
-            h.insert_evicting(Sequenced {
+            h.insert_evicting(Stamped {
                 seqno: Seqno(i),
                 kind: SequencedKind::App {
                     origin: MemberId(0),
                     sender_seq: i,
                     payload: Bytes::new(),
                 },
-            });
+            }.into());
             prop_assert!(h.len() <= cap);
         }
         // The retained window is always the newest suffix.
