@@ -84,5 +84,8 @@ pub use live::LiveNet;
 pub use medium::{MediumState, MediumStats};
 pub use net::{Host, HostId, Net, NetConfig, NetView};
 pub use nic::{Nic, NicStats};
-pub use transport::{Datagram, Inbox, InboxFeed, Transport, TransportSender, Waker};
+pub use transport::{
+    flush_wakes, hold_wakes, Bell, Datagram, Inbox, InboxFeed, Topic, Transport, TransportSender,
+    WakeHold, Waker,
+};
 pub use udp::{InboxDrops, UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};

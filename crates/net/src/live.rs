@@ -7,7 +7,7 @@
 //! immutable [`Routes`] view, and each sending port revalidates its
 //! cached copy with a single atomic load per datagram
 //! (`crate::snapshot`, shared with `UdpNet`). Under a reliable plan a
-//! send is: atomic load, hash lookup, channel push — no global lock, no
+//! send is: atomic load, hash lookup, inbox push — no global lock, no
 //! allocation (the frame bytes are refcount-shared).
 //!
 //! **Fault path** (DESIGN.md §9): under any other plan each `(frame,
@@ -15,7 +15,7 @@
 //! `Net` calls, behind one mutex, with instants counted in wall-clock
 //! µs from [`LiveNet::set_faults`] and a host being
 //! `FlipAddress::id() − 1`. Copies delayed by at most a small threshold
-//! go straight through the channel (preserving per-link FIFO, like a
+//! go straight into the inbox (preserving per-link FIFO, like a
 //! quiet LAN); longer ones are carried by a single *delay-wheel*
 //! thread owning a monotonic schedule — which is what makes
 //! reordering possible, exactly the adversity the
@@ -36,7 +36,7 @@ use crate::snapshot::{Snapshot, SnapshotCache};
 use crate::transport::{Datagram, Inbox, InboxFeed, Transport, TransportSender};
 
 /// Deliveries with at most this much delay skip the delay wheel and
-/// go straight through the channel.
+/// go straight into the inbox.
 const INLINE_DELAY: Duration = Duration::from_micros(300);
 
 /// Authoritative membership state, mutated under its mutex.
@@ -48,7 +48,7 @@ struct Registry {
 }
 
 /// The registry as senders read it, lock-free. Group targets are
-/// pre-resolved to their channels.
+/// pre-resolved to their inboxes.
 struct Routes {
     endpoints: HashMap<FlipAddress, InboxFeed>,
     groups: HashMap<GroupId, Vec<(FlipAddress, InboxFeed)>>,
@@ -165,7 +165,7 @@ impl LiveNet {
         self.table.publish(|reg| reg.reliable = reliable);
     }
 
-    /// Hands one (packet, receiver) pair to the channel or, under a
+    /// Hands one (packet, receiver) pair to its inbox or, under a
     /// plan that is not reliable, to the judge first.
     fn deliver(
         &self,
@@ -177,7 +177,7 @@ impl LiveNet {
     ) {
         // Fault-free fast path: no lock, no draw, no copies.
         if reliable {
-            let _ = tx.send(Some((from, frame)));
+            tx.send((from, frame));
             return;
         }
         let verdict = {
@@ -186,13 +186,13 @@ impl LiveNet {
             judge.state.judge(now_us, host(from), host(to))
         };
         for _ in 0..verdict.immediate {
-            let _ = tx.send(Some((from, frame.clone())));
+            tx.send((from, frame.clone()));
         }
         let Some((copies, delay_us)) = verdict.delayed else { return };
         let delay = Duration::from_micros(delay_us);
         for _ in 0..copies {
             if delay <= INLINE_DELAY {
-                let _ = tx.send(Some((from, frame.clone())));
+                tx.send((from, frame.clone()));
             } else {
                 self.schedule(Instant::now() + delay, tx.clone(), (from, frame.clone()));
             }
@@ -283,7 +283,7 @@ fn run_wheel(rx: Receiver<Delayed>) {
         let now = Instant::now();
         while let Some(first) = schedule.first_entry().filter(|e| e.key().0 <= now) {
             let (tx, datagram) = first.remove();
-            let _ = tx.send(Some(datagram));
+            tx.send(datagram);
         }
         let next = schedule.first_key_value().map(|((due, _), _)| *due);
         match (open, next) {

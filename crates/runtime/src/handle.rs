@@ -7,7 +7,7 @@ use std::time::Duration;
 use amoeba_core::{
     CoreStats, Error, GroupConfig, GroupCore, GroupError, GroupEvent, GroupId, GroupInfo, Seqno,
 };
-use amoeba_net::{FaultPlan, LiveNet, Transport};
+use amoeba_net::{hold_wakes, FaultPlan, LiveNet, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver};
 
@@ -97,7 +97,9 @@ impl Amoeba {
         };
         let (events_tx, events_rx) = channel::unbounded();
         let transport = Arc::clone(&self.transport);
-        let shared = NodeShared::new(core, transport, group, addr, events_tx, inbox.waker());
+        let bell = inbox.bell().cloned();
+        let shared =
+            NodeShared::on_bell(core, transport, group, addr, events_tx, inbox.waker(), bell);
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -105,11 +107,15 @@ impl Amoeba {
                 .spawn(move || drive(shared, inbox))
                 .expect("spawn driver thread")
         };
-        shared.step(|_| actions);
-        let handle = GroupHandle { shared, events_rx, driver: Some(driver) };
         // Both create (synchronous) and join (network round trips)
         // complete through the JoinDone slot.
-        handle.shared.join_done.wait(OP_DEADLINE).map(|_| handle)
+        let joined = {
+            let _hold = hold_wakes();
+            shared.step(|_| actions);
+            shared.wait_slot(&shared.join_done, OP_DEADLINE)
+        };
+        let handle = GroupHandle { shared, events_rx, driver: Some(driver) };
+        joined.map(|_| handle)
     }
 }
 
@@ -117,6 +123,11 @@ impl Amoeba {
 /// blocking methods. Clone-free by design — the primitives are blocking
 /// and one thread drives each call, exactly the model the paper argues
 /// for (parallelism via multiple threads, each with its own handle).
+///
+/// On the in-memory fabric a blocked call also drives the member: the
+/// datagram it waits for wakes it, and it steps the protocol itself.
+/// The wake-ups a call causes for other threads are issued when it
+/// parks or its wait ends.
 ///
 /// Receive failures are reported through the stack-wide
 /// [`amoeba_core::Error`]: [`Error::Disconnected`] once membership has
@@ -151,6 +162,7 @@ impl GroupHandle {
     /// (nothing is driving this member any more).
     pub fn send_to_group(&self, payload: Bytes) -> Result<Seqno, GroupError> {
         let _sender = self.shared.send_lock.lock();
+        let _hold = hold_wakes();
         self.shared.submit_send(payload);
         self.shared.wait_send(OP_DEADLINE)
     }
@@ -169,6 +181,7 @@ impl GroupHandle {
         payloads: impl IntoIterator<Item = Bytes>,
     ) -> Vec<Result<Seqno, GroupError>> {
         let _sender = self.shared.send_lock.lock();
+        let _hold = hold_wakes();
         let window = self.shared.core.lock().config().send_window.max(1);
         let mut results = Vec::new();
         let mut outstanding = 0usize;
@@ -194,7 +207,8 @@ impl GroupHandle {
     /// [`Error::Disconnected`] once membership has ended and the
     /// queue is drained.
     pub fn receive_from_group(&self) -> Result<GroupEvent, Error> {
-        self.events_rx.recv().map_err(|_| Error::Disconnected)
+        let _hold = hold_wakes();
+        self.shared.wait_event(&self.events_rx, Duration::MAX).map_err(|_| Error::Disconnected)
     }
 
     /// `ReceiveFromGroup` with a timeout.
@@ -204,7 +218,8 @@ impl GroupHandle {
     /// [`Error::Timeout`] if nothing arrives in `timeout`;
     /// [`Error::Disconnected`] once membership has ended.
     pub fn receive_timeout(&self, timeout: Duration) -> Result<GroupEvent, Error> {
-        self.events_rx.recv_timeout(timeout).map_err(|e| match e {
+        let _hold = hold_wakes();
+        self.shared.wait_event(&self.events_rx, timeout).map_err(|e| match e {
             channel::RecvTimeoutError::Timeout => Error::Timeout,
             channel::RecvTimeoutError::Disconnected => Error::Disconnected,
         })
@@ -240,6 +255,7 @@ impl GroupHandle {
     /// at all.
     pub fn reset_group(&self, min_members: usize) -> Result<GroupInfo, GroupError> {
         let shared = &self.shared;
+        let _hold = hold_wakes();
         shared.blocking_op(&shared.reset_done, OP_DEADLINE, |core| core.reset(min_members))
     }
 
@@ -252,8 +268,10 @@ impl GroupHandle {
     /// outstanding; [`GroupError::Disconnected`] when no completion
     /// arrives at all.
     pub fn leave_group(mut self) -> Result<(), GroupError> {
-        let result =
-            self.shared.blocking_op(&self.shared.leave_done, OP_DEADLINE, |core| core.leave());
+        let result = {
+            let _hold = hold_wakes();
+            self.shared.blocking_op(&self.shared.leave_done, OP_DEADLINE, |core| core.leave())
+        };
         self.teardown();
         result
     }
@@ -284,6 +302,14 @@ impl Drop for GroupHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
+    use std::thread::ThreadId;
+
+    use amoeba_core::{Action, FrameEncoder, WireFrame};
+    use amoeba_flip::FlipAddress;
+    use amoeba_net::{Inbox, TransportSender, UdpConfig, UdpNet};
+    use parking_lot::Mutex;
 
     /// A wait that runs out on a member nobody drives reports it; it
     /// does not abort the caller.
@@ -301,6 +327,138 @@ mod tests {
         let reset = b.shared.blocking_op(&b.shared.reset_done, soon, |core| core.reset(1));
         assert_eq!(reset.map(|_| ()), Err(GroupError::Disconnected));
         b.teardown();
+    }
+
+    /// A blocking call on a member that has ended — its driver gone,
+    /// as a panic on it leaves it — returns what was queued, then
+    /// `Disconnected`, at once, on both fabrics. Each call runs on a
+    /// thread of its own, so a hang fails the test rather than
+    /// stalling it.
+    #[test]
+    fn blocking_calls_on_an_ended_member_report_disconnected_at_once() {
+        let fabrics: [(&str, Arc<dyn Transport>); 2] = [
+            ("live", LiveNet::new(11, FaultPlan::reliable())),
+            ("udp", UdpNet::new(UdpConfig::default())),
+        ];
+        type Call = fn(&GroupHandle) -> bool;
+        let calls: [(&str, Call); 3] = [
+            ("receive_timeout", |b| loop {
+                match b.receive_timeout(Duration::from_secs(5)) {
+                    Ok(_) => continue,
+                    Err(e) => break e == Error::Disconnected,
+                }
+            }),
+            ("receive_from_group", |b| loop {
+                match b.receive_from_group() {
+                    Ok(_) => continue,
+                    Err(e) => break e == Error::Disconnected,
+                }
+            }),
+            ("send_to_group", |b| {
+                b.send_to_group(Bytes::from_static(b"after the end"))
+                    == Err(GroupError::Disconnected)
+            }),
+        ];
+        for (fabric, net) in fabrics {
+            let amoeba = Amoeba::over_transport(net, 1);
+            let _a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+            let mut b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
+            b.shared.shutdown();
+            b.driver.take().expect("driver").join().expect("driver exits cleanly");
+            let b = Arc::new(b);
+            for (name, call) in calls {
+                let (done_tx, done_rx) = channel::unbounded();
+                let b = Arc::clone(&b);
+                std::thread::spawn(move || done_tx.send(call(&b)));
+                let ended = done_rx.recv_timeout(Duration::from_secs(1));
+                assert_eq!(ended, Ok(true), "{fabric}: {name}");
+            }
+        }
+    }
+
+    /// A fabric whose sending ports give way once armed, and note the
+    /// thread they gave way on.
+    #[derive(Default)]
+    struct Fuse {
+        armed: AtomicBool,
+        blew_on: Mutex<Option<ThreadId>>,
+    }
+
+    struct FusedPort(Arc<Fuse>, Box<dyn TransportSender>);
+
+    impl Fuse {
+        fn check(&self) {
+            if self.armed.load(Ordering::SeqCst) {
+                *self.blew_on.lock() = Some(std::thread::current().id());
+                panic!("the fabric gave way");
+            }
+        }
+    }
+
+    impl TransportSender for FusedPort {
+        fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
+            self.0.check();
+            self.1.unicast(to, frame);
+        }
+        fn multicast(&mut self, group: GroupId, frame: WireFrame) {
+            self.0.check();
+            self.1.multicast(group, frame);
+        }
+    }
+
+    /// A fused [`LiveNet`].
+    struct Fused(Arc<LiveNet>, Arc<Fuse>);
+
+    impl Transport for Fused {
+        fn register(&self, addr: FlipAddress) -> Inbox {
+            self.0.register(addr)
+        }
+        fn unregister(&self, addr: FlipAddress) {
+            self.0.unregister(addr);
+        }
+        fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
+            self.0.join_mcast(group, addr);
+        }
+        fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
+            Box::new(FusedPort(Arc::clone(&self.1), self.0.sender(from)))
+        }
+    }
+
+    /// A panic in a step that a blocked caller drives ends the member
+    /// as one on its driver does: the caller gets `Disconnected`, not
+    /// the unwind, and so does its next call. The member here has no
+    /// driver, so only the caller can step what lands.
+    #[test]
+    fn a_panic_in_a_step_a_caller_drives_ends_the_member() {
+        let (group, addr, config) = (GroupId(1), FlipAddress::process(1), GroupConfig::default());
+        let net = LiveNet::new(12, FaultPlan::reliable());
+        let fuse = Arc::new(Fuse::default());
+        let fabric = Arc::new(Fused(Arc::clone(&net), Arc::clone(&fuse)));
+        let inbox = fabric.register(addr);
+        fabric.join_mcast(group, addr);
+        let (core, actions) = GroupCore::create(group, addr, config.clone()).expect("create");
+        let (events_tx, events_rx) = channel::unbounded();
+        let bell = inbox.bell().cloned();
+        let shared = NodeShared::on_bell(core, fabric, group, addr, events_tx, inbox.waker(), bell);
+        shared.step(|_| actions);
+        let handle = GroupHandle { shared, events_rx, driver: None };
+        while handle.receive_timeout(Duration::ZERO).is_ok() {}
+
+        // A join request, which the sequencer answers through the fuse.
+        let joiner = FlipAddress::process(2);
+        let (_, join) = GroupCore::join(group, joiner, config).expect("join");
+        let Some(Action::Send { msg, .. }) = join.into_iter().find(Action::is_send) else {
+            panic!("a joiner sends its request");
+        };
+        net.sender(joiner).unicast(addr, FrameEncoder::new().encode_frame(&msg));
+        fuse.armed.store(true, Ordering::SeqCst);
+        // The join's own delivery may precede the answer that gives way.
+        let wait = || (0..).find_map(|_| handle.receive_timeout(Duration::from_secs(5)).err());
+        let got = catch_unwind(AssertUnwindSafe(wait));
+        assert_eq!(got.ok(), Some(Some(Error::Disconnected)), "no unwind into the caller");
+        assert_eq!(*fuse.blew_on.lock(), Some(std::thread::current().id()), "the caller drove");
+        let again = handle.send_to_group(Bytes::from_static(b"after the end"));
+        assert_eq!(again, Err(GroupError::Disconnected));
     }
 
     /// `Duration::MAX` is "no deadline", not an overflow.

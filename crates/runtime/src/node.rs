@@ -2,6 +2,12 @@
 //! and timer expirations to the sans-io [`GroupCore`], executes its
 //! actions and, when the member hosts an app ([`crate::host`]), runs
 //! the app's callbacks between two waits on the inbox.
+//!
+//! On the in-memory fabric a thread blocked in one of the paper's
+//! primitives drives its own member while it waits: it drains the
+//! member's inbox ([`NodeShared::drain`], the pass the driver runs
+//! too), and a datagram wakes it rather than the driver
+//! ([`amoeba_net::Bell`]). Timers and hosted apps stay on the driver.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -11,13 +17,13 @@ use std::time::{Duration, Instant};
 
 use amoeba_app::TimerId;
 use amoeba_core::{
-    decode_wire_frame, Action, Dest, FrameEncoder, GroupCore, GroupError, GroupEvent,
-    GroupId, GroupInfo, Seqno, TimerKind,
+    decode_wire_frame, Action, Dest, FrameEncoder, GroupCore, GroupError, GroupEvent, GroupId,
+    GroupInfo, Seqno, TimerKind, WireFrame,
 };
 use amoeba_flip::FlipAddress;
-use amoeba_net::{Inbox, Transport, TransportSender, Waker};
-use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::{Condvar, Mutex};
+use amoeba_net::{flush_wakes, Bell, Inbox, Topic, Transport, TransportSender, Waker};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use parking_lot::Mutex;
 
 use crate::host::Pump;
 
@@ -26,48 +32,36 @@ use crate::host::Pump;
 /// so an expiry means nobody is driving the member any more.
 pub(crate) const OP_DEADLINE: Duration = Duration::from_secs(120);
 
-/// A one-shot completion slot for a blocking primitive.
-pub(crate) struct Slot<T> {
-    value: Mutex<Option<Result<T, GroupError>>>,
-    cv: Condvar,
-}
+/// What a caller parked on its member's bell waits for.
+const DELIVERY: Topic = 0;
+const SEND_DONE: Topic = 1;
+/// A join, leave or reset: a [`Slot`].
+const COMPLETION: Topic = 2;
+
+/// A one-shot completion slot for a blocking primitive, waited for
+/// through [`NodeShared::wait_slot`].
+pub(crate) struct Slot<T>(Mutex<Option<Result<T, GroupError>>>);
 
 impl<T> Slot<T> {
     fn new() -> Self {
-        Slot { value: Mutex::new(None), cv: Condvar::new() }
+        Slot(Mutex::new(None))
     }
 
-    fn put(&self, v: Result<T, GroupError>) {
-        *self.value.lock() = Some(v);
-        self.cv.notify_all();
-    }
-
-    /// Blocks until the completion arrives.
-    ///
-    /// # Errors
-    ///
-    /// The operation's own error, or [`GroupError::Disconnected`] when
-    /// nothing completed it within `deadline`.
-    pub(crate) fn wait(&self, deadline: Duration) -> Result<T, GroupError> {
-        let mut guard = self.value.lock();
-        let end = Instant::now() + deadline;
-        while guard.is_none() {
-            if self.cv.wait_until(&mut guard, end).timed_out() {
-                return guard.take().unwrap_or(Err(GroupError::Disconnected));
-            }
-        }
-        guard.take().expect("checked above")
-    }
-
-    /// The completion, if it has arrived: what the driver thread asks
-    /// instead of [`Slot::wait`], since it is the one that fills slots.
+    /// The completion, if it has arrived.
     pub(crate) fn try_take(&self) -> Option<Result<T, GroupError>> {
-        self.value.lock().take()
+        self.0.lock().take()
     }
 
     pub(crate) fn clear(&self) {
-        *self.value.lock() = None;
+        *self.0.lock() = None;
     }
+}
+
+/// Where deliveries and send completions go; dropped when the member
+/// ends, which is how a caller waiting on them learns it has.
+struct Outlets {
+    events: Sender<GroupEvent>,
+    send_done: Sender<Result<Seqno, GroupError>>,
 }
 
 /// How long a driver with no timer armed sleeps at most.
@@ -115,17 +109,22 @@ pub(crate) struct NodeShared {
     /// app to host, a [`Ctx::waker`](amoeba_app::Ctx::waker) call, or
     /// `stop`.
     waker: Waker,
+    /// Where this member's blocked callers park. On the in-memory
+    /// fabric it is the inbox itself, and they drain it (`fed`); a
+    /// socket has one reader, so over UDP no fabric rings it.
+    pub(crate) bell: Arc<Bell>,
+    fed: bool,
     stop: AtomicBool,
     pub(crate) dropped_frames: AtomicU64,
     /// The app this member's driver runs. Empty under the blocking
     /// API, whose callers drain the two channels below themselves.
     hosted: Mutex<Option<Pump>>,
-    events_tx: Sender<GroupEvent>,
+    /// `None` once the member has ended.
+    outlets: Mutex<Option<Outlets>>,
     /// Send completions, FIFO: every submitted `SendToGroup` produces
     /// exactly one message here, so a pipelining caller pairs them with
     /// its submissions in order (a channel, not a [`Slot`], because a
     /// `send_window` > 1 can have several completions in flight).
-    send_done_tx: Sender<Result<Seqno, GroupError>>,
     pub(crate) send_done_rx: Receiver<Result<Seqno, GroupError>>,
     /// Serializes API-level senders: with `send_window` > 1 the core
     /// happily admits two threads' sends, but the FIFO completion
@@ -139,6 +138,9 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
+    /// A member whose callers park on a bell no fabric feeds, as on a
+    /// socket: what the unit tests' stub fabrics build.
+    #[cfg(test)]
     pub(crate) fn new(
         core: GroupCore,
         net: Arc<dyn Transport>,
@@ -147,7 +149,22 @@ impl NodeShared {
         events_tx: Sender<GroupEvent>,
         waker: Waker,
     ) -> Arc<Self> {
+        NodeShared::on_bell(core, net, group, addr, events_tx, waker, None)
+    }
+
+    /// A member whose callers park on `inbox`, the bell its fabric
+    /// feeds, if it has one — and then drain it too.
+    pub(crate) fn on_bell(
+        core: GroupCore,
+        net: Arc<dyn Transport>,
+        group: GroupId,
+        addr: FlipAddress,
+        events_tx: Sender<GroupEvent>,
+        waker: Waker,
+        inbox: Option<Arc<Bell>>,
+    ) -> Arc<Self> {
         let (send_done_tx, send_done_rx) = channel::unbounded();
+        let fed = inbox.is_some();
         let sender = Mutex::new(net.sender(addr));
         Arc::new(NodeShared {
             core: Mutex::new(core),
@@ -163,11 +180,12 @@ impl NodeShared {
                 asked: Vec::new(),
             }),
             waker,
+            bell: inbox.unwrap_or_default(),
+            fed,
             stop: AtomicBool::new(false),
             dropped_frames: AtomicU64::new(0),
             hosted: Mutex::new(None),
-            events_tx,
-            send_done_tx,
+            outlets: Mutex::new(Some(Outlets { events: events_tx, send_done: send_done_tx })),
             send_done_rx,
             send_lock: Mutex::new(()),
             join_done: Slot::new(),
@@ -196,7 +214,13 @@ impl NodeShared {
     /// whose next move is to come back through here, and a lock held
     /// across that wake-up costs two context switches per send. It
     /// still follows its own message's delivery and `CancelTimer`.
+    ///
+    /// A member that has ended steps nothing: its core may have been
+    /// left mid-step by the panic that ended it.
     pub(crate) fn step(&self, op: impl FnOnce(&mut GroupCore) -> Vec<Action>) {
+        if self.stop.load(Ordering::Acquire) {
+            return;
+        }
         let mut done = Vec::new();
         {
             let mut core = self.core.lock();
@@ -235,12 +259,148 @@ impl NodeShared {
                 self.set_timer(Timer::Proto(kind), Duration::from_micros(after_us));
             }
             Action::CancelTimer { kind } => self.cancel_timer(Timer::Proto(kind)),
-            Action::Deliver(ev) => drop(self.events_tx.send(ev)),
-            Action::SendDone(r) => drop(self.send_done_tx.send(r)),
-            Action::JoinDone(r) => self.join_done.put(r),
-            Action::LeaveDone(r) => self.leave_done.put(r),
-            Action::ResetDone(r) => self.reset_done.put(r),
+            // A UDP member's callers sleep on the channels themselves.
+            Action::Deliver(ev) => {
+                if let Some(outlets) = &*self.outlets.lock() {
+                    let _ = outlets.events.send(ev);
+                }
+                if self.fed {
+                    self.bell.ring(DELIVERY);
+                }
+            }
+            Action::SendDone(r) => {
+                if let Some(outlets) = &*self.outlets.lock() {
+                    let _ = outlets.send_done.send(r);
+                }
+                if self.fed {
+                    self.bell.ring(SEND_DONE);
+                }
+            }
+            Action::JoinDone(r) => self.complete(&self.join_done, r),
+            Action::LeaveDone(r) => self.complete(&self.leave_done, r),
+            Action::ResetDone(r) => self.complete(&self.reset_done, r),
         }
+    }
+
+    fn complete<T>(&self, slot: &Slot<T>, r: Result<T, GroupError>) {
+        *slot.0.lock() = Some(r);
+        self.bell.ring(COMPLETION);
+    }
+
+    /// Steps every datagram queued for this member, in arrival order:
+    /// the one pass the driver and its blocked callers both run. False
+    /// if it stepped nothing: the inbox was empty (as a closed one
+    /// is), or another thread is draining it.
+    pub(crate) fn drain(&self) -> bool {
+        self.bell.drain(|(from, frame)| self.receive(from, frame))
+    }
+
+    /// Steps one datagram. A garbled packet is dropped and counted: the
+    /// protocol's loss machinery recovers, as on real wires.
+    fn receive(&self, from: FlipAddress, frame: WireFrame) {
+        match decode_wire_frame(frame) {
+            Ok(msg) => self.step(|core| core.handle_message(from, msg)),
+            Err(_) => drop(self.dropped_frames.fetch_add(1, Ordering::Relaxed)),
+        }
+    }
+
+    /// [`NodeShared::drain`] on a blocked caller's thread. A panic in a
+    /// step it drives ends the member, as one on the driver's thread
+    /// does (see [`drive`]), and the caller learns it as
+    /// [`GroupError::Disconnected`]: nothing unwinds into the app.
+    fn drain_as_caller(&self) {
+        if self.fed && catch_unwind(AssertUnwindSafe(|| self.drain())).is_err() {
+            self.shutdown();
+        }
+    }
+
+    /// The one wait of the blocking primitives: drain the inbox, look
+    /// for the completion, enlist on the bell, look again, park until
+    /// woken or `deadline` — and round again, so that the datagram a
+    /// caller was woken for is stepped before it returns. Issues the
+    /// caller's held wake-ups when it parks and when it is done. `None`
+    /// if `ready` found nothing in time.
+    fn wait<R>(
+        &self,
+        topic: Topic,
+        deadline: Duration,
+        mut ready: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        let until = Instant::now().checked_add(deadline);
+        let got = loop {
+            self.drain_as_caller();
+            if let Some(r) = ready() {
+                break Some(r);
+            }
+            if until.is_some_and(|at| Instant::now() >= at) {
+                break None;
+            }
+            if !self.bell.enlist(topic) {
+                continue;
+            }
+            if let Some(r) = ready() {
+                self.bell.leave();
+                self.drain_as_caller();
+                break Some(r);
+            }
+            self.bell.park(until);
+        };
+        // The wake-ups held so far are due now, not after the rest of
+        // a pipelined stream: a sequencer must hear each request while
+        // the window still has room.
+        flush_wakes();
+        got
+    }
+
+    /// Waits up to `deadline` for the next delivered event on `rx`,
+    /// this member's event channel.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Disconnected`] once the member has ended and
+    /// the channel is drained; `Timeout` when `deadline` passed first.
+    pub(crate) fn wait_event(
+        &self,
+        rx: &Receiver<GroupEvent>,
+        deadline: Duration,
+    ) -> Result<GroupEvent, RecvTimeoutError> {
+        self.wait_on(rx, DELIVERY, deadline)
+    }
+
+    /// Waits for the next value on one of the member's completion
+    /// channels, as [`NodeShared::wait_event`]. Over a socket the
+    /// caller sleeps on the channel itself: the driver alone reads the
+    /// socket (DESIGN.md §12).
+    fn wait_on<T>(
+        &self,
+        rx: &Receiver<T>,
+        topic: Topic,
+        deadline: Duration,
+    ) -> Result<T, RecvTimeoutError> {
+        if !self.fed {
+            flush_wakes();
+            return rx.recv_timeout(deadline);
+        }
+        let next = || match rx.try_recv() {
+            Ok(v) => Some(Ok(v)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
+            Err(TryRecvError::Empty) => None,
+        };
+        self.wait(topic, deadline, next).unwrap_or(Err(RecvTimeoutError::Timeout))
+    }
+
+    /// Waits up to `deadline` for `slot`'s completion.
+    ///
+    /// # Errors
+    ///
+    /// The operation's own error, or [`GroupError::Disconnected`] when
+    /// the member has ended or nothing completed it in time.
+    pub(crate) fn wait_slot<T>(&self, slot: &Slot<T>, deadline: Duration) -> Result<T, GroupError> {
+        let done = || {
+            let ended = self.stop.load(Ordering::Acquire);
+            slot.try_take().or_else(|| ended.then_some(Err(GroupError::Disconnected)))
+        };
+        self.wait(COMPLETION, deadline, done).unwrap_or(Err(GroupError::Disconnected))
     }
 
     /// Arms (or re-arms) `timer`, and wakes the driver if that is
@@ -305,7 +465,7 @@ impl NodeShared {
     ) -> Result<T, GroupError> {
         slot.clear();
         self.step(op);
-        slot.wait(deadline)
+        self.wait_slot(slot, deadline)
     }
 
     /// Submits one `SendToGroup`. Exactly one completion will arrive on
@@ -322,16 +482,21 @@ impl NodeShared {
     /// The send's own error, or [`GroupError::Disconnected`] when no
     /// completion arrived within `deadline` (see [`OP_DEADLINE`]).
     pub(crate) fn wait_send(&self, deadline: Duration) -> Result<Seqno, GroupError> {
-        self.send_done_rx.recv_timeout(deadline).unwrap_or(Err(GroupError::Disconnected))
+        self.wait_on(&self.send_done_rx, SEND_DONE, deadline)
+            .unwrap_or(Err(GroupError::Disconnected))
     }
 
-    /// Ends this member: it vanishes from the fabric and its driver
-    /// returns at its next wake-up, which is now. Callable from the
-    /// driver thread too, which cannot join itself: the
-    /// [`GroupHandle`](crate::GroupHandle) does that when it drops.
+    /// Ends this member: it vanishes from the fabric, its driver
+    /// returns at its next wake-up, which is now, and so does every
+    /// caller blocked on it — with what was already queued for it,
+    /// then `Disconnected`. Callable from the driver thread too, which
+    /// cannot join itself: the [`GroupHandle`](crate::GroupHandle) does
+    /// that when it drops.
     pub(crate) fn shutdown(&self) {
-        self.net.unregister(self.addr);
+        drop(self.outlets.lock().take());
         self.stop.store(true, Ordering::Release);
+        self.net.unregister(self.addr);
+        self.bell.close();
         (self.waker)();
     }
 
@@ -377,10 +542,11 @@ impl NodeShared {
 }
 
 /// The driver loop: give the hosted app its next event, fire what
-/// expired, wait on the inbox until the next deadline, step. The wait
-/// is taken only after a pass that fed nothing and fired nothing — an
-/// app's send at a sequencer, or a timer's actions, queue events for
-/// this thread, which nobody else would wake for them.
+/// expired, drain the inbox (or read one datagram off a socket), wait
+/// until the next deadline. The wait is taken only after a pass that
+/// fed nothing, fired nothing and drained nothing — an app's send at a
+/// sequencer, a timer's actions, or a datagram queue events for this
+/// thread, which nobody else would wake for them.
 ///
 /// A panic, in an app callback or anywhere below, ends the member like
 /// a crash; if it hosts an app the payload goes to `Pumps::join`, which
@@ -391,12 +557,12 @@ pub(crate) fn drive(shared: Arc<NodeShared>, inbox: Inbox) {
             let fed = shared.app_turn(Pump::feed_one).unwrap_or(false);
             let sleep = shared.fire_expired();
             let timeout = if fed { Duration::ZERO } else { sleep };
-            let Ok((from, frame)) = inbox.recv_timeout(timeout) else { continue };
-            // A garbled packet is dropped and counted: the protocol's
-            // loss machinery recovers, as on real wires.
-            match decode_wire_frame(frame) {
-                Ok(msg) => shared.step(|core| core.handle_message(from, msg)),
-                Err(_) => drop(shared.dropped_frames.fetch_add(1, Ordering::Relaxed)),
+            if shared.fed {
+                if !shared.drain() && !timeout.is_zero() {
+                    shared.bell.sleep(timeout);
+                }
+            } else if let Ok((from, frame)) = inbox.recv_timeout(timeout) {
+                shared.receive(from, frame);
             }
         }
     };
