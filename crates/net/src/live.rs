@@ -23,12 +23,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::FlipAddress;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::fault::{ChaosState, FaultPlan};
@@ -204,7 +204,7 @@ impl LiveNet {
         let seq = self.wheel_seq.fetch_add(1, Ordering::Relaxed);
         let mut wheel = self.wheel.lock();
         let inbox = wheel.get_or_insert_with(|| {
-            let (tx, rx) = channel::unbounded();
+            let (tx, rx) = mpsc::channel();
             std::thread::Builder::new()
                 .name("amoeba-net-wheel".into())
                 .spawn(move || run_wheel(rx))
@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn wheel_schedule_orders_by_due_time() {
         let (tx, rx) = Inbox::channel();
-        let (inbox, wheel_rx) = channel::unbounded::<Delayed>();
+        let (inbox, wheel_rx) = mpsc::channel::<Delayed>();
         let h = std::thread::spawn(move || run_wheel(wheel_rx));
         let now = Instant::now();
         let late = Delayed {

@@ -38,13 +38,13 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::FlipAddress;
-use crossbeam::channel::RecvTimeoutError;
 use parking_lot::Mutex;
 
 use crate::udp::UdpInbox;
@@ -292,20 +292,25 @@ impl Bell {
     /// Parks the enlisted caller until a datagram or its topic rings,
     /// or `until` passes (`None`: no deadline), then takes it off the
     /// list. It may also return early: the caller looks again either
-    /// way. Issues the caller's held wake-ups first.
-    pub fn park(&self, until: Option<Instant>) {
+    /// way. Issues the caller's held wake-ups first. True if datagrams
+    /// wait that nobody is draining: the caller drains them before it
+    /// looks again (a push may have woken it for them).
+    pub fn park(&self, until: Option<Instant>) -> bool {
         flush_wakes();
         match until {
             None => thread::park(),
             Some(at) => thread::park_timeout(at.saturating_duration_since(Instant::now())),
         }
-        self.leave();
+        self.leave()
     }
 
-    /// Takes the enlisted caller off the list without parking.
-    pub fn leave(&self) {
+    /// Takes the enlisted caller off the list. True if datagrams wait
+    /// that nobody is draining.
+    fn leave(&self) -> bool {
         let me = thread::current().id();
-        self.rings.lock().callers.retain(|p| p.thread.id() != me);
+        let mut rings = self.rings.lock();
+        rings.callers.retain(|p| p.thread.id() != me);
+        !rings.queue.is_empty() && !rings.draining
     }
 
     /// Wakes every caller parked on `topic`.

@@ -1,6 +1,7 @@
 //! The user-facing API: the paper's blocking primitives (Table 1).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -9,7 +10,6 @@ use amoeba_core::{
 };
 use amoeba_net::{hold_wakes, FaultPlan, LiveNet, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver};
 
 use crate::node::{drive, NodeShared, OP_DEADLINE};
 
@@ -87,19 +87,18 @@ impl Amoeba {
     ) -> Result<GroupHandle, GroupError> {
         let addr =
             amoeba_flip::FlipAddress::process(self.next_addr.fetch_add(1, Ordering::Relaxed));
-        // Plug into the fabric before the protocol starts talking.
-        let inbox = self.transport.register(addr);
-        self.transport.join_mcast(group, addr);
         let (core, actions) = if create {
             GroupCore::create(group, addr, config)?
         } else {
             GroupCore::join(group, addr, config)?
         };
-        let (events_tx, events_rx) = channel::unbounded();
+        // Plug into the fabric once the configuration holds, and before
+        // the protocol starts talking.
+        let inbox = self.transport.register(addr);
+        self.transport.join_mcast(group, addr);
         let transport = Arc::clone(&self.transport);
         let bell = inbox.bell().cloned();
-        let shared =
-            NodeShared::on_bell(core, transport, group, addr, events_tx, inbox.waker(), bell);
+        let shared = NodeShared::on_bell(core, transport, group, addr, inbox.waker(), bell);
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -108,13 +107,12 @@ impl Amoeba {
                 .expect("spawn driver thread")
         };
         // Both create (synchronous) and join (network round trips)
-        // complete through the JoinDone slot.
+        // complete through `JoinDone`.
         let joined = {
             let _hold = hold_wakes();
-            shared.step(|_| actions);
-            shared.wait_slot(&shared.join_done, OP_DEADLINE)
+            shared.blocking_op(|mail| &mut mail.joined, OP_DEADLINE, |_| actions)
         };
-        let handle = GroupHandle { shared, events_rx, driver: Some(driver) };
+        let handle = GroupHandle { shared, driver: Some(driver) };
         joined.map(|_| handle)
     }
 }
@@ -124,7 +122,8 @@ impl Amoeba {
 /// and one thread drives each call, exactly the model the paper argues
 /// for (parallelism via multiple threads, each with its own handle).
 ///
-/// On the in-memory fabric a blocked call also drives the member: the
+/// A blocked call waits on the member's mailbox, and is woken when its
+/// mail arrives. On the in-memory fabric it also drives the member: the
 /// datagram it waits for wakes it, and it steps the protocol itself.
 /// The wake-ups a call causes for other threads are issued when it
 /// parks or its wait ends.
@@ -135,7 +134,6 @@ impl Amoeba {
 #[derive(Debug)]
 pub struct GroupHandle {
     pub(crate) shared: Arc<NodeShared>,
-    pub(crate) events_rx: Receiver<GroupEvent>,
     driver: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -208,7 +206,7 @@ impl GroupHandle {
     /// queue is drained.
     pub fn receive_from_group(&self) -> Result<GroupEvent, Error> {
         let _hold = hold_wakes();
-        self.shared.wait_event(&self.events_rx, Duration::MAX).map_err(|_| Error::Disconnected)
+        self.shared.wait_event(Duration::MAX).map_err(|_| Error::Disconnected)
     }
 
     /// `ReceiveFromGroup` with a timeout.
@@ -219,9 +217,9 @@ impl GroupHandle {
     /// [`Error::Disconnected`] once membership has ended.
     pub fn receive_timeout(&self, timeout: Duration) -> Result<GroupEvent, Error> {
         let _hold = hold_wakes();
-        self.shared.wait_event(&self.events_rx, timeout).map_err(|e| match e {
-            channel::RecvTimeoutError::Timeout => Error::Timeout,
-            channel::RecvTimeoutError::Disconnected => Error::Disconnected,
+        self.shared.wait_event(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => Error::Timeout,
+            RecvTimeoutError::Disconnected => Error::Disconnected,
         })
     }
 
@@ -256,7 +254,7 @@ impl GroupHandle {
     pub fn reset_group(&self, min_members: usize) -> Result<GroupInfo, GroupError> {
         let shared = &self.shared;
         let _hold = hold_wakes();
-        shared.blocking_op(&shared.reset_done, OP_DEADLINE, |core| core.reset(min_members))
+        shared.blocking_op(|mail| &mut mail.reset, OP_DEADLINE, |core| core.reset(min_members))
     }
 
     /// `LeaveGroup`: departs gracefully (a leaving sequencer first
@@ -270,7 +268,7 @@ impl GroupHandle {
     pub fn leave_group(mut self) -> Result<(), GroupError> {
         let result = {
             let _hold = hold_wakes();
-            self.shared.blocking_op(&self.shared.leave_done, OP_DEADLINE, |core| core.leave())
+            self.shared.blocking_op(|mail| &mut mail.left, OP_DEADLINE, |core| core.leave())
         };
         self.teardown();
         result
@@ -304,6 +302,7 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc;
     use std::thread::ThreadId;
 
     use amoeba_core::{Action, FrameEncoder, WireFrame};
@@ -324,55 +323,164 @@ mod tests {
         let soon = Duration::from_millis(100);
         b.shared.submit_send(Bytes::from_static(b"never ordered at b"));
         assert_eq!(b.shared.wait_send(soon), Err(GroupError::Disconnected));
-        let reset = b.shared.blocking_op(&b.shared.reset_done, soon, |core| core.reset(1));
+        let reset = b.shared.blocking_op(|mail| &mut mail.reset, soon, |core| core.reset(1));
         assert_eq!(reset.map(|_| ()), Err(GroupError::Disconnected));
         b.teardown();
     }
 
+    /// The seqnos of the messages `next` returns until it fails, and
+    /// whether it failed with `Disconnected`.
+    fn messages_then_disconnected(
+        b: &GroupHandle,
+        next: impl Fn(&GroupHandle) -> Result<GroupEvent, Error>,
+    ) -> (Vec<Seqno>, bool) {
+        let mut seqnos = Vec::new();
+        loop {
+            match next(b) {
+                Ok(GroupEvent::Message { seqno, .. }) => seqnos.push(seqno),
+                Ok(_) => {}
+                Err(e) => return (seqnos, e == Error::Disconnected),
+            }
+        }
+    }
+
+    /// Waits (politely) until `ready` holds.
+    fn until(ready: impl Fn() -> bool) {
+        let give_up = std::time::Instant::now() + Duration::from_secs(10);
+        while !ready() {
+            assert!(std::time::Instant::now() < give_up, "the state never came");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     /// A blocking call on a member that has ended — its driver gone,
-    /// as a panic on it leaves it — returns what was queued, then
-    /// `Disconnected`, at once, on both fabrics. Each call runs on a
-    /// thread of its own, so a hang fails the test rather than
-    /// stalling it.
+    /// as a panic on it leaves it — returns what was queued, in seqno
+    /// order, then `Disconnected`, at once, on both fabrics. Each call
+    /// runs on a thread of its own, so a hang fails the test rather
+    /// than stalling it.
     #[test]
     fn blocking_calls_on_an_ended_member_report_disconnected_at_once() {
         let fabrics: [(&str, Arc<dyn Transport>); 2] = [
             ("live", LiveNet::new(11, FaultPlan::reliable())),
             ("udp", UdpNet::new(UdpConfig::default())),
         ];
-        type Call = fn(&GroupHandle) -> bool;
+        /// Whether a call returns the messages queued, then fails.
+        type Call = fn(&GroupHandle) -> (Vec<Seqno>, bool);
         let calls: [(&str, Call); 3] = [
-            ("receive_timeout", |b| loop {
-                match b.receive_timeout(Duration::from_secs(5)) {
-                    Ok(_) => continue,
-                    Err(e) => break e == Error::Disconnected,
-                }
+            ("receive_timeout", |b| {
+                messages_then_disconnected(b, |b| b.receive_timeout(Duration::from_secs(5)))
             }),
-            ("receive_from_group", |b| loop {
-                match b.receive_from_group() {
-                    Ok(_) => continue,
-                    Err(e) => break e == Error::Disconnected,
-                }
+            ("receive_from_group", |b| {
+                messages_then_disconnected(b, GroupHandle::receive_from_group)
             }),
             ("send_to_group", |b| {
-                b.send_to_group(Bytes::from_static(b"after the end"))
-                    == Err(GroupError::Disconnected)
+                let sent = b.send_to_group(Bytes::from_static(b"after the end"));
+                (Vec::new(), sent == Err(GroupError::Disconnected))
             }),
         ];
         for (fabric, net) in fabrics {
             let amoeba = Amoeba::over_transport(net, 1);
-            let _a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
-            let mut b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
-            b.shared.shutdown();
-            b.driver.take().expect("driver").join().expect("driver exits cleanly");
-            let b = Arc::new(b);
-            for (name, call) in calls {
-                let (done_tx, done_rx) = channel::unbounded();
-                let b = Arc::clone(&b);
+            for (gid, (name, call)) in (1..).zip(calls) {
+                let group = GroupId(gid);
+                let a = amoeba.create_group(group, GroupConfig::default()).expect("create");
+                let mut b = amoeba.join_group(group, GroupConfig::default()).expect("join");
+                let sent: Vec<Seqno> = (0..3)
+                    .map(|_| a.send_to_group(Bytes::from_static(b"before the end")).expect("send"))
+                    .collect();
+                let messages = |b: &GroupHandle| {
+                    let mail = b.shared.mail.lock();
+                    mail.events.iter().filter(|e| matches!(e, GroupEvent::Message { .. })).count()
+                };
+                until(|| messages(&b) == sent.len());
+                b.shared.shutdown();
+                b.driver.take().expect("driver").join().expect("driver exits cleanly");
+                let queued = if name == "send_to_group" { Vec::new() } else { sent };
+                let (done_tx, done_rx) = mpsc::channel();
                 std::thread::spawn(move || done_tx.send(call(&b)));
                 let ended = done_rx.recv_timeout(Duration::from_secs(1));
-                assert_eq!(ended, Ok(true), "{fabric}: {name}");
+                assert_eq!(ended, Ok((queued, true)), "{fabric}: {name}");
             }
+        }
+    }
+
+    /// Over a socket no fabric feeds the bell, yet callers parked on it
+    /// for two topics are both woken: on one handle, one thread waits
+    /// in `receive_from_group` while another streams 200 pipelined
+    /// sends, and the receiver sees every message, in seqno order. The
+    /// receiver reports over a channel, so a lost wake-up fails the
+    /// test rather than stalling it.
+    #[test]
+    fn over_udp_a_receiver_and_a_pipelined_sender_share_one_handle() {
+        const SENDS: u32 = 200;
+        let amoeba = Amoeba::over_transport(UdpNet::new(UdpConfig::default()), 1);
+        let config = GroupConfig { send_window: 8, ..GroupConfig::default() };
+        let _a = amoeba.create_group(GroupId(1), config.clone()).expect("create");
+        let b = Arc::new(amoeba.join_group(GroupId(1), config).expect("join"));
+        let (got_tx, got_rx) = mpsc::channel();
+        let receiver = Arc::clone(&b);
+        std::thread::spawn(move || {
+            let mut got = Vec::new();
+            while got.len() < SENDS as usize {
+                match receiver.receive_from_group() {
+                    Ok(GroupEvent::Message { seqno, payload, .. }) => got.push((seqno, payload)),
+                    Ok(_) => {}
+                    Err(_) => break,
+                }
+            }
+            got_tx.send(got)
+        });
+        let payloads = (0..SENDS).map(|n| Bytes::from(n.to_le_bytes().to_vec()));
+        let sent: Vec<Seqno> =
+            b.send_pipelined(payloads).into_iter().map(|r| r.expect("ordered")).collect();
+        let got = got_rx.recv_timeout(Duration::from_secs(30)).expect("the receiver returns");
+        assert_eq!(got.iter().map(|(seqno, _)| *seqno).collect::<Vec<_>>(), sent);
+        let numbers: Vec<u32> = got
+            .iter()
+            .map(|(_, p)| u32::from_le_bytes(p[..].try_into().expect("four bytes")))
+            .collect();
+        assert_eq!(numbers, (0..SENDS).collect::<Vec<_>>());
+    }
+
+    /// A fabric that notes which endpoints are plugged into it.
+    struct Recording(Arc<dyn Transport>, Mutex<Vec<FlipAddress>>);
+
+    impl Transport for Recording {
+        fn register(&self, addr: FlipAddress) -> Inbox {
+            self.1.lock().push(addr);
+            self.0.register(addr)
+        }
+        fn unregister(&self, addr: FlipAddress) {
+            self.1.lock().retain(|a| *a != addr);
+            self.0.unregister(addr);
+        }
+        fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
+            self.0.join_mcast(group, addr);
+        }
+        fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
+            self.0.sender(from)
+        }
+    }
+
+    /// A create or join refused for its configuration leaves no
+    /// endpoint plugged into the fabric, on either fabric: in memory it
+    /// would queue the group's traffic for nobody, over UDP its socket
+    /// would go on receiving it.
+    #[test]
+    fn a_join_refused_for_its_configuration_leaves_no_endpoint_behind() {
+        let fabrics: [(&str, Arc<dyn Transport>); 2] = [
+            ("live", LiveNet::new(13, FaultPlan::reliable())),
+            ("udp", UdpNet::new(UdpConfig::default())),
+        ];
+        let bad = GroupConfig { send_window: 0, ..GroupConfig::default() };
+        for (fabric, net) in fabrics {
+            let recording = Arc::new(Recording(net, Mutex::default()));
+            let amoeba = Amoeba::over_transport(Arc::clone(&recording) as Arc<dyn Transport>, 1);
+            let _a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+            let joined = amoeba.join_group(GroupId(1), bad.clone());
+            assert!(matches!(joined, Err(GroupError::BadConfig(_))), "{fabric}: join");
+            let created = amoeba.create_group(GroupId(2), bad.clone());
+            assert!(matches!(created, Err(GroupError::BadConfig(_))), "{fabric}: create");
+            assert_eq!(*recording.1.lock(), [FlipAddress::process(1)], "{fabric}");
         }
     }
 
@@ -437,11 +545,10 @@ mod tests {
         let inbox = fabric.register(addr);
         fabric.join_mcast(group, addr);
         let (core, actions) = GroupCore::create(group, addr, config.clone()).expect("create");
-        let (events_tx, events_rx) = channel::unbounded();
         let bell = inbox.bell().cloned();
-        let shared = NodeShared::on_bell(core, fabric, group, addr, events_tx, inbox.waker(), bell);
+        let shared = NodeShared::on_bell(core, fabric, group, addr, inbox.waker(), bell);
         shared.step(|_| actions);
-        let handle = GroupHandle { shared, events_rx, driver: None };
+        let handle = GroupHandle { shared, driver: None };
         while handle.receive_timeout(Duration::ZERO).is_ok() {}
 
         // A join request, which the sequencer answers through the fuse.

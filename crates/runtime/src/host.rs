@@ -1,9 +1,9 @@
 //! Hosting [`GroupApp`]s on the live runtime.
 //!
 //! A hosted app is run by its member's driver thread ([`crate::node`]):
-//! between two waits on its inbox the driver drains the two channels a
-//! blocking caller would — delivered events, then send completions —
-//! into the app, fires its wall-clock timers out of the member's one
+//! between two waits on its inbox the driver feeds the app from the
+//! mailbox a blocking caller would read — delivered events, then send
+//! completions — fires its wall-clock timers out of the member's one
 //! timer table, and executes its [`Ctx`](amoeba_app::Ctx) requests. A
 //! member is one thread, hosted or not; the [`GroupHandle`] stays with
 //! the host, which alone joins that thread. As on the simulated host,
@@ -16,14 +16,14 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use amoeba_app::cmd::{AppCmd, BufferedCtx, HostView};
 use amoeba_app::{AppEvent, GroupApp, TimerId};
-use amoeba_core::{GroupConfig, GroupEvent, GroupId, GroupInfo};
+use amoeba_core::{GroupConfig, GroupId, GroupInfo};
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
 
 use amoeba_net::FaultPlan;
 
@@ -74,7 +74,6 @@ pub(crate) struct Pump {
     /// `None` once the app has gone back to the host.
     app: Option<Box<dyn GroupApp>>,
     ended_tx: Sender<Ended>,
-    events_rx: Receiver<GroupEvent>,
     /// When `on_start` ran; `None` until it has.
     started: Option<Instant>,
     /// Set by `Ctx::leave`: no further callbacks, and the app goes back
@@ -102,7 +101,7 @@ impl Pump {
             return false;
         }
         if let Some(until) = self.leaving {
-            if node.leave_done.try_take().is_some() || Instant::now() >= until {
+            if node.mail.lock().left.take().is_some() || Instant::now() >= until {
                 node.shutdown();
                 self.end(node, false);
             }
@@ -110,15 +109,18 @@ impl Pump {
         }
         let call = if self.started.is_none() {
             Call::Start
-        } else if let Ok(event) = self.events_rx.try_recv() {
-            Call::Event(AppEvent::Group(event))
-        } else if let Ok(done) = node.send_done_rx.try_recv() {
-            self.in_flight = self.in_flight.saturating_sub(1);
-            Call::Event(AppEvent::SendDone(done.map_err(Into::into)))
-        } else if let Some(reset) = node.reset_done.try_take() {
-            Call::Event(AppEvent::ResetDone(reset.map_err(Into::into)))
         } else {
-            return false;
+            let mut mail = node.mail.lock();
+            if let Some(event) = mail.events.pop_front() {
+                Call::Event(AppEvent::Group(event))
+            } else if let Some(done) = mail.sends.pop_front() {
+                self.in_flight = self.in_flight.saturating_sub(1);
+                Call::Event(AppEvent::SendDone(done.map_err(Into::into)))
+            } else if let Some(reset) = mail.reset.take() {
+                Call::Event(AppEvent::ResetDone(reset.map_err(Into::into)))
+            } else {
+                return false;
+            }
         };
         self.dispatch(node, call);
         true
@@ -161,7 +163,7 @@ impl Pump {
         match cmd {
             AppCmd::Send(payload) => self.pending.push_back(payload),
             AppCmd::Reset(min_members) => {
-                node.reset_done.clear();
+                node.mail.lock().reset = None;
                 node.step(|core| core.reset(min_members));
             }
             AppCmd::SetTimer(id, after) => node.set_timer(Timer::App(id), after),
@@ -169,7 +171,7 @@ impl Pump {
             AppCmd::Leave => {
                 self.quiesce(node);
                 self.leaving = Some(Instant::now() + OP_DEADLINE);
-                node.leave_done.clear();
+                node.mail.lock().left = None;
                 node.step(|core| core.leave());
                 return false;
             }
@@ -260,14 +262,13 @@ impl Default for Pumps {
 /// Panics if the two lists differ in length.
 pub fn pump_apps(handles: Vec<GroupHandle>, apps: Vec<Box<dyn GroupApp>>) -> Pumps {
     assert_eq!(handles.len(), apps.len(), "one app per membership");
-    let (ended_tx, ended_rx) = channel::unbounded();
+    let (ended_tx, ended_rx) = mpsc::channel();
     for (index, (handle, app)) in handles.iter().zip(apps).enumerate() {
         let window = handle.shared.core.lock().config().send_window.max(1);
         handle.shared.host(Pump {
             index,
             app: Some(app),
             ended_tx: ended_tx.clone(),
-            events_rx: handle.events_rx.clone(),
             started: None,
             leaving: None,
             window,
@@ -391,7 +392,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    use amoeba_core::WireFrame;
+    use amoeba_core::{GroupEvent, WireFrame};
     use amoeba_flip::FlipAddress;
     use amoeba_net::{Inbox, LiveNet, Transport, TransportSender};
 
@@ -415,10 +416,10 @@ mod tests {
     /// which holds the pump inside the callback for as long as the test
     /// likes.
     struct Sleeper {
-        waker_tx: channel::Sender<Arc<dyn Fn() + Send + Sync>>,
-        fired_tx: channel::Sender<Instant>,
+        waker_tx: Sender<Arc<dyn Fn() + Send + Sync>>,
+        fired_tx: Sender<Instant>,
         /// `true`: arm again; `false`: stop.
-        resume_rx: channel::Receiver<bool>,
+        resume_rx: Receiver<bool>,
     }
 
     const TIMER: TimerId = TimerId(7);
@@ -445,9 +446,9 @@ mod tests {
     /// pump is busy, they fire it once more, not once each.
     #[test]
     fn a_waker_fires_its_timer_now_and_a_burst_of_calls_fires_it_once() {
-        let (waker_tx, waker_rx) = channel::unbounded();
-        let (fired_tx, fired_rx) = channel::unbounded();
-        let (resume_tx, resume_rx) = channel::unbounded();
+        let (waker_tx, waker_rx) = mpsc::channel();
+        let (fired_tx, fired_rx) = mpsc::channel();
+        let (resume_tx, resume_rx) = mpsc::channel();
         let mut host = live_host(4);
         host.add_app(Box::new(Sleeper { waker_tx, fired_tx, resume_rx }));
         let hosted = std::thread::spawn(move || host.run());
@@ -677,7 +678,7 @@ mod tests {
         let mut host = LiveHost::with_amoeba(amoeba, GroupId(1), GroupConfig::default());
         host.add_app(Box::new(Waits));
         host.add_app(Box::new(Streams { left: usize::MAX, delivered: Arc::default() }));
-        let (ended_tx, ended_rx) = channel::unbounded();
+        let (ended_tx, ended_rx) = mpsc::channel();
         std::thread::spawn(move || {
             let run = std::panic::AssertUnwindSafe(|| drop(host.run()));
             ended_tx.send(std::panic::catch_unwind(run))

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,6 @@ use amoeba_app::GroupApp;
 use amoeba_core::{GroupConfig, GroupId};
 use amoeba_flip::FlipAddress;
 use amoeba_net::{Transport, UdpConfig, UdpNet};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError};
 
 use crate::handle::Amoeba;
 use crate::host::LiveHost;
@@ -293,7 +293,7 @@ impl Drop for Fleet {
 /// Panics when the watchdog expires or a child violates the protocol.
 pub fn run_parent(spec: ParentSpec) -> Vec<Option<String>> {
     let exe = std::env::current_exe().expect("current test binary");
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = mpsc::channel();
     let mut children = Vec::new();
     let mut stdins = Vec::new();
     for i in 0..spec.members {

@@ -3,15 +3,20 @@
 //! actions and, when the member hosts an app ([`crate::host`]), runs
 //! the app's callbacks between two waits on the inbox.
 //!
-//! On the in-memory fabric a thread blocked in one of the paper's
-//! primitives drives its own member while it waits: it drains the
-//! member's inbox ([`NodeShared::drain`], the pass the driver runs
-//! too), and a datagram wakes it rather than the driver
-//! ([`amoeba_net::Bell`]). Timers and hosted apps stay on the driver.
+//! What a member delivers and completes is filed in its one mailbox
+//! ([`Mail`]), which its blocked callers and its hosted app both read.
+//! Every blocking primitive waits in one place, [`NodeShared::wait`],
+//! parked on the member's bell ([`amoeba_net::Bell`]) and rung when
+//! its mail arrives, on either fabric. On the in-memory fabric the bell
+//! is the inbox itself, so a blocked caller also drives its member: it
+//! drains the inbox ([`NodeShared::drain`], the pass the driver runs
+//! too), and a datagram wakes it rather than the driver. Timers and
+//! hosted apps stay on the driver.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -22,7 +27,6 @@ use amoeba_core::{
 };
 use amoeba_flip::FlipAddress;
 use amoeba_net::{flush_wakes, Bell, Inbox, Topic, Transport, TransportSender, Waker};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::host::Pump;
@@ -35,33 +39,25 @@ pub(crate) const OP_DEADLINE: Duration = Duration::from_secs(120);
 /// What a caller parked on its member's bell waits for.
 const DELIVERY: Topic = 0;
 const SEND_DONE: Topic = 1;
-/// A join, leave or reset: a [`Slot`].
+/// A join, leave or reset.
 const COMPLETION: Topic = 2;
 
-/// A one-shot completion slot for a blocking primitive, waited for
-/// through [`NodeShared::wait_slot`].
-pub(crate) struct Slot<T>(Mutex<Option<Result<T, GroupError>>>);
-
-impl<T> Slot<T> {
-    fn new() -> Self {
-        Slot(Mutex::new(None))
-    }
-
-    /// The completion, if it has arrived.
-    pub(crate) fn try_take(&self) -> Option<Result<T, GroupError>> {
-        self.0.lock().take()
-    }
-
-    pub(crate) fn clear(&self) {
-        *self.0.lock() = None;
-    }
-}
-
-/// Where deliveries and send completions go; dropped when the member
-/// ends, which is how a caller waiting on them learns it has.
-struct Outlets {
-    events: Sender<GroupEvent>,
-    send_done: Sender<Result<Seqno, GroupError>>,
+/// A member's mailbox: what its core delivered and completed, until a
+/// blocked caller or the hosted app takes it.
+#[derive(Default)]
+pub(crate) struct Mail {
+    /// Delivered events, in the total order.
+    pub(crate) events: VecDeque<GroupEvent>,
+    /// Send completions, FIFO: every submitted `SendToGroup` files
+    /// exactly one, so a pipelining caller pairs them with its
+    /// submissions in order.
+    pub(crate) sends: VecDeque<Result<Seqno, GroupError>>,
+    pub(crate) joined: Option<Result<GroupInfo, GroupError>>,
+    pub(crate) left: Option<Result<(), GroupError>>,
+    pub(crate) reset: Option<Result<GroupInfo, GroupError>>,
+    /// The member has ended: it files nothing more, and a waiter that
+    /// finds nothing left learns it as `Disconnected`.
+    ended: bool,
 }
 
 /// How long a driver with no timer armed sleeps at most.
@@ -109,62 +105,37 @@ pub(crate) struct NodeShared {
     /// app to host, a [`Ctx::waker`](amoeba_app::Ctx::waker) call, or
     /// `stop`.
     waker: Waker,
-    /// Where this member's blocked callers park. On the in-memory
-    /// fabric it is the inbox itself, and they drain it (`fed`); a
-    /// socket has one reader, so over UDP no fabric rings it.
+    /// Where this member's blocked callers park, rung when their mail
+    /// arrives. On the in-memory fabric it is the inbox itself, and
+    /// they drain it; a socket has one reader, the driver, so over UDP
+    /// no fabric feeds it and a caller's drain finds nothing.
     pub(crate) bell: Arc<Bell>,
-    fed: bool,
     stop: AtomicBool,
     pub(crate) dropped_frames: AtomicU64,
     /// The app this member's driver runs. Empty under the blocking
-    /// API, whose callers drain the two channels below themselves.
+    /// API, whose callers read the mailbox themselves.
     hosted: Mutex<Option<Pump>>,
-    /// `None` once the member has ended.
-    outlets: Mutex<Option<Outlets>>,
-    /// Send completions, FIFO: every submitted `SendToGroup` produces
-    /// exactly one message here, so a pipelining caller pairs them with
-    /// its submissions in order (a channel, not a [`Slot`], because a
-    /// `send_window` > 1 can have several completions in flight).
-    pub(crate) send_done_rx: Receiver<Result<Seqno, GroupError>>,
+    pub(crate) mail: Mutex<Mail>,
     /// Serializes API-level senders: with `send_window` > 1 the core
-    /// happily admits two threads' sends, but the FIFO completion
-    /// channel would then hand thread A thread B's result. One sender
-    /// drives the pipeline at a time (the paper's one-thread-per-call
-    /// model); a second caller waits instead of racing.
+    /// happily admits two threads' sends, but the FIFO completions
+    /// would then hand thread A thread B's result. One sender drives
+    /// the pipeline at a time (the paper's one-thread-per-call model);
+    /// a second caller waits instead of racing.
     pub(crate) send_lock: Mutex<()>,
-    pub(crate) join_done: Slot<GroupInfo>,
-    pub(crate) leave_done: Slot<()>,
-    pub(crate) reset_done: Slot<GroupInfo>,
 }
 
 impl NodeShared {
-    /// A member whose callers park on a bell no fabric feeds, as on a
-    /// socket: what the unit tests' stub fabrics build.
-    #[cfg(test)]
-    pub(crate) fn new(
-        core: GroupCore,
-        net: Arc<dyn Transport>,
-        group: GroupId,
-        addr: FlipAddress,
-        events_tx: Sender<GroupEvent>,
-        waker: Waker,
-    ) -> Arc<Self> {
-        NodeShared::on_bell(core, net, group, addr, events_tx, waker, None)
-    }
-
     /// A member whose callers park on `inbox`, the bell its fabric
-    /// feeds, if it has one — and then drain it too.
+    /// feeds — and then drain it too — or, with `None`, on a bell no
+    /// fabric feeds, as over a socket.
     pub(crate) fn on_bell(
         core: GroupCore,
         net: Arc<dyn Transport>,
         group: GroupId,
         addr: FlipAddress,
-        events_tx: Sender<GroupEvent>,
         waker: Waker,
         inbox: Option<Arc<Bell>>,
     ) -> Arc<Self> {
-        let (send_done_tx, send_done_rx) = channel::unbounded();
-        let fed = inbox.is_some();
         let sender = Mutex::new(net.sender(addr));
         Arc::new(NodeShared {
             core: Mutex::new(core),
@@ -181,16 +152,11 @@ impl NodeShared {
             }),
             waker,
             bell: inbox.unwrap_or_default(),
-            fed,
             stop: AtomicBool::new(false),
             dropped_frames: AtomicU64::new(0),
             hosted: Mutex::new(None),
-            outlets: Mutex::new(Some(Outlets { events: events_tx, send_done: send_done_tx })),
-            send_done_rx,
+            mail: Mutex::default(),
             send_lock: Mutex::new(()),
-            join_done: Slot::new(),
-            leave_done: Slot::new(),
-            reset_done: Slot::new(),
         })
     }
 
@@ -200,8 +166,8 @@ impl NodeShared {
     /// Callers and the driver both come through here, and the order in
     /// which they took the core lock is the order the core stamped
     /// their deliveries and decided their timers in. Their actions
-    /// must execute in that order too: deliveries, or the event
-    /// channel shows seqno *k + 1* before *k* (a sequencer that sends
+    /// must execute in that order too: deliveries, or the mailbox
+    /// shows seqno *k + 1* before *k* (a sequencer that sends
     /// through the blocking API delivers locally on the caller's
     /// thread while the driver delivers remote traffic); timers, or a
     /// stale `CancelTimer` overtakes the next operation's `SetTimer`
@@ -259,32 +225,24 @@ impl NodeShared {
                 self.set_timer(Timer::Proto(kind), Duration::from_micros(after_us));
             }
             Action::CancelTimer { kind } => self.cancel_timer(Timer::Proto(kind)),
-            // A UDP member's callers sleep on the channels themselves.
-            Action::Deliver(ev) => {
-                if let Some(outlets) = &*self.outlets.lock() {
-                    let _ = outlets.events.send(ev);
-                }
-                if self.fed {
-                    self.bell.ring(DELIVERY);
-                }
-            }
-            Action::SendDone(r) => {
-                if let Some(outlets) = &*self.outlets.lock() {
-                    let _ = outlets.send_done.send(r);
-                }
-                if self.fed {
-                    self.bell.ring(SEND_DONE);
-                }
-            }
-            Action::JoinDone(r) => self.complete(&self.join_done, r),
-            Action::LeaveDone(r) => self.complete(&self.leave_done, r),
-            Action::ResetDone(r) => self.complete(&self.reset_done, r),
+            Action::Deliver(ev) => self.post(DELIVERY, |mail| mail.events.push_back(ev)),
+            Action::SendDone(r) => self.post(SEND_DONE, |mail| mail.sends.push_back(r)),
+            Action::JoinDone(r) => self.post(COMPLETION, |mail| mail.joined = Some(r)),
+            Action::LeaveDone(r) => self.post(COMPLETION, |mail| mail.left = Some(r)),
+            Action::ResetDone(r) => self.post(COMPLETION, |mail| mail.reset = Some(r)),
         }
     }
 
-    fn complete<T>(&self, slot: &Slot<T>, r: Result<T, GroupError>) {
-        *slot.0.lock() = Some(r);
-        self.bell.ring(COMPLETION);
+    /// Files mail under `topic` and rings for it — unless the member
+    /// has ended, which takes no more.
+    fn post(&self, topic: Topic, file: impl FnOnce(&mut Mail)) {
+        let mut mail = self.mail.lock();
+        if mail.ended {
+            return;
+        }
+        file(&mut mail);
+        drop(mail);
+        self.bell.ring(topic);
     }
 
     /// Steps every datagram queued for this member, in arrival order:
@@ -309,41 +267,54 @@ impl NodeShared {
     /// does (see [`drive`]), and the caller learns it as
     /// [`GroupError::Disconnected`]: nothing unwinds into the app.
     fn drain_as_caller(&self) {
-        if self.fed && catch_unwind(AssertUnwindSafe(|| self.drain())).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| self.drain())).is_err() {
             self.shutdown();
         }
     }
 
-    /// The one wait of the blocking primitives: drain the inbox, look
-    /// for the completion, enlist on the bell, look again, park until
-    /// woken or `deadline` — and round again, so that the datagram a
-    /// caller was woken for is stepped before it returns. Issues the
-    /// caller's held wake-ups when it parks and when it is done. `None`
-    /// if `ready` found nothing in time.
+    /// The one wait of the blocking primitives, on either fabric:
+    /// `take` from the mailbox and, finding nothing, enlist on the bell
+    /// for `topic` under the same mail lock, so that whatever is filed
+    /// after the look rings for this caller; park until woken or
+    /// `deadline`; drain the inbox if datagrams wait that nobody drains
+    /// (the bell refused the enlistment for them, or a push woke this
+    /// caller for them) — and round again. Issues the caller's held
+    /// wake-ups when it parks and when it is done.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvTimeoutError::Disconnected`] once the member has ended and
+    /// `take` finds nothing left; `Timeout` when `deadline` passed
+    /// first.
     fn wait<R>(
         &self,
         topic: Topic,
         deadline: Duration,
-        mut ready: impl FnMut() -> Option<R>,
-    ) -> Option<R> {
-        let until = Instant::now().checked_add(deadline);
+        mut take: impl FnMut(&mut Mail) -> Option<R>,
+    ) -> Result<R, RecvTimeoutError> {
+        // The clock is read only on the way to a wait: mail that is
+        // already there costs one lock.
+        let mut until = None;
         let got = loop {
-            self.drain_as_caller();
-            if let Some(r) = ready() {
-                break Some(r);
+            let mut mail = self.mail.lock();
+            if let Some(r) = take(&mut mail) {
+                break Ok(r);
             }
-            if until.is_some_and(|at| Instant::now() >= at) {
-                break None;
+            if mail.ended {
+                break Err(RecvTimeoutError::Disconnected);
             }
-            if !self.bell.enlist(topic) {
-                continue;
+            let now = Instant::now();
+            let until = *until.get_or_insert(now.checked_add(deadline));
+            if until.is_some_and(|at| now >= at) {
+                break Err(RecvTimeoutError::Timeout);
             }
-            if let Some(r) = ready() {
-                self.bell.leave();
+            // Enlisted under the mail lock: whatever is filed from here
+            // on rings for this thread.
+            let enlisted = self.bell.enlist(topic);
+            drop(mail);
+            if !enlisted || self.bell.park(until) {
                 self.drain_as_caller();
-                break Some(r);
             }
-            self.bell.park(until);
         };
         // The wake-ups held so far are due now, not after the rest of
         // a pipelined stream: a sequencer must hear each request while
@@ -352,55 +323,13 @@ impl NodeShared {
         got
     }
 
-    /// Waits up to `deadline` for the next delivered event on `rx`,
-    /// this member's event channel.
+    /// Waits up to `deadline` for the next delivered event.
     ///
     /// # Errors
     ///
-    /// [`RecvTimeoutError::Disconnected`] once the member has ended and
-    /// the channel is drained; `Timeout` when `deadline` passed first.
-    pub(crate) fn wait_event(
-        &self,
-        rx: &Receiver<GroupEvent>,
-        deadline: Duration,
-    ) -> Result<GroupEvent, RecvTimeoutError> {
-        self.wait_on(rx, DELIVERY, deadline)
-    }
-
-    /// Waits for the next value on one of the member's completion
-    /// channels, as [`NodeShared::wait_event`]. Over a socket the
-    /// caller sleeps on the channel itself: the driver alone reads the
-    /// socket (DESIGN.md §12).
-    fn wait_on<T>(
-        &self,
-        rx: &Receiver<T>,
-        topic: Topic,
-        deadline: Duration,
-    ) -> Result<T, RecvTimeoutError> {
-        if !self.fed {
-            flush_wakes();
-            return rx.recv_timeout(deadline);
-        }
-        let next = || match rx.try_recv() {
-            Ok(v) => Some(Ok(v)),
-            Err(TryRecvError::Disconnected) => Some(Err(RecvTimeoutError::Disconnected)),
-            Err(TryRecvError::Empty) => None,
-        };
-        self.wait(topic, deadline, next).unwrap_or(Err(RecvTimeoutError::Timeout))
-    }
-
-    /// Waits up to `deadline` for `slot`'s completion.
-    ///
-    /// # Errors
-    ///
-    /// The operation's own error, or [`GroupError::Disconnected`] when
-    /// the member has ended or nothing completed it in time.
-    pub(crate) fn wait_slot<T>(&self, slot: &Slot<T>, deadline: Duration) -> Result<T, GroupError> {
-        let done = || {
-            let ended = self.stop.load(Ordering::Acquire);
-            slot.try_take().or_else(|| ended.then_some(Err(GroupError::Disconnected)))
-        };
-        self.wait(COMPLETION, deadline, done).unwrap_or(Err(GroupError::Disconnected))
+    /// As [`NodeShared::wait`].
+    pub(crate) fn wait_event(&self, deadline: Duration) -> Result<GroupEvent, RecvTimeoutError> {
+        self.wait(DELIVERY, deadline, |mail| mail.events.pop_front())
     }
 
     /// Arms (or re-arms) `timer`, and wakes the driver if that is
@@ -455,22 +384,29 @@ impl NodeShared {
         self.hosted.lock().as_mut().map(|pump| turn(pump, self))
     }
 
-    /// Runs a blocking primitive: clears its slot, applies `op` to the
-    /// core, and waits up to `deadline` for completion.
+    /// Runs a blocking join, leave or reset: clears its `outcome` in
+    /// the mailbox, applies `op` to the core, and waits up to
+    /// `deadline` for the outcome.
+    ///
+    /// # Errors
+    ///
+    /// The operation's own error, or [`GroupError::Disconnected`] when
+    /// the member has ended or nothing completed it in time.
     pub(crate) fn blocking_op<T>(
         &self,
-        slot: &Slot<T>,
+        outcome: impl Fn(&mut Mail) -> &mut Option<Result<T, GroupError>>,
         deadline: Duration,
         op: impl FnOnce(&mut GroupCore) -> Vec<Action>,
     ) -> Result<T, GroupError> {
-        slot.clear();
+        *outcome(&mut self.mail.lock()) = None;
         self.step(op);
-        self.wait_slot(slot, deadline)
+        let done = self.wait(COMPLETION, deadline, |mail| outcome(mail).take());
+        done.unwrap_or(Err(GroupError::Disconnected))
     }
 
-    /// Submits one `SendToGroup`. Exactly one completion will arrive on
-    /// the send-done channel (possibly `Err(Busy)` synchronously when
-    /// the pipelining window is full).
+    /// Submits one `SendToGroup`. Exactly one completion will be filed
+    /// in the mailbox (possibly `Err(Busy)` synchronously when the
+    /// pipelining window is full).
     pub(crate) fn submit_send(&self, payload: bytes::Bytes) {
         self.step(|core| core.send_to_group(payload));
     }
@@ -482,8 +418,8 @@ impl NodeShared {
     /// The send's own error, or [`GroupError::Disconnected`] when no
     /// completion arrived within `deadline` (see [`OP_DEADLINE`]).
     pub(crate) fn wait_send(&self, deadline: Duration) -> Result<Seqno, GroupError> {
-        self.wait_on(&self.send_done_rx, SEND_DONE, deadline)
-            .unwrap_or(Err(GroupError::Disconnected))
+        let done = self.wait(SEND_DONE, deadline, |mail| mail.sends.pop_front());
+        done.unwrap_or(Err(GroupError::Disconnected))
     }
 
     /// Ends this member: it vanishes from the fabric, its driver
@@ -493,7 +429,7 @@ impl NodeShared {
     /// cannot join itself: the [`GroupHandle`](crate::GroupHandle) does
     /// that when it drops.
     pub(crate) fn shutdown(&self) {
-        drop(self.outlets.lock().take());
+        self.mail.lock().ended = true;
         self.stop.store(true, Ordering::Release);
         self.net.unregister(self.addr);
         self.bell.close();
@@ -542,11 +478,12 @@ impl NodeShared {
 }
 
 /// The driver loop: give the hosted app its next event, fire what
-/// expired, drain the inbox (or read one datagram off a socket), wait
-/// until the next deadline. The wait is taken only after a pass that
-/// fed nothing, fired nothing and drained nothing — an app's send at a
-/// sequencer, a timer's actions, or a datagram queue events for this
-/// thread, which nobody else would wake for them.
+/// expired, drain the inbox and sleep on its bell — or, over a socket,
+/// read one datagram off it — until the next deadline. The wait is
+/// taken only after a pass that fed nothing, fired nothing and drained
+/// nothing — an app's send at a sequencer, a timer's actions, or a
+/// datagram queue mail for this thread, which nobody else would wake
+/// for it.
 ///
 /// A panic, in an app callback or anywhere below, ends the member like
 /// a crash; if it hosts an app the payload goes to `Pumps::join`, which
@@ -557,9 +494,9 @@ pub(crate) fn drive(shared: Arc<NodeShared>, inbox: Inbox) {
             let fed = shared.app_turn(Pump::feed_one).unwrap_or(false);
             let sleep = shared.fire_expired();
             let timeout = if fed { Duration::ZERO } else { sleep };
-            if shared.fed {
+            if let Some(bell) = inbox.bell() {
                 if !shared.drain() && !timeout.is_zero() {
-                    shared.bell.sleep(timeout);
+                    bell.sleep(timeout);
                 }
             } else if let Ok((from, frame)) = inbox.recv_timeout(timeout) {
                 shared.receive(from, frame);
@@ -581,12 +518,13 @@ mod tests {
     use crate::handle::Amoeba;
     use amoeba_core::{GroupConfig, MemberId, WireFrame};
     use amoeba_net::{FaultPlan, LiveNet, UdpConfig, UdpNet};
+    use std::sync::mpsc::{self, Receiver, Sender};
 
     /// A fabric whose sends park until released: it holds a thread
     /// between releasing the core lock and finishing its actions.
     struct Gate {
         entered: Sender<()>,
-        release: Receiver<()>,
+        release: Arc<Mutex<Receiver<()>>>,
     }
 
     impl Transport for Gate {
@@ -596,7 +534,7 @@ mod tests {
         fn unregister(&self, _: FlipAddress) {}
         fn join_mcast(&self, _: GroupId, _: FlipAddress) {}
         fn sender(&self, _: FlipAddress) -> Box<dyn TransportSender> {
-            Box::new(Gate { entered: self.entered.clone(), release: self.release.clone() })
+            Box::new(Gate { entered: self.entered.clone(), release: Arc::clone(&self.release) })
         }
     }
 
@@ -606,7 +544,7 @@ mod tests {
         }
         fn multicast(&mut self, _: GroupId, _: WireFrame) {
             let _ = self.entered.send(());
-            let _ = self.release.recv_timeout(Duration::from_secs(5));
+            let _ = self.release.lock().recv_timeout(Duration::from_secs(5));
         }
     }
 
@@ -616,15 +554,15 @@ mod tests {
     /// Its delivery must still come second.
     #[test]
     fn actions_execute_in_core_lock_order() {
-        let (entered_tx, entered_rx) = channel::unbounded();
-        let (release_tx, release_rx) = channel::unbounded();
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
         let addr = FlipAddress::process(1);
         let (core, join) = GroupCore::join(GroupId(1), addr, GroupConfig::default()).expect("join");
         let send = join.into_iter().find(Action::is_send).expect("a joiner sends its request");
-        let (events_tx, events_rx) = channel::unbounded();
-        let gate = Arc::new(Gate { entered: entered_tx, release: release_rx });
+        let release = Arc::new(Mutex::new(release_rx));
+        let gate = Arc::new(Gate { entered: entered_tx, release });
         let waker = gate.register(addr).waker();
-        let shared = NodeShared::new(core, gate, GroupId(1), addr, events_tx, waker);
+        let shared = NodeShared::on_bell(core, gate, GroupId(1), addr, waker, None);
         let deliver = |n| {
             Action::Deliver(GroupEvent::Message {
                 seqno: Seqno(n),
@@ -632,7 +570,7 @@ mod tests {
                 payload: bytes::Bytes::new(),
             })
         };
-        let (locked_tx, locked_rx) = channel::unbounded();
+        let (locked_tx, locked_rx) = mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| shared.step(|_| vec![send, deliver(1)]));
             entered_rx.recv_timeout(Duration::from_secs(5)).expect("first step is sending");
@@ -645,8 +583,8 @@ mod tests {
             locked_rx.recv_timeout(Duration::from_secs(5)).expect("second step holds the core");
             release_tx.send(()).expect("sender parked");
         });
-        let next = || match events_rx.try_recv() {
-            Ok(GroupEvent::Message { seqno, .. }) => Some(seqno.0),
+        let next = || match shared.mail.lock().events.pop_front() {
+            Some(GroupEvent::Message { seqno, .. }) => Some(seqno.0),
             _ => None,
         };
         assert_eq!([next(), next(), next()], [Some(1), Some(2), None]);
