@@ -118,15 +118,17 @@ impl Default for Method {
 
 /// Per-group protocol parameters.
 ///
-/// Two profiles share every field but two. [`GroupConfig::default`] is
-/// the *live* profile: the paper's 128-slot history buffer, resilience
-/// 0 and dynamic method selection, with the sequencer soliciting
-/// delivery floors at half occupancy (`history_high_water` 64) and
-/// members answering at once (`status_stagger_us` 0), so a sender among
-/// silent members never runs into the full buffer. [`GroupConfig::paper`]
-/// is the 1996 configuration every simulated experiment is pinned to:
-/// floors are solicited only once the buffer is full, and status
-/// replies are staggered 700 µs per rank.
+/// Two profiles share every field but three. [`GroupConfig::default`]
+/// is the *live* profile: the paper's 128-slot history buffer,
+/// resilience 0 and dynamic method selection, with the sequencer
+/// soliciting delivery floors at half occupancy (`history_high_water`
+/// 64) and members answering at once (`status_stagger_us` 0), so a
+/// sender among silent members never runs into the full buffer, and
+/// with the repairs the chaos explorer checks on (`robust_repair`).
+/// [`GroupConfig::paper`] is the 1996 configuration every simulated
+/// experiment is pinned to: floors are solicited only once the buffer
+/// is full, status replies are staggered 700 µs per rank, and the
+/// repairs are off.
 ///
 /// All times are in microseconds (the simulator's clock unit); the live
 /// runtime maps them onto wall-clock microseconds.
@@ -219,8 +221,9 @@ pub struct GroupConfig {
     /// Recovery participant: silence from the coordinator for this long
     /// aborts the attempt and starts our own, µs.
     pub recovery_watchdog_us: u64,
-    /// Beyond-paper congestion guards on the repair paths (off by
-    /// default, keeping the wire behaviour of the 1996 protocol exact):
+    /// Beyond-paper congestion guards on the repair paths (on in the
+    /// live profile; off in [`GroupConfig::paper`], which keeps the wire
+    /// behaviour of the 1996 protocol exact):
     /// exponential backoff on negative-acknowledgement retries and on
     /// tentative re-multicasts, plus chunked (16-entry) retransmission
     /// service. Without them, a member far behind a backlog of large
@@ -244,7 +247,12 @@ pub struct GroupConfig {
 impl Default for GroupConfig {
     /// The live profile (see the type's documentation).
     fn default() -> Self {
-        GroupConfig { history_high_water: 64, status_stagger_us: 0, ..GroupConfig::paper() }
+        GroupConfig {
+            history_high_water: 64,
+            status_stagger_us: 0,
+            robust_repair: true,
+            ..GroupConfig::paper()
+        }
     }
 }
 
@@ -252,10 +260,11 @@ impl GroupConfig {
     /// The paper's configuration: the 1996 protocol's behaviour, which
     /// the simulated experiments, the paper anchors and the golden
     /// scenario digests are pinned to. It differs from
-    /// [`GroupConfig::default`] in exactly two fields: the sequencer
+    /// [`GroupConfig::default`] in exactly three fields: the sequencer
     /// asks for floors only once its history is full
-    /// (`history_high_water` = `history_cap`), and status replies are
-    /// staggered 700 µs per rank. A lone sender among silent members
+    /// (`history_high_water` = `history_cap`), status replies are
+    /// staggered 700 µs per rank, and the beyond-paper repairs are off
+    /// (`robust_repair`). A lone sender among silent members
     /// therefore fills the buffer, is refused, and waits out
     /// `send_retransmit_us` once per `history_cap` messages — the
     /// mechanism behind the paper's Figures 4 and 5.

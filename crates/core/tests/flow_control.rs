@@ -1,7 +1,8 @@
 //! History flow control with a lone sender among silent members: the
 //! high-water sync round (`GroupConfig::history_high_water`), the
 //! refusal at `history_cap`, and the two profiles that differ in
-//! whether the first is reached before the second.
+//! whether the first is reached before the second (and in whether the
+//! beyond-paper repairs run).
 
 mod common;
 
@@ -138,15 +139,17 @@ fn a_cut_off_member_still_fills_the_buffer_and_loses_nothing() {
 }
 
 #[test]
-fn the_profiles_differ_in_exactly_two_fields() {
+fn the_profiles_differ_in_exactly_three_fields() {
     let live = GroupConfig::default();
     let paper = GroupConfig::paper();
     assert_ne!(live.history_high_water, paper.history_high_water);
     assert_ne!(live.status_stagger_us, paper.status_stagger_us);
     assert_eq!(paper.history_high_water, paper.history_cap, "1996: ask only when full");
+    assert!(live.robust_repair && !paper.robust_repair, "the explorer's repairs ship");
     let patched = GroupConfig {
         history_high_water: paper.history_high_water,
         status_stagger_us: paper.status_stagger_us,
+        robust_repair: paper.robust_repair,
         ..live
     };
     assert_eq!(patched, paper);

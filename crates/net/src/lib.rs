@@ -86,6 +86,6 @@ pub use net::{Host, HostId, Net, NetConfig, NetView};
 pub use nic::{Nic, NicStats};
 pub use transport::{
     flush_wakes, hold_wakes, Bell, Datagram, Inbox, InboxFeed, Topic, Transport, TransportSender,
-    WakeHold, Waker,
+    WakeHold,
 };
-pub use udp::{InboxDrops, UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};
+pub use udp::{InboxDrops, ReadToken, UdpConfig, UdpNet, ENVELOPE_LEN, MAX_UDP_DATAGRAM};

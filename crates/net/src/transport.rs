@@ -23,11 +23,15 @@
 //! ([`hold_wakes`]) until it parks or its wait is over, so a woken
 //! thread does not preempt the one that woke it mid-call.
 //!
-//! **A socket keeps one reader.** Over UDP the inbox is the socket,
-//! read on the driver's thread: a datagram lands in the kernel, not in
-//! a queue this process could hand to a caller, and a second reader
-//! would split one message's fragments between two reassemblers. Its
-//! [`Waker`] is an empty datagram to its own port.
+//! **A socket keeps one reader at a time, the token's holder.** Over
+//! UDP the inbox is the socket: a datagram lands in the kernel, not in
+//! a queue this process could hand to a caller, and two readers at once
+//! would split one message's fragments between two reassemblers. So
+//! whoever reads it holds its [`ReadToken`] ([`Inbox::try_read`]): a
+//! caller blocked on the member reads and steps what it waits for, as
+//! a drain does in memory, and the driver reads only while no caller
+//! waits. Its wake ([`Inbox::wake`]) is an empty datagram to its own
+//! port, which ends the current holder's wait.
 //!
 //! Both sides of the contract speak [`WireFrame`]: the zero-copy
 //! (head, optional tail) segment pair produced by
@@ -47,7 +51,7 @@ use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::FlipAddress;
 use parking_lot::Mutex;
 
-use crate::udp::UdpInbox;
+use crate::udp::{ReadToken, UdpInbox};
 
 /// A raw datagram as delivered to a node: (source address, frame).
 pub type Datagram = (FlipAddress, WireFrame);
@@ -91,8 +95,9 @@ pub trait TransportSender: Send {
     fn multicast(&mut self, group: GroupId, frame: WireFrame);
 }
 
-/// An endpoint's inbound side. `Send`, not `Sync`: whatever reads it
-/// through [`Inbox::recv_timeout`] is one thread.
+/// An endpoint's inbound side. `Send` and `Sync`: the member's threads
+/// share it, one reader at a time (a drain of the bell, or the holder
+/// of the socket's [`ReadToken`]).
 pub struct Inbox(pub(crate) Source);
 
 pub(crate) enum Source {
@@ -113,11 +118,6 @@ impl InboxFeed {
     }
 }
 
-/// Ends an [`Inbox`]'s wait early, from any thread. Best-effort, like
-/// the fabric: a wake that cannot be queued means the inbox has
-/// datagrams to return anyway.
-pub type Waker = Box<dyn Fn() + Send + Sync>;
-
 impl Inbox {
     /// An in-memory inbox, a [`Bell`], and the feed a fabric fills it
     /// through.
@@ -127,11 +127,31 @@ impl Inbox {
     }
 
     /// The bell behind an in-memory inbox, which the member's blocked
-    /// callers drain too; `None` for a socket, which has one reader.
+    /// callers drain too; `None` for a socket, which they read through
+    /// its token.
     pub fn bell(&self) -> Option<&Arc<Bell>> {
         match &self.0 {
             Source::Bell(bell) => Some(bell),
             Source::Udp(_) => None,
+        }
+    }
+
+    /// A socket's read token, if nobody holds it: `None` while another
+    /// thread reads the socket, and always for an in-memory inbox.
+    pub fn try_read(&self) -> Option<ReadToken<'_>> {
+        match &self.0 {
+            Source::Bell(_) => None,
+            Source::Udp(inbox) => inbox.try_read(),
+        }
+    }
+
+    /// Ends the current or next wait on the inbox, from any thread: the
+    /// bell's driver token, or an empty datagram to the socket's own
+    /// port. Best-effort, like the fabric.
+    pub fn wake(&self) {
+        match &self.0 {
+            Source::Bell(bell) => bell.wake(),
+            Source::Udp(inbox) => inbox.poke(),
         }
     }
 
@@ -142,7 +162,7 @@ impl Inbox {
     /// # Errors
     ///
     /// [`RecvTimeoutError::Timeout`], when nothing arrived in time *or*
-    /// the [`Waker`] interrupted the wait: the caller re-reads whatever
+    /// [`Inbox::wake`] interrupted the wait: the caller re-reads whatever
     /// it sleeps on and comes back.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Datagram, RecvTimeoutError> {
         match &self.0 {
@@ -159,20 +179,9 @@ impl Inbox {
                     }
                 }
             }
-            Source::Udp(inbox) => inbox.recv_timeout(timeout).ok_or(RecvTimeoutError::Timeout),
-        }
-    }
-
-    /// The handle that interrupts [`Inbox::recv_timeout`]: the bell's
-    /// token for its driver, or an empty datagram to the endpoint's
-    /// own port.
-    pub fn waker(&self) -> Waker {
-        match &self.0 {
-            Source::Bell(bell) => {
-                let bell = Arc::clone(bell);
-                Box::new(move || bell.wake())
+            Source::Udp(inbox) => {
+                inbox.read().recv_timeout(timeout).ok_or(RecvTimeoutError::Timeout)
             }
-            Source::Udp(inbox) => inbox.waker(),
         }
     }
 }
@@ -205,7 +214,7 @@ struct Rings {
     rung: bool,
     /// The driver, while it sleeps here.
     driver: Option<Thread>,
-    /// A [`Waker`] call the driver has not seen yet.
+    /// A [`Bell::wake`] call the driver has not seen yet.
     token: bool,
     /// The endpoint is gone: pushes drop, nobody parks.
     closed: bool,
@@ -214,6 +223,7 @@ struct Rings {
 struct Parked {
     topic: Topic,
     thread: Thread,
+    reads: bool,
 }
 
 impl Bell {
@@ -276,16 +286,16 @@ impl Bell {
         }
     }
 
-    /// Puts the calling thread on the list of parked callers, waiting
-    /// for `topic`, until it parks ([`Bell::park`]) or leaves. False if
-    /// datagrams wait that nobody is draining (drain them first) or
-    /// the bell is closed (nothing will ring).
-    pub fn enlist(&self, topic: Topic) -> bool {
+    /// Puts the calling thread, waiting for `topic` (and reading a socket
+    /// while it holds the read token if it `reads`), on the list of parked
+    /// callers until it parks ([`Bell::park`]) or leaves. False if
+    /// datagrams wait undrained (drain them first) or the bell is closed.
+    pub fn enlist(&self, topic: Topic, reads: bool) -> bool {
         let mut rings = self.rings.lock();
         if rings.closed || (!rings.queue.is_empty() && !rings.draining) {
             return false;
         }
-        rings.callers.push(Parked { topic, thread: thread::current() });
+        rings.callers.push(Parked { topic, thread: thread::current(), reads });
         true
     }
 
@@ -311,6 +321,23 @@ impl Bell {
         let mut rings = self.rings.lock();
         rings.callers.retain(|p| p.thread.id() != me);
         !rings.queue.is_empty() && !rings.draining
+    }
+
+    /// Whether any caller that reads ([`Bell::enlist`]) is enlisted.
+    pub fn has_readers(&self) -> bool {
+        self.rings.lock().callers.iter().any(|p| p.reads)
+    }
+
+    /// Takes the calling thread off the list, if it is enlisted, and
+    /// wakes the reader that enlisted last, if any: a socket's reader
+    /// lets go of its token. True if it woke one.
+    pub fn hand_over(&self) -> bool {
+        let me = thread::current().id();
+        let mut rings = self.rings.lock();
+        rings.callers.retain(|p| p.thread.id() != me);
+        let next = rings.callers.iter().rposition(|p| p.reads).map(|at| rings.callers.remove(at));
+        drop(rings);
+        next.map(|next| wake(next.thread)).is_some()
     }
 
     /// Wakes every caller parked on `topic`.
@@ -353,9 +380,9 @@ impl Bell {
         std::mem::take(&mut rings.token)
     }
 
-    /// The driver's [`Waker`]: sets its token and wakes it if it
-    /// sleeps.
-    fn wake(&self) {
+    /// Ends the driver's wait ([`Bell::sleep`]): sets its token and
+    /// wakes it if it sleeps.
+    pub fn wake(&self) {
         let mut rings = self.rings.lock();
         rings.token = true;
         let driver = rings.driver.take();
@@ -439,7 +466,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A timeout the clock cannot represent is a wait with no
-    /// deadline, on both sources alike, and the waker still ends it
+    /// deadline, on both sources alike, and a wake still ends it
     /// from another thread (before or after the wait begins: either
     /// way nothing else can end it).
     #[test]
@@ -448,9 +475,8 @@ mod tests {
         for (source, inbox) in
             [("channel", Inbox::channel().1), ("udp", udp.register(FlipAddress::process(1)))]
         {
-            let waker = inbox.waker();
             std::thread::scope(|s| {
-                s.spawn(&waker);
+                s.spawn(|| inbox.wake());
                 assert_eq!(
                     inbox.recv_timeout(Duration::MAX).err(),
                     Some(RecvTimeoutError::Timeout),
@@ -502,7 +528,7 @@ mod tests {
                 s.spawn(|| {
                     while !done.load(Ordering::Acquire) {
                         bell.drain(|(from, frame)| stepped.lock().push((from, number(&frame))));
-                        if bell.enlist(0) {
+                        if bell.enlist(0, false) {
                             bell.park(Some(Instant::now() + Duration::from_millis(5)));
                         }
                     }
@@ -534,7 +560,7 @@ mod tests {
             if let Some(n) = got {
                 return n;
             }
-            if bell.enlist(0) {
+            if bell.enlist(0, false) {
                 bell.park(None);
             }
         };
@@ -566,7 +592,7 @@ mod tests {
             let driver = s.spawn(|| bell.sleep(Duration::MAX));
             until(|| bell.rings.lock().driver.is_some());
             let caller = s.spawn(|| {
-                assert!(bell.enlist(0), "nothing queued yet");
+                assert!(bell.enlist(0, false), "nothing queued yet");
                 bell.park(None);
                 let mut got = 0;
                 bell.drain(|_| got += 1);
@@ -592,7 +618,7 @@ mod tests {
         bell.drain(|(_, frame)| {
             let n = number(&frame);
             if n == 0 {
-                assert!(bell.enlist(0), "a running drain lets callers park");
+                assert!(bell.enlist(0, false), "a running drain lets callers park");
                 feed.send(numbered(1, 1));
                 assert_eq!(parked(bell), 1, "the push woke nobody");
                 assert!(!bell.rings.lock().rung);

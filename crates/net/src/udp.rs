@@ -13,11 +13,12 @@
 //! [`UdpNet::bind_endpoint`] so a harness can exchange ports before
 //! the protocol starts talking) and **no thread of its own**. The
 //! receive side is the [`Inbox`] that `register` returns: whoever
-//! waits on it — the member's driver — runs `recv_from`, the envelope
-//! check, the subscription filter and reassembly on its own thread,
-//! with the socket's read timeout as its timer wait (counted by Linux
-//! in scheduler ticks, rounded up twice: over UDP a timer fires up to
-//! two ticks, 8 ms at `HZ=250`, late). Sends run on the caller's
+//! holds its read token ([`ReadToken`]) — a caller blocked on the
+//! member, or else its driver — runs `recv_from`, the envelope check,
+//! the subscription filter and reassembly on its own thread, with the
+//! socket's read timeout as its wait (counted by Linux in scheduler
+//! ticks, rounded up twice). One holder at a time, so one message's
+//! fragments meet in one reassembler. Sends run on the caller's
 //! thread too: a [`TransportSender`] gather-encodes each fragment
 //! (envelope + head slice + tail slice) into its own reusable scratch
 //! buffer and writes it to the endpoint's socket, one `send_to` per
@@ -53,7 +54,6 @@
 //! negative-acknowledgement machinery recovers, exactly as it does on
 //! a lossy wire.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -64,10 +64,10 @@ use std::time::{Duration, Instant};
 use amoeba_core::{GroupId, WireFrame};
 use amoeba_flip::{split_lens, FlipAddress, FragKey, Reassembler};
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::snapshot::{Snapshot, SnapshotCache};
-use crate::transport::{Datagram, Inbox, Source, Transport, TransportSender, Waker};
+use crate::transport::{Datagram, Inbox, Source, Transport, TransportSender};
 
 /// Wire envelope prefixed to every datagram: magic (2) + version (1) +
 /// src (8) + dst (8) + msg id (8) + fragment index (2) + count (2).
@@ -200,7 +200,7 @@ pub struct InboxDrops {
 /// sending port handed out for the address.
 struct Endpoint {
     sock: UdpSocket,
-    /// Where `sock` listens: where its [`Waker`] sends.
+    /// Where `sock` listens: where its wake ([`Inbox::wake`]) sends.
     local: SocketAddr,
     /// Set on unregister: senders blackhole.
     shutdown: AtomicBool,
@@ -330,10 +330,11 @@ impl Transport for UdpNet {
             me: addr,
             table: Arc::clone(&self.table),
             started: Instant::now(),
-            state: RefCell::new(RecvState {
+            state: Mutex::new(RecvState {
                 scratch: vec![0u8; MAX_UDP_DATAGRAM],
                 partials: Partials::new(self.cfg.purge_after),
                 cache: self.table.cache(),
+                read_timeout: None,
             }),
         })))
     }
@@ -532,38 +533,66 @@ impl Partials {
     }
 }
 
-/// A UDP endpoint's receiving side, run by whoever waits on it: blocks
-/// on the socket, validates envelopes, filters group traffic by the
-/// endpoint's own subscriptions and reassembles fragments.
+/// A UDP endpoint's receiving side, run by whoever holds its read
+/// token: blocks on the socket, validates envelopes, filters group
+/// traffic by the endpoint's own subscriptions and reassembles
+/// fragments.
 pub(crate) struct UdpInbox {
     endpoint: Arc<Endpoint>,
     me: FlipAddress,
     table: Arc<Snapshot<Registry, Peers>>,
     started: Instant,
-    /// Behind `&self` because [`Inbox::recv_timeout`] is; one thread.
-    state: RefCell<RecvState>,
+    /// The read token: its holder is the socket's one reader.
+    state: Mutex<RecvState>,
 }
 
 struct RecvState {
     scratch: Vec<u8>,
     partials: Partials,
     cache: SnapshotCache<Peers>,
+    /// The socket's read timeout as last set (`None`: it blocks).
+    read_timeout: Option<Duration>,
+}
+
+/// The read token of a UDP [`Inbox`] ([`Inbox::try_read`]): while a
+/// thread holds it, that thread is the socket's one reader.
+pub struct ReadToken<'a> {
+    inbox: &'a UdpInbox,
+    state: MutexGuard<'a, RecvState>,
+}
+
+impl ReadToken<'_> {
+    /// Reads the next datagram, as [`Inbox::recv_timeout`] does: up to
+    /// `timeout`, a zero one polls, and `None` is its `Timeout` (the
+    /// wait ran out, or [`Inbox::wake`] ended it).
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Option<Datagram> {
+        self.inbox.recv(&mut self.state, timeout)
+    }
 }
 
 impl UdpInbox {
-    /// An empty datagram to the endpoint's own port, which no envelope
-    /// check accepts, ends the wait below.
-    pub(crate) fn waker(&self) -> Waker {
-        let endpoint = Arc::clone(&self.endpoint);
-        Box::new(move || drop(endpoint.sock.send_to(&[], endpoint.local)))
+    /// The read token, waiting for it if another thread holds it.
+    pub(crate) fn read(&self) -> ReadToken<'_> {
+        ReadToken { inbox: self, state: self.state.lock() }
     }
 
-    /// See [`Inbox::recv_timeout`]; `None` is its `Timeout`. A zero
-    /// `timeout` polls: it reads what the socket already holds and
-    /// returns at the first read that would block. A `timeout` the
-    /// clock cannot represent waits with no deadline.
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Datagram> {
-        let RecvState { scratch, partials, cache } = &mut *self.state.borrow_mut();
+    /// The read token, if nobody holds it.
+    pub(crate) fn try_read(&self) -> Option<ReadToken<'_>> {
+        self.state.try_lock().map(|state| ReadToken { inbox: self, state })
+    }
+
+    /// An empty datagram to the endpoint's own port, which no envelope
+    /// check accepts: it ends the holder's current or next wait.
+    pub(crate) fn poke(&self) {
+        let _ = self.endpoint.sock.send_to(&[], self.endpoint.local);
+    }
+
+    /// See [`ReadToken::recv_timeout`]. A zero `timeout` polls: it
+    /// reads what the socket already holds and returns at the first
+    /// read that would block. A `timeout` the clock cannot represent
+    /// waits with no deadline.
+    fn recv(&self, state: &mut RecvState, timeout: Duration) -> Option<Datagram> {
+        let RecvState { scratch, partials, cache, read_timeout } = state;
         let Endpoint { sock, drops, .. } = &*self.endpoint;
         let poll = timeout.is_zero();
         let mut now = Instant::now();
@@ -580,7 +609,16 @@ impl UdpInbox {
                 if left.is_some_and(|left| left.is_zero()) {
                     return None;
                 }
-                let _ = sock.set_read_timeout(left);
+                // Down to a power of two in µs, so the wait may end early
+                // and loop but never late, and a long one keeps one
+                // setting across reads: set only when it changes.
+                let want = left.map(|left| {
+                    let us = u64::try_from(left.as_micros()).unwrap_or(u64::MAX).max(1);
+                    Duration::from_micros(1 << us.ilog2())
+                });
+                if want != *read_timeout && sock.set_read_timeout(want).is_ok() {
+                    *read_timeout = want;
+                }
                 sock.recv_from(scratch)
             };
             now = Instant::now();
@@ -591,7 +629,7 @@ impl UdpInbox {
                 partials.trim(now_ms, &mut drops.lock());
             }
             let n = match received {
-                Ok((0, _)) => return None, // the waker
+                Ok((0, _)) => return None, // a wake
                 Ok((n, _)) => n,
                 // The socket is empty (a poll), or the wait ran out (the
                 // kernel counts it in ticks, so possibly early), or a
@@ -782,6 +820,59 @@ mod tests {
         tx.unicast(addr(1), frame(payload.clone()));
         let (_, f) = recv(&rx);
         assert_eq!(&f.to_contiguous()[..], &payload[..]);
+    }
+
+    /// One message's fragments, read by two threads that take the read
+    /// token in turn, one fragment each: the reassembler the holders
+    /// share puts the message together exactly once, on the thread
+    /// that read the last fragment, and keeps nothing behind.
+    #[test]
+    fn fragments_read_by_alternating_token_holders_reassemble_once() {
+        const FRAGS: u16 = 4;
+        let net = UdpNet::new(UdpConfig::default());
+        let rx = net.register(addr(1));
+        let at = net.local_addr(addr(1)).expect("registered");
+        let raw = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+        let payload: Vec<u8> = (0..FRAGS as u8 * 16).collect();
+        let mut read_on = Vec::new();
+        let mut got = Vec::new();
+        std::thread::scope(|s| {
+            let holders: Vec<_> = (0..2)
+                .map(|_| {
+                    let (turn_tx, turn_rx) = std::sync::mpsc::channel::<()>();
+                    let (read_tx, read_rx) = std::sync::mpsc::channel();
+                    let rx = &rx;
+                    s.spawn(move || {
+                        for () in turn_rx {
+                            let mut token = rx.try_read().expect("nobody else holds it");
+                            let read = token.recv_timeout(Duration::from_secs(5));
+                            drop(token);
+                            read_tx.send((std::thread::current().id(), read)).expect("listening");
+                        }
+                    });
+                    (turn_tx, read_rx)
+                })
+                .collect();
+            for (index, chunk) in (0..FRAGS).zip(payload.chunks(16)) {
+                let (src, dst) = (addr(2).as_u64(), addr(1).as_u64());
+                let env = Envelope { src, dst, msg_id: 7, index, count: FRAGS };
+                raw.send_to(&encode_datagram(&env, chunk), at).expect("send");
+                if index + 1 < FRAGS {
+                    rx.wake(); // behind the fragment: the read ends there
+                }
+                let (turn, read) = &holders[usize::from(index % 2)];
+                turn.send(()).expect("holder waits");
+                let (on, datagram) = read.recv_timeout(Duration::from_secs(10)).expect("read");
+                read_on.push(on);
+                got.push(datagram.map(|(from, f)| (from, f.to_contiguous().to_vec())));
+            }
+        });
+        assert_eq!(got[..FRAGS as usize - 1].iter().flatten().count(), 0, "complete too early");
+        assert_eq!(got.last(), Some(&Some((addr(2), payload))));
+        assert!(read_on.windows(2).all(|w| w[0] != w[1]), "the holders alternate");
+        let Source::Udp(inbox) = &rx.0 else { unreachable!("a socket") };
+        assert_eq!(inbox.state.lock().partials.held.len(), 0, "nothing left to reassemble");
+        assert_eq!(net.drops(addr(1)), Some(InboxDrops::default()));
     }
 
     #[test]

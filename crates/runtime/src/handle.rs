@@ -96,14 +96,12 @@ impl Amoeba {
         // the protocol starts talking.
         let inbox = self.transport.register(addr);
         self.transport.join_mcast(group, addr);
-        let transport = Arc::clone(&self.transport);
-        let bell = inbox.bell().cloned();
-        let shared = NodeShared::on_bell(core, transport, group, addr, inbox.waker(), bell);
+        let shared = NodeShared::new(core, Arc::clone(&self.transport), group, addr, inbox);
         let driver = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name(format!("amoeba-{addr}"))
-                .spawn(move || drive(shared, inbox))
+                .spawn(move || drive(shared))
                 .expect("spawn driver thread")
         };
         // Both create (synchronous) and join (network round trips)
@@ -123,10 +121,11 @@ impl Amoeba {
 /// for (parallelism via multiple threads, each with its own handle).
 ///
 /// A blocked call waits on the member's mailbox, and is woken when its
-/// mail arrives. On the in-memory fabric it also drives the member: the
-/// datagram it waits for wakes it, and it steps the protocol itself.
-/// The wake-ups a call causes for other threads are issued when it
-/// parks or its wait ends.
+/// mail arrives. It also drives the member, on either fabric: in memory
+/// the datagram it waits for wakes it, and over UDP it reads the
+/// member's socket while nobody else does (unless it pipelines sends);
+/// either way it steps the protocol itself. The wake-ups a call causes
+/// for other threads are issued when it parks, reads or its wait ends.
 ///
 /// Receive failures are reported through the stack-wide
 /// [`amoeba_core::Error`]: [`Error::Disconnected`] once membership has
@@ -162,7 +161,7 @@ impl GroupHandle {
         let _sender = self.shared.send_lock.lock();
         let _hold = hold_wakes();
         self.shared.submit_send(payload);
-        self.shared.wait_send(OP_DEADLINE)
+        self.shared.wait_send(OP_DEADLINE, true)
     }
 
     /// Pipelined `SendToGroup`: streams `payloads` keeping up to the
@@ -173,7 +172,8 @@ impl GroupHandle {
     /// submission order on a loss-free fabric).
     ///
     /// With `send_window` 1 (the default) this degrades to a loop of
-    /// blocking [`GroupHandle::send_to_group`] calls.
+    /// blocking [`GroupHandle::send_to_group`] calls; above, it leaves
+    /// a UDP member's socket to the driver (DESIGN.md §12).
     pub fn send_pipelined(
         &self,
         payloads: impl IntoIterator<Item = Bytes>,
@@ -185,14 +185,14 @@ impl GroupHandle {
         let mut outstanding = 0usize;
         for payload in payloads {
             if outstanding >= window {
-                results.push(self.shared.wait_send(OP_DEADLINE));
+                results.push(self.shared.wait_send(OP_DEADLINE, window == 1));
                 outstanding -= 1;
             }
             self.shared.submit_send(payload);
             outstanding += 1;
         }
         while outstanding > 0 {
-            results.push(self.shared.wait_send(OP_DEADLINE));
+            results.push(self.shared.wait_send(OP_DEADLINE, window == 1));
             outstanding -= 1;
         }
         results
@@ -322,7 +322,7 @@ mod tests {
 
         let soon = Duration::from_millis(100);
         b.shared.submit_send(Bytes::from_static(b"never ordered at b"));
-        assert_eq!(b.shared.wait_send(soon), Err(GroupError::Disconnected));
+        assert_eq!(b.shared.wait_send(soon, true), Err(GroupError::Disconnected));
         let reset = b.shared.blocking_op(|mail| &mut mail.reset, soon, |core| core.reset(1));
         assert_eq!(reset.map(|_| ()), Err(GroupError::Disconnected));
         b.teardown();
@@ -484,6 +484,108 @@ mod tests {
         }
     }
 
+    /// Who multicast, on which thread: (sender, thread name).
+    type Sightings = Arc<Mutex<Vec<(FlipAddress, String)>>>;
+
+    /// A fabric whose sending ports note the thread of every multicast.
+    struct Witness(Arc<dyn Transport>, Sightings);
+
+    struct WitnessPort(FlipAddress, Sightings, Box<dyn TransportSender>);
+
+    impl Transport for Witness {
+        fn register(&self, addr: FlipAddress) -> Inbox {
+            self.0.register(addr)
+        }
+        fn unregister(&self, addr: FlipAddress) {
+            self.0.unregister(addr);
+        }
+        fn join_mcast(&self, group: GroupId, addr: FlipAddress) {
+            self.0.join_mcast(group, addr);
+        }
+        fn sender(&self, from: FlipAddress) -> Box<dyn TransportSender> {
+            Box::new(WitnessPort(from, Arc::clone(&self.1), self.0.sender(from)))
+        }
+    }
+
+    impl TransportSender for WitnessPort {
+        fn unicast(&mut self, to: FlipAddress, frame: WireFrame) {
+            self.2.unicast(to, frame);
+        }
+        fn multicast(&mut self, group: GroupId, frame: WireFrame) {
+            let on = std::thread::current().name().unwrap_or_default().to_owned();
+            self.1.lock().push((self.0, on));
+            self.2.multicast(group, frame);
+        }
+    }
+
+    /// Over UDP a caller blocked at the sequencer reads its socket and
+    /// steps what lands there: with a receiver parked in
+    /// `receive_from_group` at the sequencer, the ordered broadcasts of
+    /// a peer's blocking sends go out on that receiver's thread, not on
+    /// the driver's (a few may while the read token changes hands).
+    #[test]
+    fn over_udp_a_receiver_at_the_sequencer_steps_what_it_waits_for() {
+        const SENDS: usize = 200;
+        let sightings = Sightings::default();
+        let net = Arc::new(Witness(UdpNet::new(UdpConfig::default()), Arc::clone(&sightings)));
+        let amoeba = Amoeba::over_transport(net, 1);
+        let a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+        let b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
+        std::thread::scope(|s| {
+            let receiver = std::thread::Builder::new().name("receiver".into());
+            let receiver = receiver
+                .spawn_scoped(s, || {
+                    let mut messages = 0;
+                    while messages < SENDS {
+                        let event = a.receive_timeout(Duration::from_secs(30)).expect("event");
+                        messages += usize::from(matches!(event, GroupEvent::Message { .. }));
+                    }
+                })
+                .expect("spawn the receiver");
+            until(|| a.shared.bell.has_readers());
+            sightings.lock().clear();
+            for n in 0..SENDS as u32 {
+                b.send_to_group(Bytes::from(n.to_le_bytes().to_vec())).expect("ordered");
+            }
+            receiver.join().expect("the receiver saw every message");
+        });
+        let driver = format!("amoeba-{}", a.shared.addr);
+        let (mut on_receiver, mut on_driver) = (0, 0);
+        for (_, on) in sightings.lock().iter().filter(|(from, _)| *from == a.shared.addr) {
+            on_receiver += usize::from(on == "receiver");
+            on_driver += usize::from(*on == driver);
+        }
+        assert!(on_receiver >= SENDS - 10, "{on_receiver} on the receiver, {on_driver} on {driver}");
+    }
+
+    /// A UDP sequencer whose only caller took its socket's read token
+    /// and then went idle still reads its socket: its driver napped
+    /// while the caller waited, and briefly, so a peer's next 200
+    /// blocking sends all complete, in seqno order, and none waits out
+    /// a retransmission (a nap until the driver's next timer would).
+    #[test]
+    fn over_udp_a_sequencer_whose_caller_went_idle_still_orders_a_peer() {
+        let amoeba = Amoeba::over_transport(UdpNet::new(UdpConfig::default()), 1);
+        let a = amoeba.create_group(GroupId(1), GroupConfig::default()).expect("create");
+        let b = amoeba.join_group(GroupId(1), GroupConfig::default()).expect("join");
+        let first = std::thread::scope(|s| {
+            let caller = s.spawn(|| loop {
+                match a.receive_timeout(Duration::from_secs(30)).expect("event") {
+                    GroupEvent::Message { seqno, .. } => break seqno,
+                    _ => continue,
+                }
+            });
+            until(|| a.shared.bell.has_readers());
+            b.send_to_group(Bytes::from_static(b"first")).expect("ordered");
+            caller.join().expect("the caller's one receive")
+        });
+        let sent: Vec<u64> = (0..200u32)
+            .map(|n| b.send_to_group(Bytes::from(n.to_le_bytes().to_vec())).expect("ordered").0)
+            .collect();
+        assert_eq!(sent, (first.0 + 1..=first.0 + 200).collect::<Vec<_>>());
+        assert_eq!(b.stats().send_retries, 0, "a send waited for the sequencer's driver");
+    }
+
     /// A fabric whose sending ports give way once armed, and note the
     /// thread they gave way on.
     #[derive(Default)]
@@ -545,8 +647,7 @@ mod tests {
         let inbox = fabric.register(addr);
         fabric.join_mcast(group, addr);
         let (core, actions) = GroupCore::create(group, addr, config.clone()).expect("create");
-        let bell = inbox.bell().cloned();
-        let shared = NodeShared::on_bell(core, fabric, group, addr, inbox.waker(), bell);
+        let shared = NodeShared::new(core, fabric, group, addr, inbox);
         shared.step(|_| actions);
         let handle = GroupHandle { shared, driver: None };
         while handle.receive_timeout(Duration::ZERO).is_ok() {}

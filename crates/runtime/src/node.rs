@@ -6,18 +6,21 @@
 //! What a member delivers and completes is filed in its one mailbox
 //! ([`Mail`]), which its blocked callers and its hosted app both read.
 //! Every blocking primitive waits in one place, [`NodeShared::wait`],
-//! parked on the member's bell ([`amoeba_net::Bell`]) and rung when
-//! its mail arrives, on either fabric. On the in-memory fabric the bell
-//! is the inbox itself, so a blocked caller also drives its member: it
-//! drains the inbox ([`NodeShared::drain`], the pass the driver runs
-//! too), and a datagram wakes it rather than the driver. Timers and
-//! hosted apps stay on the driver.
+//! enlisted on the member's bell ([`amoeba_net::Bell`]) and rung when
+//! its mail arrives, on either fabric. A blocked caller also drives its
+//! member. On the in-memory fabric the bell is the inbox itself: the
+//! caller drains it ([`NodeShared::drain`], the pass the driver runs
+//! too), and a datagram wakes it rather than the driver. Over a socket
+//! it takes the read token, if nobody holds it, and reads and steps
+//! the datagrams itself unless it pipelines sends; the driver reads
+//! only while no such caller waits. Timers and apps stay on the driver.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant};
 
 use amoeba_app::TimerId;
@@ -26,7 +29,7 @@ use amoeba_core::{
     GroupInfo, Seqno, TimerKind, WireFrame,
 };
 use amoeba_flip::FlipAddress;
-use amoeba_net::{flush_wakes, Bell, Inbox, Topic, Transport, TransportSender, Waker};
+use amoeba_net::{flush_wakes, Bell, Inbox, ReadToken, Topic, Transport, TransportSender};
 use parking_lot::Mutex;
 
 use crate::host::Pump;
@@ -58,10 +61,24 @@ pub(crate) struct Mail {
     /// The member has ended: it files nothing more, and a waiter that
     /// finds nothing left learns it as `Disconnected`.
     ended: bool,
+    /// Who holds the socket's read token (never set in memory).
+    reader: Option<Reader>,
+}
+
+/// The holder of a member's read token.
+enum Reader {
+    /// `poked`: a caller has sent it the datagram that ends its read.
+    Driver { poked: bool },
+    /// A caller waiting for its topic.
+    Caller(ThreadId, Topic),
 }
 
 /// How long a driver with no timer armed sleeps at most.
 const IDLE: Duration = Duration::from_millis(100);
+
+/// The longest a UDP driver naps on its bell while readers wait: how
+/// long its socket may go unread after the last left (DESIGN.md §12).
+const NAP: Duration = Duration::from_millis(1);
 
 /// Whose timer: the protocol's or the hosted app's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,14 +118,12 @@ pub(crate) struct NodeShared {
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
     timers: Mutex<Timers>,
-    /// Interrupts the driver's wait on its inbox: an earlier timer, an
-    /// app to host, a [`Ctx::waker`](amoeba_app::Ctx::waker) call, or
-    /// `stop`.
-    waker: Waker,
-    /// Where this member's blocked callers park, rung when their mail
+    /// What the member receives on: a bell, or a socket.
+    inbox: Inbox,
+    /// Where this member's blocked callers enlist, rung when their mail
     /// arrives. On the in-memory fabric it is the inbox itself, and
-    /// they drain it; a socket has one reader, the driver, so over UDP
-    /// no fabric feeds it and a caller's drain finds nothing.
+    /// they drain it; over UDP no fabric feeds it, and it parks the
+    /// callers that do not hold the read token and the napping driver.
     pub(crate) bell: Arc<Bell>,
     stop: AtomicBool,
     pub(crate) dropped_frames: AtomicU64,
@@ -125,16 +140,15 @@ pub(crate) struct NodeShared {
 }
 
 impl NodeShared {
-    /// A member whose callers park on `inbox`, the bell its fabric
-    /// feeds — and then drain it too — or, with `None`, on a bell no
-    /// fabric feeds, as over a socket.
-    pub(crate) fn on_bell(
+    /// A member that receives on `inbox`: its callers park on the bell
+    /// its fabric feeds, and drain it too, or over a socket on a bell
+    /// no fabric feeds.
+    pub(crate) fn new(
         core: GroupCore,
         net: Arc<dyn Transport>,
         group: GroupId,
         addr: FlipAddress,
-        waker: Waker,
-        inbox: Option<Arc<Bell>>,
+        inbox: Inbox,
     ) -> Arc<Self> {
         let sender = Mutex::new(net.sender(addr));
         Arc::new(NodeShared {
@@ -150,8 +164,8 @@ impl NodeShared {
                 wake_at: Instant::now(),
                 asked: Vec::new(),
             }),
-            waker,
-            bell: inbox.unwrap_or_default(),
+            bell: inbox.bell().cloned().unwrap_or_default(),
+            inbox,
             stop: AtomicBool::new(false),
             dropped_frames: AtomicU64::new(0),
             hosted: Mutex::new(None),
@@ -234,15 +248,22 @@ impl NodeShared {
     }
 
     /// Files mail under `topic` and rings for it — unless the member
-    /// has ended, which takes no more.
+    /// has ended, which takes no more. A caller reading the socket for
+    /// `topic` on another thread is in `recv_from`, not parked: the
+    /// inbox's wake ends its read.
     fn post(&self, topic: Topic, file: impl FnOnce(&mut Mail)) {
         let mut mail = self.mail.lock();
         if mail.ended {
             return;
         }
         file(&mut mail);
+        let poke = matches!(mail.reader,
+            Some(Reader::Caller(id, t)) if t == topic && id != thread::current().id());
         drop(mail);
         self.bell.ring(topic);
+        if poke {
+            self.inbox.wake();
+        }
     }
 
     /// Steps every datagram queued for this member, in arrival order:
@@ -262,12 +283,12 @@ impl NodeShared {
         }
     }
 
-    /// [`NodeShared::drain`] on a blocked caller's thread. A panic in a
-    /// step it drives ends the member, as one on the driver's thread
-    /// does (see [`drive`]), and the caller learns it as
-    /// [`GroupError::Disconnected`]: nothing unwinds into the app.
-    fn drain_as_caller(&self) {
-        if catch_unwind(AssertUnwindSafe(|| self.drain())).is_err() {
+    /// Runs `step` on a blocked caller's thread. A panic in it ends the
+    /// member, as one on the driver's thread does (see [`drive`]), and
+    /// the caller learns it as [`GroupError::Disconnected`]: nothing
+    /// unwinds into the app.
+    fn step_as_caller<T>(&self, step: impl FnOnce() -> T) {
+        if catch_unwind(AssertUnwindSafe(step)).is_err() {
             self.shutdown();
         }
     }
@@ -275,11 +296,14 @@ impl NodeShared {
     /// The one wait of the blocking primitives, on either fabric:
     /// `take` from the mailbox and, finding nothing, enlist on the bell
     /// for `topic` under the same mail lock, so that whatever is filed
-    /// after the look rings for this caller; park until woken or
-    /// `deadline`; drain the inbox if datagrams wait that nobody drains
-    /// (the bell refused the enlistment for them, or a push woke this
-    /// caller for them) — and round again. Issues the caller's held
-    /// wake-ups when it parks and when it is done.
+    /// after the look rings for this caller. Over a socket, a caller
+    /// that `reads` takes the read token too if nobody holds it, and
+    /// while holding it reads and steps one datagram at a time, looking
+    /// again after each. Else park until woken or `deadline`; drain the
+    /// inbox if datagrams wait that nobody drains (the bell refused the
+    /// enlistment for them, or a push woke this caller for them) — and
+    /// round again. Issues the caller's held wake-ups when it parks,
+    /// before each read and when it is done.
     ///
     /// # Errors
     ///
@@ -289,31 +313,51 @@ impl NodeShared {
     fn wait<R>(
         &self,
         topic: Topic,
+        reads: bool,
         deadline: Duration,
         mut take: impl FnMut(&mut Mail) -> Option<R>,
     ) -> Result<R, RecvTimeoutError> {
         // The clock is read only on the way to a wait: mail that is
         // already there costs one lock.
         let mut until = None;
+        let mut token = None;
         let got = loop {
             let mut mail = self.mail.lock();
-            if let Some(r) = take(&mut mail) {
-                break Ok(r);
+            let mut at = None;
+            let got = match take(&mut mail) {
+                Some(r) => Some(Ok(r)),
+                None if mail.ended => Some(Err(RecvTimeoutError::Disconnected)),
+                None => {
+                    let now = Instant::now();
+                    at = *until.get_or_insert(now.checked_add(deadline));
+                    at.is_some_and(|at| now >= at).then_some(Err(RecvTimeoutError::Timeout))
+                }
+            };
+            if let Some(got) = got {
+                self.leave_socket(&mut mail, token.take(), topic);
+                break got;
             }
-            if mail.ended {
-                break Err(RecvTimeoutError::Disconnected);
+            if token.is_none() {
+                // Enlisted under the mail lock: whatever is filed from
+                // here on rings for this thread.
+                let enlisted = self.bell.enlist(topic, reads);
+                token = (reads && enlisted).then(|| self.take_token(&mut mail, topic)).flatten();
+                if token.is_none() {
+                    drop(mail);
+                    if !enlisted || self.bell.park(at) {
+                        self.step_as_caller(|| self.drain());
+                    }
+                    continue;
+                }
             }
-            let now = Instant::now();
-            let until = *until.get_or_insert(now.checked_add(deadline));
-            if until.is_some_and(|at| now >= at) {
-                break Err(RecvTimeoutError::Timeout);
-            }
-            // Enlisted under the mail lock: whatever is filed from here
-            // on rings for this thread.
-            let enlisted = self.bell.enlist(topic);
             drop(mail);
-            if !enlisted || self.bell.park(until) {
-                self.drain_as_caller();
+            let token = token.as_mut().expect("held");
+            // Held wake-ups are due before this thread blocks in the
+            // socket, where nothing issues them.
+            flush_wakes();
+            let left = at.map_or(Duration::MAX, |at| at.saturating_duration_since(Instant::now()));
+            if let Some((from, frame)) = token.recv_timeout(left) {
+                self.step_as_caller(|| self.receive(from, frame));
             }
         };
         // The wake-ups held so far are due now, not after the rest of
@@ -323,13 +367,50 @@ impl NodeShared {
         got
     }
 
+    /// Over a socket, a caller enlisted for `topic` takes the read
+    /// token if it is free, marked as its holder, or, if the driver
+    /// holds it, ends the driver's read once, so that the driver hands
+    /// it over. Under the mail lock, as every holder change is.
+    fn take_token(&self, mail: &mut Mail, topic: Topic) -> Option<ReadToken<'_>> {
+        let token = self.inbox.try_read();
+        match &mut mail.reader {
+            reader if token.is_some() => {
+                *reader = Some(Reader::Caller(thread::current().id(), topic));
+            }
+            Some(Reader::Driver { poked }) if !*poked => {
+                *poked = true;
+                self.inbox.wake();
+            }
+            _ => {}
+        }
+        token
+    }
+
+    /// A caller waiting for `topic` leaves its wait: it gives up the
+    /// read token, if it holds it, and if nobody reads the socket then,
+    /// it wakes the reader that enlisted last to take it — or, if none
+    /// did and this was a join, leave or reset, the driver: such a
+    /// caller is one call, not a loop that is about to come back.
+    /// Under the mail lock, so nobody enlists meanwhile.
+    fn leave_socket(&self, mail: &mut Mail, token: Option<ReadToken<'_>>, topic: Topic) {
+        if self.inbox.bell().is_some() {
+            return;
+        }
+        if token.is_some() {
+            mail.reader = None;
+        }
+        if mail.reader.is_none() && !self.bell.hand_over() && topic == COMPLETION {
+            self.bell.wake();
+        }
+    }
+
     /// Waits up to `deadline` for the next delivered event.
     ///
     /// # Errors
     ///
     /// As [`NodeShared::wait`].
     pub(crate) fn wait_event(&self, deadline: Duration) -> Result<GroupEvent, RecvTimeoutError> {
-        self.wait(DELIVERY, deadline, |mail| mail.events.pop_front())
+        self.wait(DELIVERY, true, deadline, |mail| mail.events.pop_front())
     }
 
     /// Arms (or re-arms) `timer`, and wakes the driver if that is
@@ -345,7 +426,7 @@ impl NodeShared {
         let sooner = at < timers.wake_at;
         drop(timers);
         if sooner {
-            (self.waker)();
+            self.wake_driver();
         }
     }
 
@@ -368,7 +449,7 @@ impl NodeShared {
         if !timers.asked.contains(&timer) {
             timers.asked.push(timer);
             drop(timers);
-            (self.waker)();
+            self.wake_driver();
         }
     }
 
@@ -376,7 +457,16 @@ impl NodeShared {
     /// wake-up: now.
     pub(crate) fn host(&self, pump: Pump) {
         *self.hosted.lock() = Some(pump);
-        (self.waker)();
+        self.wake_driver();
+    }
+
+    /// Ends the driver's wait, whichever it is in: its sleep or nap on
+    /// the bell, or its read of the socket.
+    fn wake_driver(&self) {
+        if self.inbox.bell().is_none() {
+            self.bell.wake();
+        }
+        self.inbox.wake();
     }
 
     /// Gives the hosted app, if there is one, its next turn.
@@ -400,7 +490,7 @@ impl NodeShared {
     ) -> Result<T, GroupError> {
         *outcome(&mut self.mail.lock()) = None;
         self.step(op);
-        let done = self.wait(COMPLETION, deadline, |mail| outcome(mail).take());
+        let done = self.wait(COMPLETION, true, deadline, |mail| outcome(mail).take());
         done.unwrap_or(Err(GroupError::Disconnected))
     }
 
@@ -413,12 +503,13 @@ impl NodeShared {
 
     /// Waits for the next send completion, FIFO with submissions.
     ///
+    ///
     /// # Errors
     ///
     /// The send's own error, or [`GroupError::Disconnected`] when no
     /// completion arrived within `deadline` (see [`OP_DEADLINE`]).
-    pub(crate) fn wait_send(&self, deadline: Duration) -> Result<Seqno, GroupError> {
-        let done = self.wait(SEND_DONE, deadline, |mail| mail.sends.pop_front());
+    pub(crate) fn wait_send(&self, deadline: Duration, reads: bool) -> Result<Seqno, GroupError> {
+        let done = self.wait(SEND_DONE, reads, deadline, |mail| mail.sends.pop_front());
         done.unwrap_or(Err(GroupError::Disconnected))
     }
 
@@ -433,7 +524,34 @@ impl NodeShared {
         self.stop.store(true, Ordering::Release);
         self.net.unregister(self.addr);
         self.bell.close();
-        (self.waker)();
+        self.wake_driver();
+    }
+
+    /// The driver's turn at a socket: if no reading caller waits on the
+    /// member and the read token is free, read one datagram within
+    /// `timeout`, step it and wake the reader that enlisted meanwhile,
+    /// if any. Else, or once a caller came for the token, nap on the
+    /// bell until `timeout`, for [`NAP`] at most.
+    fn read_as_driver(&self, timeout: Duration) {
+        let mut mail = self.mail.lock();
+        let token = if self.bell.has_readers() { None } else { self.inbox.try_read() };
+        if let Some(mut token) = token {
+            mail.reader = Some(Reader::Driver { poked: false });
+            drop(mail);
+            if let Some((from, frame)) = token.recv_timeout(timeout) {
+                self.receive(from, frame);
+            }
+            mail = self.mail.lock();
+            let poked = matches!(mail.reader.take(), Some(Reader::Driver { poked: true }));
+            drop(token);
+            if !self.bell.hand_over() && !poked {
+                return;
+            }
+        }
+        drop(mail);
+        if !timeout.is_zero() {
+            self.bell.sleep(timeout.min(NAP));
+        }
     }
 
     /// Fires the timers that are due, earliest deadline first (the
@@ -479,27 +597,25 @@ impl NodeShared {
 
 /// The driver loop: give the hosted app its next event, fire what
 /// expired, drain the inbox and sleep on its bell — or, over a socket,
-/// read one datagram off it — until the next deadline. The wait is
-/// taken only after a pass that fed nothing, fired nothing and drained
-/// nothing — an app's send at a sequencer, a timer's actions, or a
-/// datagram queue mail for this thread, which nobody else would wake
-/// for it.
+/// read one datagram off it ([`NodeShared::read_as_driver`]) — until
+/// the next deadline. The wait is taken only after a pass that fed
+/// nothing, fired nothing and drained nothing — an app's send at a
+/// sequencer, a timer's actions, or a datagram queue mail for this
+/// thread, which nobody else would wake for it.
 ///
 /// A panic, in an app callback or anywhere below, ends the member like
 /// a crash; if it hosts an app the payload goes to `Pumps::join`, which
 /// would otherwise wait for that app for ever.
-pub(crate) fn drive(shared: Arc<NodeShared>, inbox: Inbox) {
+pub(crate) fn drive(shared: Arc<NodeShared>) {
     let run = || {
         while !shared.stop.load(Ordering::Acquire) {
             let fed = shared.app_turn(Pump::feed_one).unwrap_or(false);
             let sleep = shared.fire_expired();
             let timeout = if fed { Duration::ZERO } else { sleep };
-            if let Some(bell) = inbox.bell() {
-                if !shared.drain() && !timeout.is_zero() {
-                    bell.sleep(timeout);
-                }
-            } else if let Ok((from, frame)) = inbox.recv_timeout(timeout) {
-                shared.receive(from, frame);
+            if shared.inbox.bell().is_none() {
+                shared.read_as_driver(timeout);
+            } else if !shared.drain() && !timeout.is_zero() {
+                shared.bell.sleep(timeout);
             }
         }
     };
@@ -561,8 +677,8 @@ mod tests {
         let send = join.into_iter().find(Action::is_send).expect("a joiner sends its request");
         let release = Arc::new(Mutex::new(release_rx));
         let gate = Arc::new(Gate { entered: entered_tx, release });
-        let waker = gate.register(addr).waker();
-        let shared = NodeShared::on_bell(core, gate, GroupId(1), addr, waker, None);
+        let inbox = gate.register(addr);
+        let shared = NodeShared::new(core, gate, GroupId(1), addr, inbox);
         let deliver = |n| {
             Action::Deliver(GroupEvent::Message {
                 seqno: Seqno(n),
@@ -638,5 +754,45 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(a.dropped_frames(), 1);
+    }
+
+    /// Over UDP a send wait that pipelines leaves the socket to the
+    /// driver: parked for its completion, the caller holds no read
+    /// token and is no reader the driver makes way for, where a
+    /// blocking sender's wait takes the token. The member has no
+    /// driver and nothing completes, so each wait ends at shutdown.
+    #[test]
+    fn over_udp_a_pipelining_send_wait_leaves_the_socket_to_the_driver() {
+        for pipelined in [true, false] {
+            let net = UdpNet::new(UdpConfig::default());
+            let (group, addr) = (GroupId(1), FlipAddress::process(1));
+            let inbox = net.register(addr);
+            net.join_mcast(group, addr);
+            let (core, actions) =
+                GroupCore::create(group, addr, GroupConfig::default()).expect("create");
+            let shared = NodeShared::new(core, net, group, addr, inbox);
+            shared.step(|_| actions);
+            let looks = AtomicU64::new(0);
+            let seen = std::thread::scope(|s| {
+                let waiter = s.spawn(|| {
+                    shared.wait(SEND_DONE, !pipelined, Duration::from_secs(30), |_| {
+                        looks.fetch_add(1, Ordering::SeqCst);
+                        None::<()>
+                    })
+                });
+                while looks.load(Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                // The first look enlists, and takes the token, under
+                // the mail lock it was taken under.
+                drop(shared.mail.lock());
+                let seen = (shared.bell.has_readers(), shared.inbox.try_read().is_some());
+                shared.shutdown();
+                let got = waiter.join().expect("the wait returns");
+                assert_eq!(got, Err(RecvTimeoutError::Disconnected), "pipelined: {pipelined}");
+                seen
+            });
+            assert_eq!(seen, (!pipelined, pipelined), "pipelined {pipelined}: (reader, token free)");
+        }
     }
 }

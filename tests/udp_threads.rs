@@ -1,7 +1,7 @@
 //! Thread census of a UDP group (DESIGN.md §8, §12): a member is one
-//! thread — its driver, which reads the socket itself and runs the
-//! member's app if it hosts one — and a UDP endpoint has none of its
-//! own. The tests take turns, so that neither counts the other's
+//! thread — its driver, which reads the socket while no caller does
+//! and runs the member's app if it hosts one — and a UDP endpoint has
+//! none of its own. The tests take turns, so that neither counts the other's
 //! members: a reintroduced per-endpoint or per-app thread, or one that
 //! outlives its member, is a red run.
 #![cfg(target_os = "linux")]
