@@ -364,6 +364,16 @@ impl GroupConfig {
         c
     }
 
+    /// This configuration for group index `g` of several sharing one
+    /// wire, de-phased: the sync interval grows by a quarter round and
+    /// the status stagger by 53 µs per index, so no two groups' rounds
+    /// and replies stay aligned and collide chronically (DESIGN.md §10).
+    pub fn dephased(mut self, g: usize) -> Self {
+        self.sync_interval_us += g as u64 * (self.sync_round_us / 4);
+        self.status_stagger_us += 53 * g as u64;
+        self
+    }
+
     /// A configuration with sequencer batching of up to `max_batch`
     /// messages (200 µs flush timer), a matching sender pipelining
     /// window, and defaults (the live profile) otherwise. This is the

@@ -382,3 +382,6 @@ pub fn fast_config() -> GroupConfig {
         ..GroupConfig::default()
     }
 }
+
+#[path = "../../../../tests/common/cases.rs"]
+pub mod cases;

@@ -4,7 +4,8 @@
 mod common;
 
 use amoeba_core::{GroupConfig, GroupError, GroupEvent, Method};
-use common::{build_group, fast_config, Done};
+use common::cases::for_each_case;
+use common::{build_group, fast_config, Done, TestNet};
 
 #[test]
 fn total_order_survives_10pct_loss() {
@@ -271,4 +272,85 @@ fn determinism_same_seed_same_trace() {
         (0..3).map(|n| net.messages_at(n)).collect()
     }
     assert_eq!(run(42), run(42));
+}
+
+/// Fast timers, and patience enough that sampled faults never expel a
+/// slow member.
+fn sampled_faults_config() -> GroupConfig {
+    GroupConfig {
+        method: Method::Pb,
+        send_retransmit_us: 4_000,
+        nack_retry_us: 3_000,
+        sync_interval_us: 30_000,
+        sync_round_us: 10_000,
+        sync_max_retries: 10,
+        ..GroupConfig::default()
+    }
+}
+
+/// The headline property, sampled: under random loss and duplication
+/// rates and random interleavings of senders, every member delivers
+/// the same gapless sequence of events, and every send that completed
+/// is delivered at the founder.
+#[test]
+fn total_order_holds_under_arbitrary_fault_schedules() {
+    let config = sampled_faults_config();
+    for_each_case("total_order_holds_under_arbitrary_fault_schedules", 48, |rng| {
+        let members = 2 + rng.gen_range(3) as usize;
+        let mut net = TestNet::new(1, members, rng.next_u64());
+        // At most 40 % loss, so retransmission converges fast; the
+        // faults hold from the group's formation on.
+        net.loss = 0.4 * rng.gen_f64();
+        net.dup = 0.4 * rng.gen_f64();
+        net.latency_us = 50;
+        net.create_group(0, config.clone());
+        for node in 1..members {
+            net.join_group(node, config.clone());
+            net.run_for(200_000);
+        }
+        // Which member sends at each of 1–24 steps.
+        let steps = 1 + rng.gen_range(24);
+        for step in 0..steps {
+            let node = rng.gen_range(4) as usize % members;
+            net.send(node, format!("s{step}").as_bytes());
+            net.run_for(30_000);
+        }
+        // Heal and settle: everything must converge.
+        net.loss = 0.0;
+        net.dup = 0.0;
+        net.run_for(3_000_000);
+
+        // (1) Every member's log is gapless from its join point, and
+        // (2) agreement: same seqno ⇒ same event, across all members.
+        net.assert_prefix_consistent(&(0..members).collect::<Vec<_>>());
+        // (3) Validity: every completed send is in the founder's log.
+        for node in 0..members {
+            let me = net.core(node).info().me;
+            let delivered = net.delivered[0]
+                .iter()
+                .filter(|e| matches!(e, GroupEvent::Message { origin, .. } if *origin == me))
+                .count();
+            let completed = net.sends_completed(node);
+            assert!(
+                delivered >= completed,
+                "node {node} completed {completed} sends but only {delivered} delivered at founder"
+            );
+        }
+    });
+}
+
+/// The property's deterministic companion: without faults, two
+/// members' logs agree over everything both delivered.
+#[test]
+fn group_event_from_expelled_member_is_not_required() {
+    let mut net = build_group(3, sampled_faults_config(), 1);
+    net.send(1, b"a");
+    net.run_for(100_000);
+    net.send(2, b"b");
+    net.run_for(3_000_000);
+    let l1 = net.ordered_log(1);
+    let l2 = net.ordered_log(2);
+    let common = l1.len().min(l2.len());
+    assert!(common >= 2);
+    assert_eq!(&l1[l1.len() - common..], &l2[l2.len() - common..]);
 }

@@ -185,17 +185,7 @@ impl GroupSpec {
         if let Some(v) = k.auto_reset_min_members {
             c.auto_reset_min_members = v;
         }
-        if admission == Admission::Staggered {
-            // De-phase the groups' periodic machinery: same-length
-            // sync intervals armed at the same instant keep every
-            // group's round aligned forever, and same stagger quanta
-            // put overlapping rounds' replies on one microsecond grid
-            // (chronic collisions, not one-off). Same policy as the
-            // scale probe; measured in DESIGN.md §10.
-            c.sync_interval_us += g as u64 * (c.sync_round_us / 4);
-            c.status_stagger_us += 53 * g as u64;
-        }
-        c
+        if admission == Admission::Staggered { c.dephased(g) } else { c }
     }
 }
 

@@ -9,44 +9,27 @@
 //! *run* to the digest of the plan it was written from.
 
 use amoeba_scenario::ScenarioPlan;
-use proptest::prelude::*;
+use amoeba_sim::SplitMix64;
 use std::fmt::Write as _;
 
-/// Deterministically expands `entropy` into knob/fault choices: a tiny
-/// splitmix step per draw, so one u64 of strategy input covers the
-/// many optional fields without a tuple per knob.
-struct Bits(u64);
+#[path = "../../../tests/common/cases.rs"]
+mod cases;
+use cases::for_each_case;
 
-impl Bits {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    fn chance(&mut self) -> bool {
-        self.next() & 1 == 1
-    }
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound
-    }
-}
-
-/// Builds a valid scenario file from the generated shape parameters.
+/// Builds a valid scenario file from the generated shape parameters,
+/// drawing its knobs and faults from `b`.
 fn gen_scenario(
     groups: usize,
     members: usize,
     staggered: bool,
     continuous: bool,
     fault_kind: u8,
-    entropy: u64,
+    b: &mut SplitMix64,
 ) -> String {
-    let mut b = Bits(entropy);
     let mut s = String::new();
     let nodes = groups * members;
     writeln!(s, "name = \"roundtrip\"").unwrap();
-    writeln!(s, "seed = {}", b.below(100_000)).unwrap();
+    writeln!(s, "seed = {}", b.gen_range(100_000)).unwrap();
     writeln!(s, "[topology]").unwrap();
     writeln!(s, "nodes = {nodes}").unwrap();
     writeln!(s, "admission = \"{}\"", if staggered { "staggered" } else { "immediate" }).unwrap();
@@ -55,40 +38,40 @@ fn gen_scenario(
         writeln!(s, "[[group]]").unwrap();
         writeln!(s, "id = {}", g + 1).unwrap();
         writeln!(s, "members = \"{}..{}\"", g * members, (g + 1) * members).unwrap();
-        match b.below(4) {
+        match b.gen_range(4) {
             0 => writeln!(s, "method = \"pb\"").unwrap(),
             1 => writeln!(s, "method = \"bb\"").unwrap(),
             2 => {
                 writeln!(s, "method = \"dynamic\"").unwrap();
-                if b.chance() {
-                    writeln!(s, "bb_threshold = {}", b.below(4096)).unwrap();
+                if b.gen_bool(0.5) {
+                    writeln!(s, "bb_threshold = {}", b.gen_range(4096)).unwrap();
                 }
             }
             _ => {}
         }
-        if b.chance() {
-            writeln!(s, "resilience = {}", b.below(members as u64)).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "resilience = {}", b.gen_range(members as u64)).unwrap();
         }
-        if b.chance() {
-            writeln!(s, "send_window = {}", 1 + b.below(8)).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "send_window = {}", 1 + b.gen_range(8)).unwrap();
         }
-        if b.chance() {
+        if b.gen_bool(0.5) {
             writeln!(s, "batching = true").unwrap();
-            if b.chance() {
-                writeln!(s, "batch_max = {}", 2 + b.below(15)).unwrap();
+            if b.gen_bool(0.5) {
+                writeln!(s, "batch_max = {}", 2 + b.gen_range(15)).unwrap();
             }
-            if b.chance() {
-                writeln!(s, "batch_flush_us = {}", 50 + b.below(1000)).unwrap();
+            if b.gen_bool(0.5) {
+                writeln!(s, "batch_flush_us = {}", 50 + b.gen_range(1000)).unwrap();
             }
         }
-        if b.chance() {
-            writeln!(s, "robust_repair = {}", b.chance()).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "robust_repair = {}", b.gen_bool(0.5)).unwrap();
         }
-        if b.chance() {
-            writeln!(s, "sync_interval_us = {}", 100_000 + b.below(5_000_000)).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "sync_interval_us = {}", 100_000 + b.gen_range(5_000_000)).unwrap();
         }
-        if b.chance() {
-            writeln!(s, "status_stagger_us = {}", 100 + b.below(5_000)).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "status_stagger_us = {}", 100 + b.gen_range(5_000)).unwrap();
         }
     }
 
@@ -97,18 +80,18 @@ fn gen_scenario(
     for g in 0..groups {
         writeln!(s, "[[workload]]").unwrap();
         writeln!(s, "group = {}", g + 1).unwrap();
-        let senders = 1 + b.below(members as u64) as usize;
+        let senders = 1 + b.gen_range(members as u64) as usize;
         writeln!(s, "senders = \"{}..{}\"", g * members, g * members + senders).unwrap();
         if continuous {
             writeln!(s, "messages = 0").unwrap();
         } else {
-            let messages = 1 + b.below(50);
+            let messages = 1 + b.gen_range(50);
             writeln!(s, "messages = {messages}").unwrap();
-            if b.chance() {
-                writeln!(s, "payload = {}", b.below(4096)).unwrap();
+            if b.gen_bool(0.5) {
+                writeln!(s, "payload = {}", b.gen_range(4096)).unwrap();
             }
-            if b.chance() {
-                writeln!(s, "late = {}", b.below(messages + 1)).unwrap();
+            if b.gen_bool(0.5) {
+                writeln!(s, "late = {}", b.gen_range(messages + 1)).unwrap();
             }
         }
     }
@@ -119,15 +102,15 @@ fn gen_scenario(
     if !continuous {
         match fault_kind {
             1 => {
-                let node = b.below(nodes as u64);
-                let at = 1 + b.below(3_000);
+                let node = b.gen_range(nodes as u64);
+                let at = 1 + b.gen_range(3_000);
                 writeln!(s, "[[fault]]").unwrap();
                 writeln!(s, "kind = \"crash\"").unwrap();
                 writeln!(s, "node = {node}").unwrap();
                 writeln!(s, "at_ms = {at}").unwrap();
                 last_fault_ms = at;
-                if b.chance() {
-                    let back = at + 1 + b.below(2_000);
+                if b.gen_bool(0.5) {
+                    let back = at + 1 + b.gen_range(2_000);
                     writeln!(s, "[[fault]]").unwrap();
                     writeln!(s, "kind = \"restart\"").unwrap();
                     writeln!(s, "node = {node}").unwrap();
@@ -137,15 +120,15 @@ fn gen_scenario(
             }
             2 => {
                 // Two partition windows, disjoint by construction.
-                let f1 = 1 + b.below(1_000);
-                let u1 = f1 + 1 + b.below(1_000);
+                let f1 = 1 + b.gen_range(1_000);
+                let u1 = f1 + 1 + b.gen_range(1_000);
                 writeln!(s, "[[fault]]").unwrap();
                 writeln!(s, "kind = \"partition\"").unwrap();
-                writeln!(s, "side_a = \"0..{}\"", 1 + b.below(nodes as u64 - 1)).unwrap();
+                writeln!(s, "side_a = \"0..{}\"", 1 + b.gen_range(nodes as u64 - 1)).unwrap();
                 writeln!(s, "from_ms = {f1}").unwrap();
                 writeln!(s, "until_ms = {u1}").unwrap();
-                let f2 = u1 + 1 + b.below(1_000);
-                let u2 = f2 + 1 + b.below(1_000);
+                let f2 = u1 + 1 + b.gen_range(1_000);
+                let u2 = f2 + 1 + b.gen_range(1_000);
                 writeln!(s, "[[fault]]").unwrap();
                 writeln!(s, "kind = \"partition\"").unwrap();
                 writeln!(s, "side_a = [{}]", nodes - 1).unwrap();
@@ -154,13 +137,13 @@ fn gen_scenario(
                 last_fault_ms = u2;
             }
             3 => {
-                let f = 1 + b.below(1_000);
-                let u = f + 1 + b.below(3_000);
+                let f = 1 + b.gen_range(1_000);
+                let u = f + 1 + b.gen_range(3_000);
                 writeln!(s, "[[fault]]").unwrap();
                 writeln!(s, "kind = \"noise\"").unwrap();
-                writeln!(s, "drop = 0.{:02}", b.below(100)).unwrap();
-                writeln!(s, "duplicate = 0.{:02}", b.below(100)).unwrap();
-                writeln!(s, "reorder = 0.{:02}", b.below(100)).unwrap();
+                writeln!(s, "drop = 0.{:02}", b.gen_range(100)).unwrap();
+                writeln!(s, "duplicate = 0.{:02}", b.gen_range(100)).unwrap();
+                writeln!(s, "reorder = 0.{:02}", b.gen_range(100)).unwrap();
                 writeln!(s, "from_ms = {f}").unwrap();
                 writeln!(s, "until_ms = {u}").unwrap();
                 last_fault_ms = u;
@@ -170,52 +153,48 @@ fn gen_scenario(
     }
 
     writeln!(s, "[run]").unwrap();
-    writeln!(s, "limit_ms = {}", last_fault_ms + 2_001 + b.below(60_000)).unwrap();
+    writeln!(s, "limit_ms = {}", last_fault_ms + 2_001 + b.gen_range(60_000)).unwrap();
     if continuous {
-        writeln!(s, "warmup_ms = {}", 100 + b.below(1_000)).unwrap();
-        writeln!(s, "window_ms = {}", 500 + b.below(3_000)).unwrap();
+        writeln!(s, "warmup_ms = {}", 100 + b.gen_range(1_000)).unwrap();
+        writeln!(s, "window_ms = {}", 500 + b.gen_range(3_000)).unwrap();
     }
 
-    if b.chance() {
+    if b.gen_bool(0.5) {
         writeln!(s, "[expect]").unwrap();
         if continuous {
-            if b.chance() {
-                writeln!(s, "min_rate = {}.5", b.below(1_000)).unwrap();
+            if b.gen_bool(0.5) {
+                writeln!(s, "min_rate = {}.5", b.gen_range(1_000)).unwrap();
             }
-        } else if b.chance() {
-            writeln!(s, "audit = {}", b.chance()).unwrap();
+        } else if b.gen_bool(0.5) {
+            writeln!(s, "audit = {}", b.gen_bool(0.5)).unwrap();
         }
-        if b.chance() {
+        if b.gen_bool(0.5) {
             writeln!(s, "all_sends_ok = true").unwrap();
         }
-        if b.chance() {
-            writeln!(s, "live_members = {}", b.below(nodes as u64 + 1)).unwrap();
+        if b.gen_bool(0.5) {
+            writeln!(s, "live_members = {}", b.gen_range(nodes as u64 + 1)).unwrap();
         }
     }
     s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn parse_serialize_parse_is_identity(
-        groups in 1usize..4,
-        members in 2usize..7,
-        staggered in any::<bool>(),
-        continuous in any::<bool>(),
-        fault_kind in 0u8..4,
-        entropy in any::<u64>(),
-    ) {
-        let text = gen_scenario(groups, members, staggered, continuous, fault_kind, entropy);
+#[test]
+fn parse_serialize_parse_is_identity() {
+    for_each_case("parse_serialize_parse_is_identity", 256, |rng| {
+        let groups = 1 + rng.gen_range(3) as usize;
+        let members = 2 + rng.gen_range(5) as usize;
+        let staggered = rng.gen_bool(0.5);
+        let continuous = rng.gen_bool(0.5);
+        let fault_kind = rng.gen_range(4) as u8;
+        let text = gen_scenario(groups, members, staggered, continuous, fault_kind, rng);
         let p1 = ScenarioPlan::parse(&text)
             .unwrap_or_else(|e| panic!("generated scenario must parse: {e}\n---\n{text}"));
         let canon = p1.to_toml();
         let p2 = ScenarioPlan::parse(&canon)
             .unwrap_or_else(|e| panic!("canonical form must re-parse: {e}\n---\n{canon}"));
-        prop_assert_eq!(&p1, &p2, "round-trip changed the plan:\n---\n{}", canon);
-        prop_assert_eq!(&canon, &p2.to_toml(), "to_toml is not a fixpoint");
-    }
+        assert_eq!(&p1, &p2, "round-trip changed the plan:\n---\n{canon}");
+        assert_eq!(&canon, &p2.to_toml(), "to_toml is not a fixpoint");
+    });
 }
 
 /// The same identity + fixpoint property for the shard schema, over

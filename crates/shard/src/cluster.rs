@@ -108,9 +108,7 @@ impl ShardSpec {
     }
 
     /// Group configuration for group index `g` (0 = meta, `1..` =
-    /// data), with cross-group de-phasing applied (aligned periodic
-    /// timers across groups sharing one wire collide chronically —
-    /// DESIGN.md §10).
+    /// data), [`GroupConfig::dephased`] across the cluster's groups.
     pub fn config_for(&self, g: usize) -> GroupConfig {
         let groups = self.data_groups() + 1;
         let (base, members) = if g == 0 {
@@ -118,10 +116,7 @@ impl ShardSpec {
         } else {
             (self.data_config.clone(), self.members)
         };
-        let mut c = base.unwrap_or_else(|| GroupConfig::scaled_for_world(members, groups));
-        c.sync_interval_us += g as u64 * (c.sync_round_us / 4);
-        c.status_stagger_us += 53 * g as u64;
-        c
+        base.unwrap_or_else(|| GroupConfig::scaled_for_world(members, groups)).dephased(g)
     }
 }
 

@@ -1,4 +1,5 @@
-//! Helpers shared by the live-fabric integration tests.
+//! Helpers shared by the integration tests: the live-fabric ones and
+//! the seeded case loop of the property tests.
 #![allow(dead_code)] // each test binary uses a different subset
 
 use std::time::{Duration, Instant};
@@ -6,6 +7,8 @@ use std::time::{Duration, Instant};
 use amoeba::core::{GroupConfig, GroupEvent, GroupId};
 use amoeba::runtime::{Amoeba, GroupHandle};
 use bytes::Bytes;
+
+pub mod cases;
 
 /// Drains ordered events until `n` messages have arrived; returns
 /// (seqno, origin, payload) triples.

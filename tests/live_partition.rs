@@ -45,7 +45,6 @@ fn partition_heals_and_every_member_converges() {
         sync_interval_us: 100_000,
         sync_round_us: 150_000,
         sync_max_retries: 25, // the partitioned member must NOT be expelled
-        robust_repair: true,
         ..GroupConfig::default()
     };
     // The test keeps the fabric's own handle: that is where faults are

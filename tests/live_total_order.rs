@@ -17,48 +17,53 @@ fn a_lone_live_sender_is_never_refused_blocking_or_pipelined() {
     lone_sender_is_never_refused(&amoeba, 20, 32);
 }
 
+/// At resilience 0 and 1: with r = 1 every send waits for a member's
+/// tentative acknowledgement, which the loss also hits.
 #[test]
 fn three_live_members_agree_under_loss() {
-    let amoeba = Amoeba::new(21, FaultPlan::lossy(0.08));
-    let gid = GroupId(1);
-    let a = amoeba.create_group(gid, GroupConfig::default()).expect("create");
-    let b = amoeba.join_group(gid, GroupConfig::default()).expect("join b");
-    let c = amoeba.join_group(gid, GroupConfig::default()).expect("join c");
+    for resilience in [0, 1] {
+        let amoeba = Amoeba::new(21, FaultPlan::lossy(0.08));
+        let gid = GroupId(1);
+        let config = GroupConfig::with_resilience(resilience);
+        let a = amoeba.create_group(gid, config.clone()).expect("create");
+        let b = amoeba.join_group(gid, config.clone()).expect("join b");
+        let c = amoeba.join_group(gid, config).expect("join c");
 
-    // Two writer threads hammer concurrently (blocking API: one thread
-    // per sender, as the paper prescribes).
-    let writer_b = std::thread::spawn({
-        let payloads: Vec<Bytes> =
-            (0..25).map(|i| Bytes::from(format!("b{i}"))).collect();
-        move || {
-            for p in payloads {
-                b.send_to_group(p).expect("b send");
+        // Two writer threads hammer concurrently (blocking API: one
+        // thread per sender, as the paper prescribes).
+        let writer_b = std::thread::spawn({
+            let payloads: Vec<Bytes> = (0..25).map(|i| Bytes::from(format!("b{i}"))).collect();
+            move || {
+                for p in payloads {
+                    b.send_to_group(p).expect("b send");
+                }
+                b
             }
-            b
-        }
-    });
-    let writer_c = std::thread::spawn({
-        let payloads: Vec<Bytes> =
-            (0..25).map(|i| Bytes::from(format!("c{i}"))).collect();
-        move || {
-            for p in payloads {
-                c.send_to_group(p).expect("c send");
+        });
+        let writer_c = std::thread::spawn({
+            let payloads: Vec<Bytes> = (0..25).map(|i| Bytes::from(format!("c{i}"))).collect();
+            move || {
+                for p in payloads {
+                    c.send_to_group(p).expect("c send");
+                }
+                c
             }
-            c
-        }
-    });
-    let b = writer_b.join().expect("writer b");
-    let c = writer_c.join().expect("writer c");
+        });
+        let b = writer_b.join().expect("writer b");
+        let c = writer_c.join().expect("writer c");
 
-    let la = collect_messages(&a, 50);
-    let lb = collect_messages(&b, 50);
-    let lc = collect_messages(&c, 50);
-    assert_eq!(la, lb, "a and b diverge");
-    assert_eq!(lb, lc, "b and c diverge");
+        let la = collect_messages(&a, 50);
+        let lb = collect_messages(&b, 50);
+        let lc = collect_messages(&c, 50);
+        assert_eq!(la, lb, "r = {resilience}: a and b diverge");
+        assert_eq!(lb, lc, "r = {resilience}: b and c diverge");
 
-    // FIFO per sender inside the total order.
-    let b_msgs: Vec<&String> = la.iter().filter(|(_, o, _)| *o == 1).map(|(_, _, m)| m).collect();
-    assert_eq!(b_msgs, (0..25).map(|i| format!("b{i}")).collect::<Vec<_>>().iter().collect::<Vec<_>>());
+        // FIFO per sender inside the total order.
+        let b_msgs: Vec<&String> =
+            la.iter().filter(|(_, o, _)| *o == 1).map(|(_, _, m)| m).collect();
+        let expected: Vec<String> = (0..25).map(|i| format!("b{i}")).collect();
+        assert_eq!(b_msgs, expected.iter().collect::<Vec<_>>(), "r = {resilience}");
+    }
 }
 
 /// The sequencer stamps and delivers its own sends on the *caller's*

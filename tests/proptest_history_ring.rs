@@ -9,13 +9,17 @@
 //! model (a transliteration of the pre-ring implementation) and
 //! requires observable equivalence after every step: length, bounds,
 //! membership, range queries, full iteration order, and the per-origin
-//! `max_sender_seqs` reconstruction.
+//! `max_sender_seqs` reconstruction. The same operation sequences
+//! replay at seqno base 0 and at bands around the `u32` boundary.
+
+mod common;
 
 use std::collections::BTreeMap;
 
 use amoeba::core::{HistoryBuffer, MemberId, Seqno, Sequenced, SequencedKind, Stamped};
+use amoeba::sim::SplitMix64;
 use bytes::Bytes;
-use proptest::prelude::*;
+use common::cases::{for_each_case, pick, vec_of};
 
 /// The pre-PR-3 implementation, kept as the executable specification.
 #[derive(Default)]
@@ -94,21 +98,25 @@ enum Op {
     TruncateAbove { bound: u64 },
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+fn op(rng: &mut SplitMix64) -> Op {
     // Seqnos stay in a small dense band — exactly the protocol's usage
     // (a window above the GC floor) and the regime where ring and map
     // must agree on every observable.
-    let seqno = 1u64..120;
-    prop_oneof![
-        (seqno.clone(), 0u32..6, 1u64..50)
-            .prop_map(|(seqno, origin, sender_seq)| Op::Insert { seqno, origin, sender_seq }),
-        (seqno.clone(), 0u32..6, 1u64..50).prop_map(|(seqno, origin, sender_seq)| {
-            Op::InsertEvicting { seqno, origin, sender_seq }
-        }),
-        (seqno.clone(), 0u32..6).prop_map(|(seqno, member)| Op::InsertControl { seqno, member }),
-        (0u64..130).prop_map(|floor| Op::Gc { floor }),
-        (1u64..130).prop_map(|bound| Op::TruncateAbove { bound }),
-    ]
+    match rng.gen_range(5) {
+        0 => Op::Insert {
+            seqno: pick(rng, 1..120),
+            origin: pick(rng, 0..6) as u32,
+            sender_seq: pick(rng, 1..50),
+        },
+        1 => Op::InsertEvicting {
+            seqno: pick(rng, 1..120),
+            origin: pick(rng, 0..6) as u32,
+            sender_seq: pick(rng, 1..50),
+        },
+        2 => Op::InsertControl { seqno: pick(rng, 1..120), member: pick(rng, 0..6) as u32 },
+        3 => Op::Gc { floor: pick(rng, 0..130) },
+        _ => Op::TruncateAbove { bound: pick(rng, 1..130) },
+    }
 }
 
 fn app(seqno: u64, origin: u32, sender_seq: u64) -> Sequenced {
@@ -129,7 +137,57 @@ fn control(seqno: u64, member: u32) -> Sequenced {
     }.into()
 }
 
-fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer) {
+/// Applies one op, with every seqno shifted up by `base`, to both
+/// buffers.
+fn apply(op: &Op, base: u64, real: &mut HistoryBuffer, model: &mut ModelBuffer) {
+    // Skip seqnos already holding a different entry (the protocol
+    // never re-stamps a seqno).
+    let fresh = |real: &HistoryBuffer, candidate: &Sequenced| {
+        !real.get(candidate.seqno).is_some_and(|e| e != candidate)
+    };
+    match *op {
+        Op::Insert { seqno, origin, sender_seq } => {
+            // Mirror the protocol: app inserts only when admitted (same
+            // predicate on both sides, which assert_equivalent has
+            // already proven equal).
+            let candidate = app(base + seqno, origin, sender_seq);
+            let admitted = real.has_room_for_app() || real.contains(candidate.seqno);
+            if admitted && fresh(real, &candidate) {
+                real.insert(candidate.clone());
+                model.insert(candidate);
+            }
+        }
+        Op::InsertEvicting { seqno, origin, sender_seq } => {
+            let candidate = app(base + seqno, origin, sender_seq);
+            if fresh(real, &candidate) {
+                real.insert_evicting(candidate.clone());
+                model.insert_evicting(candidate);
+            }
+        }
+        Op::InsertControl { seqno, member } => {
+            let candidate = control(base + seqno, member);
+            if fresh(real, &candidate) {
+                real.insert(candidate.clone());
+                model.insert(candidate);
+            }
+        }
+        // At a straddling base, floor advances and truncations cross
+        // the `u32` edge.
+        Op::Gc { floor } => {
+            assert_eq!(real.gc(Seqno(base + floor)), model.gc(Seqno(base + floor)));
+        }
+        Op::TruncateAbove { bound } => {
+            assert_eq!(
+                real.truncate_above(Seqno(base + bound)),
+                model.truncate_above(Seqno(base + bound))
+            );
+        }
+    }
+}
+
+/// Every observable of the two buffers agrees, with probes and range
+/// windows shifted up by `base`.
+fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer, base: u64) {
     assert_eq!(real.len(), model.entries.len(), "len diverged");
     assert_eq!(real.is_empty(), model.entries.is_empty());
     assert_eq!(real.lowest(), model.entries.keys().next().copied(), "lowest diverged");
@@ -137,8 +195,8 @@ fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer) {
     assert_eq!(real.has_room_for_app(), model.has_room_for_app());
     let real_all: Vec<&Sequenced> = real.iter().collect();
     let model_all: Vec<&Sequenced> = model.entries.values().collect();
-    assert_eq!(real_all, model_all, "iteration order/content diverged");
-    for probe in 0..130u64 {
+    assert_eq!(real_all, model_all, "iteration order/content diverged at base {base}");
+    for probe in (0..130u64).map(|p| base + p) {
         assert_eq!(
             real.contains(Seqno(probe)),
             model.entries.contains_key(&Seqno(probe)),
@@ -148,7 +206,7 @@ fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer) {
     // Retransmission range queries over a few windows.
     // (Inverted windows are excluded: the map model's `range` panics on
     // them, i.e. the protocol never issues one.)
-    for (lo, hi) in [(1u64, 129u64), (10, 40), (60, 61)] {
+    for (lo, hi) in [(1u64, 129u64), (10, 40), (60, 61)].map(|(l, h)| (base + l, base + h)) {
         let real_range: Vec<Seqno> = real.range(Seqno(lo), Seqno(hi)).map(|e| e.seqno).collect();
         let model_range: Vec<Seqno> =
             model.entries.range(Seqno(lo)..=Seqno(hi)).map(|(s, _)| *s).collect();
@@ -168,8 +226,8 @@ fn assert_equivalent(real: &HistoryBuffer, model: &ModelBuffer) {
     });
 }
 
-/// Offsets at which the high-base variant plants its seqno band. The
-/// ring stores `u64` seqnos, but several wire fields and counters are
+/// Offsets at which the seqno band is planted besides 0. The ring
+/// stores `u64` seqnos, but several wire fields and counters are
 /// 32-bit adjacent — a band straddling `u32::MAX` is where an
 /// accidental narrowing or wrap in index arithmetic would show, and a
 /// floor advance (`gc`) that crosses the boundary walks `base += 1`
@@ -180,133 +238,37 @@ const HIGH_BASES: [u64; 3] = [
     (1u64 << 48) - 60,           // and a deeper 64-bit band
 ];
 
-proptest! {
-    /// The same model equivalence, with every seqno shifted to a band
-    /// around the `u32` boundary: inserts on both sides of the edge,
-    /// floor advances (`gc`) and recovery truncations crossing it.
-    #[test]
-    fn ring_matches_the_model_near_the_u32_wrap_boundary(
-        which in 0usize..HIGH_BASES.len(),
-        cap in 1usize..24,
-        ops in proptest::collection::vec(arb_op(), 0..120),
-    ) {
-        let base = HIGH_BASES[which];
-        let mut real = HistoryBuffer::new(cap);
-        let mut model = ModelBuffer::new(cap);
-        for op in ops {
-            match op {
-                Op::Insert { seqno, origin, sender_seq } => {
-                    let seqno = base + seqno;
-                    if real.has_room_for_app() || real.contains(Seqno(seqno)) {
-                        let candidate = app(seqno, origin, sender_seq);
-                        let occupied_differently =
-                            real.get(Seqno(seqno)).is_some_and(|e| e != &candidate);
-                        if !occupied_differently {
-                            real.insert(candidate.clone());
-                            model.insert(candidate);
-                        }
-                    }
-                }
-                Op::InsertEvicting { seqno, origin, sender_seq } => {
-                    let candidate = app(base + seqno, origin, sender_seq);
-                    let occupied_differently =
-                        real.get(Seqno(base + seqno)).is_some_and(|e| e != &candidate);
-                    if !occupied_differently {
-                        real.insert_evicting(candidate.clone());
-                        model.insert_evicting(candidate);
-                    }
-                }
-                Op::InsertControl { seqno, member } => {
-                    let candidate = control(base + seqno, member);
-                    let occupied_differently =
-                        real.get(Seqno(base + seqno)).is_some_and(|e| e != &candidate);
-                    if !occupied_differently {
-                        real.insert(candidate.clone());
-                        model.insert(candidate);
-                    }
-                }
-                Op::Gc { floor } => {
-                    // The floor advance crosses the band edge for the
-                    // straddling base.
-                    prop_assert_eq!(real.gc(Seqno(base + floor)), model.gc(Seqno(base + floor)));
-                }
-                Op::TruncateAbove { bound } => {
-                    prop_assert_eq!(
-                        real.truncate_above(Seqno(base + bound)),
-                        model.truncate_above(Seqno(base + bound))
-                    );
-                }
-            }
-            // The cheap observables every step; the full comparison
-            // (ranges, per-origin reconstruction) once at the end.
-            prop_assert_eq!(real.len(), model.entries.len());
-            prop_assert_eq!(real.lowest(), model.entries.keys().next().copied());
-            prop_assert_eq!(real.highest(), model.entries.keys().next_back().copied());
-        }
-        let real_all: Vec<&Sequenced> = real.iter().collect();
-        let model_all: Vec<&Sequenced> = model.entries.values().collect();
-        prop_assert_eq!(real_all, model_all, "iteration diverged at base {}", base);
-        let (lo, hi) = (Seqno(base + 1), Seqno(base + 129));
-        let real_range: Vec<Seqno> = real.range(lo, hi).map(|e| e.seqno).collect();
-        let model_range: Vec<Seqno> =
-            model.entries.range(lo..=hi).map(|(s, _)| *s).collect();
-        prop_assert_eq!(real_range, model_range, "range diverged at base {}", base);
+/// Replays `ops` on a ring and the model of capacity `cap`, every
+/// seqno shifted up by `base`, comparing them after every op and once
+/// more at the end (the only comparison when `ops` is empty).
+fn replay(cap: usize, ops: &[Op], base: u64) {
+    let mut real = HistoryBuffer::new(cap);
+    let mut model = ModelBuffer::new(cap);
+    for op in ops {
+        apply(op, base, &mut real, &mut model);
+        assert_equivalent(&real, &model, base);
     }
+    assert_equivalent(&real, &model, base);
+}
 
-    #[test]
-    fn ring_matches_the_ordered_map_model(
-        cap in 1usize..24,
-        ops in proptest::collection::vec(arb_op(), 0..120),
-    ) {
-        let mut real = HistoryBuffer::new(cap);
-        let mut model = ModelBuffer::new(cap);
-        for op in ops {
-            match op {
-                Op::Insert { seqno, origin, sender_seq } => {
-                    // Mirror the protocol: app inserts only when
-                    // admitted (same predicate on both sides, which
-                    // assert_equivalent has already proven equal).
-                    if real.has_room_for_app() || real.contains(Seqno(seqno)) {
-                        // Skip seqnos already holding a different entry
-                        // (the protocol never re-stamps a seqno).
-                        let candidate = app(seqno, origin, sender_seq);
-                        let occupied_differently =
-                            real.get(Seqno(seqno)).is_some_and(|e| e != &candidate);
-                        if !occupied_differently {
-                            real.insert(candidate.clone());
-                            model.insert(candidate);
-                        }
-                    }
-                }
-                Op::InsertEvicting { seqno, origin, sender_seq } => {
-                    let candidate = app(seqno, origin, sender_seq);
-                    let occupied_differently =
-                        real.get(Seqno(seqno)).is_some_and(|e| e != &candidate);
-                    if !occupied_differently {
-                        real.insert_evicting(candidate.clone());
-                        model.insert_evicting(candidate);
-                    }
-                }
-                Op::InsertControl { seqno, member } => {
-                    let candidate = control(seqno, member);
-                    let occupied_differently =
-                        real.get(Seqno(seqno)).is_some_and(|e| e != &candidate);
-                    if !occupied_differently {
-                        real.insert(candidate.clone());
-                        model.insert(candidate);
-                    }
-                }
-                Op::Gc { floor } => {
-                    prop_assert_eq!(real.gc(Seqno(floor)), model.gc(Seqno(floor)));
-                }
-                Op::TruncateAbove { bound } => {
-                    prop_assert_eq!(
-                        real.truncate_above(Seqno(bound)),
-                        model.truncate_above(Seqno(bound))
-                    );
-                }
-            }
-            assert_equivalent(&real, &model);
+#[test]
+fn ring_matches_the_ordered_map_model() {
+    for_each_case("ring_matches_the_ordered_map_model", 256, |rng| {
+        let cap = pick(rng, 1..24) as usize;
+        replay(cap, &vec_of(rng, 0..120, op), 0);
+    });
+}
+
+/// The same model equivalence, with every seqno shifted to each band
+/// around the `u32` boundary: inserts on both sides of the edge, floor
+/// advances (`gc`) and recovery truncations crossing it.
+#[test]
+fn ring_matches_the_model_near_the_u32_wrap_boundary() {
+    for_each_case("ring_matches_the_model_near_the_u32_wrap_boundary", 256, |rng| {
+        let cap = pick(rng, 1..24) as usize;
+        let ops = vec_of(rng, 0..120, op);
+        for base in HIGH_BASES {
+            replay(cap, &ops, base);
         }
-    }
+    });
 }
