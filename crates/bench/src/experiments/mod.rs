@@ -27,7 +27,7 @@ pub use table3::table3_breakdown;
 pub use throughput::{fig4_throughput_pb, fig5_throughput_bb, fig8_throughput_resilience};
 
 use amoeba_core::{GroupConfig, GroupId, Method};
-use amoeba_kernel::{CostModel, SimWorld, Workload};
+use amoeba_kernel::{Admission, SimWorld, Workload};
 use amoeba_sim::SimDuration;
 
 use crate::report::{Figure, Scale};
@@ -38,17 +38,8 @@ pub const SIZES: [u32; 5] = [0, 1024, 2048, 4096, 8000];
 /// Builds one group of `members` nodes (node 0 creates and sequences;
 /// the rest join) and waits for formation.
 pub(crate) fn build_group(members: usize, config: &GroupConfig, seed: u64) -> SimWorld {
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
-    let group = GroupId(1);
-    for _ in 0..members {
-        w.add_node();
-    }
-    w.create_group(0, group, config.clone());
-    for n in 1..members {
-        w.join_group(n, group, config.clone());
-    }
-    w.run_until_ready();
-    w
+    let group = [(GroupId(1), (0..members).collect(), config.clone())];
+    SimWorld::formed(seed, members, Admission::Immediate, &group)
 }
 
 /// Group configuration for an experiment: pinned method, resilience r.
@@ -114,12 +105,7 @@ pub(crate) fn measure_throughput_cfg(
     for n in 0..senders {
         w.set_workload(n, Workload::Sender { size, remaining: u64::MAX });
     }
-    w.kick();
-    w.run_for(SimDuration::from_micros(scale.warmup_us()));
-    let before = w.snapshot_sends();
-    w.run_for(SimDuration::from_micros(scale.window_us()));
-    let after = w.snapshot_sends();
-    (after - before) as f64 / (scale.window_us() as f64 / 1_000_000.0)
+    w.measure_window(scale.warmup(), scale.window()).rate
 }
 
 /// Canonical experiment ids, in paper order — the single source the

@@ -1,8 +1,8 @@
 //! Figure 6: disjoint groups sharing one Ethernet.
 
 use amoeba_core::{GroupConfig, GroupId, Method};
-use amoeba_kernel::{CostModel, SimWorld, Workload};
-use amoeba_sim::{SimDuration, Series};
+use amoeba_kernel::{Admission, SimWorld, Workload};
+use amoeba_sim::Series;
 
 use crate::report::{Anchor, Figure, Scale};
 
@@ -11,33 +11,16 @@ use crate::report::{Anchor, Figure, Scale};
 /// messages continuously; returns (aggregate broadcasts/s, utilization).
 fn parallel_groups_rate(groups: usize, members: usize, scale: Scale, seed: u64) -> (f64, f64) {
     let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
-    for _ in 0..groups * members {
-        w.add_node();
-    }
-    for g in 0..groups {
-        let gid = GroupId(1 + g as u64);
-        let base = g * members;
-        w.create_group(base, gid, config.clone());
-        for m in 1..members {
-            w.join_group(base + m, gid, config.clone());
-        }
-    }
-    w.run_until_ready();
-    for n in 0..groups * members {
+    let formation: Vec<_> = (0..groups)
+        .map(|g| (GroupId(1 + g as u64), (g * members..(g + 1) * members).collect(), config.clone()))
+        .collect();
+    let nodes = groups * members;
+    let mut w = SimWorld::formed(seed, nodes, Admission::Immediate, &formation);
+    for n in 0..nodes {
         w.set_workload(n, Workload::Sender { size: 0, remaining: u64::MAX });
     }
-    w.kick();
-    w.run_for(SimDuration::from_micros(scale.warmup_us()));
-    let before = w.snapshot_sends();
-    let util_before = w.sim.world.net.medium.stats.busy_us;
-    w.run_for(SimDuration::from_micros(scale.window_us()));
-    let after = w.snapshot_sends();
-    let util_after = w.sim.world.net.medium.stats.busy_us;
-    let secs = scale.window_us() as f64 / 1_000_000.0;
-    let rate = (after - before) as f64 / secs;
-    let util = (util_after - util_before) as f64 / scale.window_us() as f64;
-    (rate, util)
+    let window = w.measure_window(scale.warmup(), scale.window());
+    (window.rate, window.busy)
 }
 
 /// Figure 6: "Throughput for groups of 2, 4, and 8 members running in

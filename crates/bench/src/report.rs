@@ -1,6 +1,6 @@
 //! Table formatting and paper-versus-measured reporting.
 
-use amoeba_sim::Series;
+use amoeba_sim::{Series, SimDuration};
 
 /// How long each experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,19 +21,19 @@ impl Scale {
         }
     }
 
-    /// Warm-up before a throughput window, µs.
-    pub fn warmup_us(self) -> u64 {
+    /// Warm-up before a throughput window.
+    pub fn warmup(self) -> SimDuration {
         match self {
-            Scale::Quick => 500_000,
-            Scale::Full => 2_000_000,
+            Scale::Quick => SimDuration::from_millis(500),
+            Scale::Full => SimDuration::from_secs(2),
         }
     }
 
-    /// Throughput measurement window, µs.
-    pub fn window_us(self) -> u64 {
+    /// Throughput measurement window.
+    pub fn window(self) -> SimDuration {
         match self {
-            Scale::Quick => 2_000_000,
-            Scale::Full => 8_000_000,
+            Scale::Quick => SimDuration::from_secs(2),
+            Scale::Full => SimDuration::from_secs(8),
         }
     }
 }
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn scale_knobs_are_ordered() {
         assert!(Scale::Quick.sends() < Scale::Full.sends());
-        assert!(Scale::Quick.window_us() < Scale::Full.window_us());
+        assert!(Scale::Quick.window() < Scale::Full.window());
     }
 
     #[test]

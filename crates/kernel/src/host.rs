@@ -19,8 +19,7 @@ use amoeba_core::{GroupConfig, GroupId, GroupInfo};
 use amoeba_net::{HostId, McastAddr};
 use amoeba_sim::{SimDuration, Simulation};
 
-use crate::cost::CostModel;
-use crate::world::{Kernel, KernelWorld, SimWorld};
+use crate::world::{Admission, Kernel, KernelWorld, SimWorld};
 use crate::node::Workload;
 
 type Sim = Simulation<KernelWorld>;
@@ -218,7 +217,9 @@ impl Apps {
 /// Hosts a set of [`GroupApp`]s as one simulated group: the first app
 /// added founds the group (and sequences), the rest join; once every
 /// member is admitted the apps start together, and the run ends when
-/// every app has stopped (or the simulated-time limit expires).
+/// every app has stopped (or the simulated-time limit expires). It
+/// only collects the apps: [`SimHost::run`] builds the world with
+/// [`SimWorld::formed`], as every simulated experiment does.
 ///
 /// This is the simulated backend of the portable application API — the
 /// same boxed apps run unmodified under `amoeba-runtime`'s `LiveHost`
@@ -238,10 +239,9 @@ impl Apps {
 /// assert_eq!(world.sim.world.metrics.sends_ok.get(), 20);
 /// ```
 pub struct SimHost {
-    world: SimWorld,
+    seed: u64,
     group: GroupId,
     config: GroupConfig,
-    nodes: Vec<usize>,
     apps: Vec<Box<dyn GroupApp>>,
     limit: SimDuration,
 }
@@ -268,19 +268,7 @@ impl SimHost {
     /// A host on the paper's testbed model (20-MHz MC68030s, 10 Mbit/s
     /// Ethernet) with a 600-second simulated-time budget.
     pub fn new(seed: u64, group: GroupId, config: GroupConfig) -> Self {
-        Self::with_cost(CostModel::mc68030_ether10(), seed, group, config)
-    }
-
-    /// A host with an explicit cost model.
-    pub fn with_cost(cost: CostModel, seed: u64, group: GroupId, config: GroupConfig) -> Self {
-        SimHost {
-            world: SimWorld::new(cost, seed),
-            group,
-            config,
-            nodes: Vec::new(),
-            apps: Vec::new(),
-            limit: SimDuration::from_secs(600),
-        }
+        SimHost { seed, group, config, apps: Vec::new(), limit: SimDuration::from_secs(600) }
     }
 
     /// Caps the run at `limit` simulated time (default 600 s).
@@ -291,35 +279,24 @@ impl SimHost {
     /// Adds a member running `app`; returns its node index (also its
     /// join order: the first app founds the group and sequences).
     pub fn add_app(&mut self, app: Box<dyn GroupApp>) -> usize {
-        let n = self.world.add_node();
-        self.nodes.push(n);
         self.apps.push(app);
-        n
+        self.apps.len() - 1
     }
 
-    /// Forms the group, starts every app once all members are
-    /// admitted, and runs until every app has ended (or the limit
-    /// expires).
-    pub fn run(mut self) -> SimRun {
-        assert!(!self.apps.is_empty(), "SimHost::run needs at least one app");
-        for (i, &n) in self.nodes.iter().enumerate() {
-            if i == 0 {
-                self.world.create_group(n, self.group, self.config.clone());
-            } else {
-                self.world.join_group(n, self.group, self.config.clone());
-            }
+    /// Forms the group ([`Admission::Immediate`]), starts every app once
+    /// all members are admitted, and runs until every app has ended (or
+    /// the limit expires).
+    pub fn run(self) -> SimRun {
+        let members = self.apps.len();
+        assert!(members > 0, "SimHost::run needs at least one app");
+        let group = [(self.group, (0..members).collect(), self.config)];
+        let mut world = SimWorld::formed(self.seed, members, Admission::Immediate, &group);
+        for (n, app) in self.apps.into_iter().enumerate() {
+            world.set_app(n, app);
         }
-        self.world.run_until_ready();
-        for (&n, app) in self.nodes.iter().zip(self.apps.drain(..)) {
-            self.world.set_app(n, app);
-        }
-        self.world.kick();
-        let all_done = self.world.run_until_apps_done(self.limit);
-        let apps = self
-            .nodes
-            .iter()
-            .map(|&n| self.world.take_app(n).expect("app installed above"))
-            .collect();
-        SimRun { apps, world: self.world, all_done }
+        world.kick();
+        let all_done = world.run_until_apps_done(self.limit);
+        let apps = (0..members).map(|n| world.take_app(n).expect("app installed above")).collect();
+        SimRun { apps, world, all_done }
     }
 }

@@ -29,7 +29,7 @@ pub use cost::CostModel;
 pub use host::{SimHost, SimRun};
 pub use node::{NodeStats, SimNode, Workload};
 pub use payload::{SimFrag, SimPacket};
-pub use world::{Kernel, KernelWorld, SimWorld, WorldMetrics, LINK_HEADER_LEN};
+pub use world::{Admission, Kernel, KernelWorld, SimWorld, Window, WorldMetrics, LINK_HEADER_LEN};
 
 #[cfg(test)]
 mod tests {
@@ -38,17 +38,8 @@ mod tests {
     use amoeba_sim::SimDuration;
 
     fn null_broadcast_world(members: usize) -> SimWorld {
-        let mut w = SimWorld::new(CostModel::mc68030_ether10(), 7);
-        let group = GroupId(1);
-        for _ in 0..members {
-            w.add_node();
-        }
-        w.create_group(0, group, GroupConfig::paper());
-        for n in 1..members {
-            w.join_group(n, group, GroupConfig::paper());
-        }
-        w.run_until_ready();
-        w
+        let group = [(GroupId(1), (0..members).collect(), GroupConfig::paper())];
+        SimWorld::formed(7, members, Admission::Immediate, &group)
     }
 
     #[test]

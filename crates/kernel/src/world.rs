@@ -681,6 +681,37 @@ impl Kernel {
 // SimWorld: the experimenter's facade
 // ---------------------------------------------------------------------
 
+/// How [`SimWorld::formed`] admits the members that join (DESIGN.md
+/// §10.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Group after group, the founder creates and every other member
+    /// joins at once: the paper's figures and [`crate::SimHost`].
+    /// Correct for small groups; a join storm at hundreds of members
+    /// overruns the sequencer's receive ring.
+    Immediate,
+    /// Every founder creates first; then the joins go out on one global
+    /// timetable, interleaved across the groups because they share the
+    /// Ethernet: the j-th member's slot is `1 ms + 17 µs × j` after the
+    /// previous join (≈ 1 ms of sequencer CPU plus the per-member
+    /// multicast and `JoinAck` wire costs). Staggering also makes
+    /// member ids deterministic — member j of every group is its j-th
+    /// listed node, as with the live runtime's sequential joins —
+    /// where simultaneous joins race for admission order.
+    Staggered,
+}
+
+/// What [`SimWorld::measure_window`] read over its window.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    /// `SendToGroup`s completed inside the window (all nodes).
+    pub sends: u64,
+    /// Those sends per simulated second.
+    pub rate: f64,
+    /// The share of the window the Ethernet carried bits.
+    pub busy: f64,
+}
+
 /// A complete experiment: hosts on one Ethernet, groups, workloads, and
 /// run control.
 ///
@@ -731,6 +762,50 @@ impl SimWorld {
             payload_cache: HashMap::new(),
         };
         SimWorld { sim: Simulation::new(world, seed), next_addr: 1 }
+    }
+
+    /// `nodes` machines on the paper's testbed
+    /// ([`CostModel::mc68030_ether10`]) with `groups` formed on them:
+    /// each entry is a group's id, its members (the founder, which
+    /// sequences, first) and its configuration. Joins are issued as
+    /// `admission` says; returns once every member is admitted.
+    pub fn formed(
+        seed: u64,
+        nodes: usize,
+        admission: Admission,
+        groups: &[(GroupId, Vec<usize>, GroupConfig)],
+    ) -> Self {
+        let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
+        for _ in 0..nodes {
+            w.add_node();
+        }
+        match admission {
+            Admission::Immediate => {
+                for (id, members, config) in groups {
+                    w.create_group(members[0], *id, config.clone());
+                    for &m in &members[1..] {
+                        w.join_group(m, *id, config.clone());
+                    }
+                }
+            }
+            Admission::Staggered => {
+                for (id, members, config) in groups {
+                    w.create_group(members[0], *id, config.clone());
+                }
+                let widest = groups.iter().map(|(_, members, _)| members.len()).max();
+                let mut at = 0u64;
+                for j in 1..widest.unwrap_or(0) {
+                    for (id, members, config) in groups {
+                        if let Some(&m) = members.get(j) {
+                            at += 1_000 + 17 * j as u64;
+                            w.join_group_at(m, *id, config.clone(), at);
+                        }
+                    }
+                }
+            }
+        }
+        w.run_until_ready();
+        w
     }
 
     /// Adds a machine and returns its node index.
@@ -974,9 +1049,23 @@ impl SimWorld {
         self.sim.world.net.utilization(self.sim.now())
     }
 
-    /// Resets throughput counters (for measuring after warm-up).
-    pub fn snapshot_sends(&self) -> u64 {
-        self.sim.world.metrics.sends_ok.get()
+    /// Starts every installed workload ([`SimWorld::kick`]), runs
+    /// `warmup`, then measures one `window` of steady state.
+    pub fn measure_window(&mut self, warmup: SimDuration, window: SimDuration) -> Window {
+        let counters =
+            |w: &Self| (w.sim.world.metrics.sends_ok.get(), w.sim.world.net.medium.stats.busy_us);
+        self.kick();
+        self.run_for(warmup);
+        let (sends_before, busy_before) = counters(self);
+        self.run_for(window);
+        let (sends_after, busy_after) = counters(self);
+        let sends = sends_after - sends_before;
+        let window_us = window.as_micros();
+        Window {
+            sends,
+            rate: sends as f64 / (window_us as f64 / 1_000_000.0),
+            busy: (busy_after - busy_before) as f64 / window_us as f64,
+        }
     }
 }
 

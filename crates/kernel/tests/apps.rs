@@ -3,7 +3,7 @@
 
 use amoeba_app::{AppEvent, Ctx, GroupApp, SenderApp};
 use amoeba_core::{GroupConfig, GroupEvent, GroupId};
-use amoeba_kernel::{CostModel, SimHost, SimWorld, Workload};
+use amoeba_kernel::{Admission, SimHost, SimWorld, Workload};
 use amoeba_sim::SimDuration;
 
 #[test]
@@ -31,16 +31,8 @@ fn sim_host_forms_runs_and_returns_apps() {
 #[test]
 fn workload_sender_desugars_to_sender_app_bit_identically() {
     let run = |explicit_app: bool| {
-        let mut w = SimWorld::new(CostModel::mc68030_ether10(), 7);
-        let group = GroupId(1);
-        for _ in 0..4 {
-            w.add_node();
-        }
-        w.create_group(0, group, GroupConfig::paper());
-        for n in 1..4 {
-            w.join_group(n, group, GroupConfig::paper());
-        }
-        w.run_until_ready();
+        let group = [(GroupId(1), (0..4).collect(), GroupConfig::paper())];
+        let mut w = SimWorld::formed(7, 4, Admission::Immediate, &group);
         for n in 0..4 {
             if explicit_app {
                 w.set_app(n, Box::new(SenderApp::new(512, 40)));
@@ -79,16 +71,8 @@ impl GroupApp for CountAndCrash {
 
 #[test]
 fn crashed_node_goes_silent_and_the_group_keeps_ordering() {
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), 11);
-    let group = GroupId(1);
-    for _ in 0..3 {
-        w.add_node();
-    }
-    w.create_group(0, group, GroupConfig::paper());
-    for n in 1..3 {
-        w.join_group(n, group, GroupConfig::paper());
-    }
-    w.run_until_ready();
+    let group = [(GroupId(1), (0..3).collect(), GroupConfig::paper())];
+    let mut w = SimWorld::formed(11, 3, Admission::Immediate, &group);
     // Node 1 streams; node 2 crashes itself after 5 deliveries.
     w.set_workload(1, Workload::Sender { size: 0, remaining: 30 });
     w.set_app(2, Box::new(CountAndCrash { crash_after: 5, seen: 0 }));

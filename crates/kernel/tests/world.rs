@@ -3,22 +3,13 @@
 //! isolation that the paper's evaluation relies on.
 
 use amoeba_core::{GroupConfig, GroupId, Method};
-use amoeba_kernel::{CostModel, SimWorld, Workload};
+use amoeba_kernel::{Admission, CostModel, SimWorld, Workload};
 use amoeba_net::HostId;
 use amoeba_sim::SimDuration;
 
 fn build(members: usize, config: &GroupConfig, seed: u64) -> SimWorld {
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
-    let group = GroupId(1);
-    for _ in 0..members {
-        w.add_node();
-    }
-    w.create_group(0, group, config.clone());
-    for n in 1..members {
-        w.join_group(n, group, config.clone());
-    }
-    w.run_until_ready();
-    w
+    let group = [(GroupId(1), (0..members).collect(), config.clone())];
+    SimWorld::formed(seed, members, Admission::Immediate, &group)
 }
 
 #[test]
@@ -141,15 +132,8 @@ fn sequencer_cpu_is_the_hot_spot_under_load() {
 #[test]
 fn disjoint_groups_do_not_cross_deliver() {
     let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), 8);
-    for _ in 0..4 {
-        w.add_node();
-    }
-    w.create_group(0, GroupId(1), config.clone());
-    w.join_group(1, GroupId(1), config.clone());
-    w.create_group(2, GroupId(2), config.clone());
-    w.join_group(3, GroupId(2), config.clone());
-    w.run_until_ready();
+    let groups = [(GroupId(1), vec![0, 1], config.clone()), (GroupId(2), vec![2, 3], config)];
+    let mut w = SimWorld::formed(8, 4, Admission::Immediate, &groups);
     w.set_workload(1, Workload::Sender { size: 0, remaining: 20 });
     w.kick();
     w.run_for(SimDuration::from_secs(2));
@@ -168,31 +152,17 @@ fn shared_wire_contention_slows_both_groups() {
     for n in 0..2 {
         solo.set_workload(n, Workload::Sender { size: 1_024, remaining: u64::MAX });
     }
-    solo.kick();
-    solo.run_for(SimDuration::from_secs(1));
-    let before = solo.snapshot_sends();
-    solo.run_for(SimDuration::from_secs(3));
-    let solo_rate = (solo.snapshot_sends() - before) as f64 / 3.0;
+    let (warmup, window) = (SimDuration::from_secs(1), SimDuration::from_secs(3));
+    let solo_rate = solo.measure_window(warmup, window).rate;
 
     // …versus four groups contending for the same Ethernet.
-    let mut crowd = SimWorld::new(CostModel::mc68030_ether10(), 9);
-    for _ in 0..8 {
-        crowd.add_node();
-    }
-    for g in 0..4 {
-        let gid = GroupId(1 + g as u64);
-        crowd.create_group(g * 2, gid, config.clone());
-        crowd.join_group(g * 2 + 1, gid, config.clone());
-    }
-    crowd.run_until_ready();
+    let groups: Vec<_> =
+        (0..4).map(|g| (GroupId(1 + g as u64), vec![g * 2, g * 2 + 1], config.clone())).collect();
+    let mut crowd = SimWorld::formed(9, 8, Admission::Immediate, &groups);
     for n in 0..8 {
         crowd.set_workload(n, Workload::Sender { size: 1_024, remaining: u64::MAX });
     }
-    crowd.kick();
-    crowd.run_for(SimDuration::from_secs(1));
-    let before = crowd.snapshot_sends();
-    crowd.run_for(SimDuration::from_secs(3));
-    let crowd_total = (crowd.snapshot_sends() - before) as f64 / 3.0;
+    let crowd_total = crowd.measure_window(warmup, window).rate;
     let per_group = crowd_total / 4.0;
     assert!(
         per_group < solo_rate,

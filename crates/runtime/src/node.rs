@@ -102,19 +102,24 @@ struct Timers {
     asked: Vec<TimerId>,
 }
 
+/// A member's outbound side, used only during a turn.
+struct Port {
+    /// This endpoint's frame encoder (reusable scratch, DESIGN.md §7).
+    encoder: FrameEncoder,
+    /// This endpoint's sending port on the fabric (carries its
+    /// epoch-cached membership snapshot and, for UDP, the encode
+    /// buffer).
+    sender: Box<dyn TransportSender>,
+}
+
 /// State shared between the driver thread and the API handle.
 pub(crate) struct NodeShared {
     pub(crate) core: Mutex<GroupCore>,
     /// Whose actions execute now: handed over in core-lock order (see
-    /// [`NodeShared::step`]).
-    turn: Mutex<()>,
+    /// [`NodeShared::step`]). The turn holds the member's outbound
+    /// port, so it is also what serialises its sends.
+    turn: Mutex<Port>,
     pub(crate) net: Arc<dyn Transport>,
-    /// This endpoint's frame encoder (reusable scratch, DESIGN.md §7).
-    encoder: Mutex<FrameEncoder>,
-    /// This endpoint's sending port on the fabric (carries its
-    /// epoch-cached membership snapshot and, for UDP, the encode
-    /// buffer). The mutex is what serialises sends per endpoint.
-    sender: Mutex<Box<dyn TransportSender>>,
     pub(crate) group: GroupId,
     pub(crate) addr: FlipAddress,
     timers: Mutex<Timers>,
@@ -150,13 +155,11 @@ impl NodeShared {
         addr: FlipAddress,
         inbox: Inbox,
     ) -> Arc<Self> {
-        let sender = Mutex::new(net.sender(addr));
+        let port = Port { encoder: FrameEncoder::new(), sender: net.sender(addr) };
         Arc::new(NodeShared {
             core: Mutex::new(core),
-            turn: Mutex::new(()),
+            turn: Mutex::new(port),
             net,
-            encoder: Mutex::new(FrameEncoder::new()),
-            sender,
             group,
             addr,
             timers: Mutex::new(Timers {
@@ -188,7 +191,9 @@ impl NodeShared {
     /// and a retransmission timer is lost for good. So the `turn` lock
     /// is taken *before* the core lock is released and held while the
     /// actions run — the core itself is not held across wire sends and
-    /// wake-ups.
+    /// wake-ups. The turn's lock guards the member's outbound [`Port`]
+    /// too, its encoder and its sender: one lock per step, not one per
+    /// datagram.
     ///
     /// `SendDone` alone waits until the turn is over: it wakes a caller
     /// whose next move is to come back through here, and a lock held
@@ -205,22 +210,22 @@ impl NodeShared {
         {
             let mut core = self.core.lock();
             let actions = op(&mut core);
-            let _turn = self.turn.lock();
+            let mut port = self.turn.lock();
             drop(core);
             for action in actions {
-                if matches!(action, Action::SendDone(_)) {
-                    done.push(action);
-                } else {
-                    self.run(action);
+                match action {
+                    Action::SendDone(r) => done.push(r),
+                    action => self.run(&mut port, action),
                 }
             }
         }
-        for action in done {
-            self.run(action);
+        for r in done {
+            self.post(SEND_DONE, |mail| mail.sends.push_back(r));
         }
     }
 
-    fn run(&self, action: Action) {
+    /// Executes one action of a turn (`port` is the turn's).
+    fn run(&self, port: &mut Port, action: Action) {
         match action {
             Action::Send { dest, msg } => {
                 // Zero-copy from here on: large payloads ride as a
@@ -228,11 +233,10 @@ impl NodeShared {
                 // refcount-shares the two segments per receiver, the
                 // UDP transport gather-writes them per fragment
                 // (DESIGN.md §7, §12).
-                let frame = self.encoder.lock().encode_frame(&msg);
-                let sender = &mut *self.sender.lock();
+                let frame = port.encoder.encode_frame(&msg);
                 match dest {
-                    Dest::Unicast(to) => sender.unicast(to, frame),
-                    Dest::Group => sender.multicast(self.group, frame),
+                    Dest::Unicast(to) => port.sender.unicast(to, frame),
+                    Dest::Group => port.sender.multicast(self.group, frame),
                 }
             }
             Action::SetTimer { kind, after_us } => {
@@ -240,7 +244,7 @@ impl NodeShared {
             }
             Action::CancelTimer { kind } => self.cancel_timer(Timer::Proto(kind)),
             Action::Deliver(ev) => self.post(DELIVERY, |mail| mail.events.push_back(ev)),
-            Action::SendDone(r) => self.post(SEND_DONE, |mail| mail.sends.push_back(r)),
+            Action::SendDone(_) => unreachable!("`step` posts SendDone after the turn"),
             Action::JoinDone(r) => self.post(COMPLETION, |mail| mail.joined = Some(r)),
             Action::LeaveDone(r) => self.post(COMPLETION, |mail| mail.left = Some(r)),
             Action::ResetDone(r) => self.post(COMPLETION, |mail| mail.reset = Some(r)),

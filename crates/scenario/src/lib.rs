@@ -36,8 +36,11 @@ pub mod run;
 pub mod shard;
 pub mod toml;
 
+/// How a world's members are admitted (`amoeba-kernel`'s, re-exported:
+/// the formation policy lives with [`amoeba_kernel::SimWorld::formed`]).
+pub use amoeba_kernel::Admission;
 pub use plan::{
-    Admission, ConfigBase, Expect, FaultSpec, GroupSpec, Knobs, MethodSpec, RunSpec, ScenarioPlan,
+    ConfigBase, Expect, FaultSpec, GroupSpec, Knobs, MethodSpec, RunSpec, ScenarioPlan,
     WorkloadSpec,
 };
 pub use run::{run_plan, run_plan_world, Outcome};

@@ -14,6 +14,7 @@
 //! `tests/parser_roundtrip.rs` hold the two directions together.
 
 use amoeba_core::{BatchPolicy, GroupConfig, Method};
+use amoeba_kernel::Admission;
 use amoeba_shard::fault_tolerant_config;
 
 use crate::toml::{self, Doc, Entry, Table, Value};
@@ -29,29 +30,6 @@ pub const MAX_MESSAGES: u64 = 100_000;
 /// Hard cap on payload bytes (beyond fragmentation sizes there is
 /// nothing new to exercise, only wall clock to burn).
 pub const MAX_PAYLOAD: u32 = 60_000;
-
-/// How members are admitted during formation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// All joins submitted at t = 0, exactly like the paper-scale bench
-    /// harnesses (`crates/bench`). Correct for small groups; a join
-    /// storm at hundreds of members overruns the sequencer's rx ring.
-    Immediate,
-    /// The scale policy (DESIGN.md §10): joins scheduled on one global
-    /// quadratic timetable (slot `1 ms + 17 µs × members-so-far`,
-    /// interleaved across groups because they share the Ethernet), and
-    /// per-group timer de-phasing.
-    Staggered,
-}
-
-impl Admission {
-    fn as_str(self) -> &'static str {
-        match self {
-            Admission::Immediate => "immediate",
-            Admission::Staggered => "staggered",
-        }
-    }
-}
 
 /// Broadcast method selection (mirrors [`amoeba_core::Method`], which
 /// does not itself know scenario-file spellings).
@@ -974,7 +952,11 @@ impl ScenarioPlan {
         writeln!(p).unwrap();
         writeln!(p, "[topology]").unwrap();
         writeln!(p, "nodes = {}", self.nodes).unwrap();
-        writeln!(p, "admission = \"{}\"", self.admission.as_str()).unwrap();
+        let admission = match self.admission {
+            Admission::Immediate => "immediate",
+            Admission::Staggered => "staggered",
+        };
+        writeln!(p, "admission = \"{admission}\"").unwrap();
         for g in &self.groups {
             writeln!(p).unwrap();
             writeln!(p, "[[group]]").unwrap();

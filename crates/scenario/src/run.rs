@@ -20,12 +20,12 @@ use std::sync::{Arc, Mutex};
 use amoeba_app::{AppEvent, Ctx, GroupApp, TimerId};
 use amoeba_core::audit::{AuditDelivery, DeliveryAudit, EndFate, MemberRecord};
 use amoeba_core::{GroupEvent, GroupId, ViewId};
-use amoeba_kernel::{CostModel, SimWorld, Workload};
+use amoeba_kernel::{SimWorld, Workload};
 use amoeba_net::{ChaosStats, FaultPlan, HostSet, LinkFaults, Partition};
 use amoeba_sim::SimDuration;
 use bytes::Bytes;
 
-use crate::plan::{Admission, FaultSpec, ScenarioPlan};
+use crate::plan::{FaultSpec, ScenarioPlan};
 
 /// What one scenario run produced.
 #[derive(Debug, Clone)]
@@ -267,48 +267,16 @@ pub fn run_plan(plan: &ScenarioPlan) -> Outcome {
 /// [`run_plan`], additionally returning the finished world for triage
 /// (per-node core state via `GroupCore::debug_state`, NIC counters).
 pub fn run_plan_world(plan: &ScenarioPlan) -> (Outcome, SimWorld) {
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), plan.seed);
-    for _ in 0..plan.nodes {
-        w.add_node();
-    }
-    let groups_total = plan.groups.len();
-    let cfg = |g: usize| plan.groups[g].config(groups_total, g, plan.admission);
-
-    // Formation.
-    match plan.admission {
-        Admission::Immediate => {
-            // The bench harnesses' exact shape (fig6 equivalence rides
-            // on this): per group, create then join everyone, one
-            // convergence wait at the end.
-            for (g, spec) in plan.groups.iter().enumerate() {
-                let gid = GroupId(spec.id);
-                w.create_group(spec.members[0], gid, cfg(g));
-                for &m in &spec.members[1..] {
-                    w.join_group(m, gid, cfg(g));
-                }
-            }
-        }
-        Admission::Staggered => {
-            for (g, spec) in plan.groups.iter().enumerate() {
-                w.create_group(spec.members[0], GroupId(spec.id), cfg(g));
-            }
-            // One global join timetable, interleaved across groups
-            // (they share the Ethernet): slot `1 ms + 17 µs × j` covers
-            // admitting the j-th member — ~1 ms sequencer CPU plus the
-            // per-member multicast send and JoinAck wire costs.
-            let widest = plan.groups.iter().map(|s| s.members.len()).max().unwrap_or(0);
-            let mut at = 0u64;
-            for j in 1..widest {
-                for (g, spec) in plan.groups.iter().enumerate() {
-                    if let Some(&m) = spec.members.get(j) {
-                        at += 1_000 + 17 * j as u64;
-                        w.join_group_at(m, GroupId(spec.id), cfg(g), at);
-                    }
-                }
-            }
-        }
-    }
-    w.run_until_ready();
+    let groups: Vec<_> = plan
+        .groups
+        .iter()
+        .enumerate()
+        .map(|(g, spec)| {
+            let config = spec.config(plan.groups.len(), g, plan.admission);
+            (GroupId(spec.id), spec.members.clone(), config)
+        })
+        .collect();
+    let mut w = SimWorld::formed(plan.seed, plan.nodes, plan.admission, &groups);
 
     let out = if plan.continuous() {
         run_continuous(plan, &mut w)
@@ -548,26 +516,18 @@ fn run_continuous(plan: &ScenarioPlan, w: &mut SimWorld) -> Outcome {
     }
     let base_us = w.now().as_micros();
     apply_faults(w, plan, base_us);
-    let warmup_us = plan.run.warmup_ms.expect("validated: continuous has warmup") * 1_000;
-    let window_us = plan.run.window_ms.expect("validated: continuous has window") * 1_000;
-    w.kick();
-    w.run_for(SimDuration::from_micros(warmup_us));
-    let before = w.snapshot_sends();
-    let util_before = w.sim.world.net.medium.stats.busy_us;
-    w.run_for(SimDuration::from_micros(window_us));
-    let after = w.snapshot_sends();
-    let util_after = w.sim.world.net.medium.stats.busy_us;
-    let secs = window_us as f64 / 1_000_000.0;
-    let rate = (after - before) as f64 / secs;
-    let util = (util_after - util_before) as f64 / window_us as f64;
+    let warmup_ms = plan.run.warmup_ms.expect("validated: continuous has warmup");
+    let window_ms = plan.run.window_ms.expect("validated: continuous has window");
+    let window =
+        w.measure_window(SimDuration::from_millis(warmup_ms), SimDuration::from_millis(window_ms));
 
     let fates: Vec<EndFate> =
         (0..plan.groups.len()).flat_map(|g| group_fates(w, plan, g).0).collect();
     let live = live_count(&fates);
     let mut fnv = Fnv::classic();
-    fnv.u64(after - before);
-    fnv.u64(rate.to_bits());
-    fnv.u64(util.to_bits());
+    fnv.u64(window.sends);
+    fnv.u64(window.rate.to_bits());
+    fnv.u64(window.busy.to_bits());
     fnv.u64(w.sim.events_executed());
     fnv.u64(w.now().as_micros());
     let chaos = w.chaos_stats();
@@ -588,8 +548,8 @@ fn run_continuous(plan: &ScenarioPlan, w: &mut SimWorld) -> Outcome {
         live_members: live,
         chaos,
         violations: Vec::new(),
-        rate: Some(rate),
-        utilization: Some(util),
+        rate: Some(window.rate),
+        utilization: Some(window.busy),
         expect_failures: Vec::new(),
         fates,
         logs: Vec::new(),

@@ -51,7 +51,7 @@
 use amoeba_core::audit::EndFate;
 use amoeba_net::{FaultPlan, HostSet, Partition};
 use amoeba_shard::{
-    fault_tolerant_config, lost_acked_writes, Cluster, MoveController, ReshardGoal, ShardMap,
+    fault_tolerant_config, lost_acked_writes, op, Cluster, MoveController, ReshardGoal, ShardMap,
     ShardSpec, SimCluster,
 };
 
@@ -282,7 +282,10 @@ impl ShardPlan {
             return Err(Error::at(ops_line, format!("`ops` must be in 1..={MAX_MESSAGES}")));
         }
         let keys = bounded(s.uint("keys")?, "keys", 1, ops.max(1), ops.min(64))?;
-        let value_len = bounded(s.uint("value_len")?, "value_len", 1, 1024, 8)? as usize;
+        // The longest value written is `v{ops − 1}-` and the pad, and
+        // the router refuses one the op text format cannot carry.
+        let max_pad = (op::MAX_TOKEN - format!("v{}-", ops - 1).len()) as u64;
+        let value_len = bounded(s.uint("value_len")?, "value_len", 1, max_pad, 8)? as usize;
         let window = bounded(s.uint("window")?, "window", 1, 64, 8)? as usize;
         s.finish()?;
 

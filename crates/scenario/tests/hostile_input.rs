@@ -287,3 +287,15 @@ fn shard_crash_still_needs_the_fault_tolerant_base_but_partition_does_not() {
     );
     amoeba_scenario::ShardPlan::parse(&ok).expect("a partition runs on the default base");
 }
+
+/// The longest value a shard run writes is `v{ops − 1}-` and the pad.
+/// Above `op::token_ok`'s 512 bytes every replica refuses the body and
+/// the run never drains, so the parser refuses the pad instead: with 32
+/// ops, `v31-` leaves room for 508.
+#[test]
+fn shard_values_must_fit_the_op_text_format() {
+    shard_rejected("value_len = 600\n", 8, "`value_len` must be in 1..=508, got 600");
+    shard_rejected("value_len = 509\n", 8, "`value_len` must be in 1..=508, got 509");
+    let ok = format!("{HEADER}[shard]\nshards = 2\nmembers = 3\nops = 32\nvalue_len = 508\n");
+    amoeba_scenario::ShardPlan::parse(&ok).expect("a 512-byte value fits");
+}

@@ -22,7 +22,7 @@ use std::time::Duration;
 
 use amoeba_app::GroupApp;
 use amoeba_core::{GroupConfig, GroupId};
-use amoeba_kernel::{CostModel, SimWorld};
+use amoeba_kernel::{Admission, SimWorld};
 use amoeba_runtime::{form_group, pump_apps, Amoeba, FaultPlan, Pumps};
 use amoeba_sim::SimDuration;
 
@@ -206,6 +206,39 @@ fn build_meta_group(
     (ShardGroup { id: META_GROUP_ID, nodes, port, logs, stores: Vec::new() }, apps)
 }
 
+/// The harness side of a cluster, the same on both backends: the map
+/// board, every group's handles, the router over their gateways'
+/// ports, every member's app in node order, and what to form: each
+/// group's id, nodes (the founder first) and configuration, meta first.
+struct Assembly {
+    board: MapBoard,
+    meta: ShardGroup,
+    groups: Vec<ShardGroup>,
+    router: Router,
+    apps: Vec<Box<dyn GroupApp>>,
+    formation: Vec<(GroupId, Vec<usize>, GroupConfig)>,
+}
+
+fn assemble(spec: &ShardSpec) -> Assembly {
+    let map = spec.initial_map();
+    let board = new_board(map.clone());
+    let (meta, mut apps) = build_meta_group(spec, &map, &board);
+    let mut groups = Vec::new();
+    for g in 0..spec.data_groups() {
+        let (group, group_apps) = build_data_group(spec, g, &map);
+        apps.extend(group_apps);
+        groups.push(group);
+    }
+    let ports = groups.iter().map(|group| (group.id, group.port.clone())).collect();
+    let router = Router::new(board.clone(), ports);
+    let formation = std::iter::once(&meta)
+        .chain(&groups)
+        .enumerate()
+        .map(|(g, group)| (GroupId(group.id), group.nodes.clone(), spec.config_for(g)))
+        .collect();
+    Assembly { board, meta, groups, router, apps, formation }
+}
+
 /// One sharded cluster, backend-erased. `advance` moves time forward
 /// one scheduling quantum *and* pumps the router once; all
 /// orchestration helpers below are written against this trait.
@@ -261,9 +294,10 @@ pub fn run_reshard<C: Cluster + ?Sized>(
 // Simulated backend
 // ---------------------------------------------------------------------
 
-/// The sharded cluster on the simulated kernel. The world is public:
-/// fault scripting (crash schedules, chaos plans) goes straight to
-/// [`SimWorld`].
+/// The sharded cluster on the simulated kernel: a world formed by
+/// [`SimWorld::formed`] with staggered joins, and the same harness
+/// [`LiveCluster`] builds. The world is public: fault scripting
+/// (crash schedules, chaos plans) goes straight to [`SimWorld`].
 pub struct SimCluster {
     /// The underlying simulated world.
     pub world: SimWorld,
@@ -280,77 +314,18 @@ pub struct SimCluster {
 }
 
 impl SimCluster {
-    /// Builds, forms and starts the cluster described by `spec`
-    /// (formation is complete and apps are running on return).
+    /// Builds, forms ([`Admission::Staggered`]) and starts the cluster
+    /// described by `spec` (formation is complete and apps are running
+    /// on return). Staggered joins make member j of every group node j
+    /// of that group, as the live backend's sequential joins do.
     pub fn new(spec: ShardSpec) -> Self {
-        Self::with_world(spec, |s| SimWorld::new(CostModel::mc68030_ether10(), s.seed))
-    }
-
-    /// Like [`SimCluster::new`] with a caller-built world (custom
-    /// wire, for instance). The world must be empty.
-    pub fn with_world(spec: ShardSpec, make: impl FnOnce(&ShardSpec) -> SimWorld) -> Self {
-        let mut world = make(&spec);
-        for _ in 0..spec.total_nodes() {
-            world.add_node();
-        }
-
-        // Formation: group index 0 is meta, 1.. are data groups.
-        let group_nodes = |g: usize| -> Vec<usize> {
-            if g == 0 {
-                (0..spec.meta_members).collect()
-            } else {
-                (0..spec.members).map(|j| spec.data_node(g - 1, j)).collect()
-            }
-        };
-        let group_id = |g: usize| -> GroupId {
-            if g == 0 {
-                GroupId(META_GROUP_ID)
-            } else {
-                GroupId(g as u64)
-            }
-        };
-        let groups_total = spec.data_groups() + 1;
-        for g in 0..groups_total {
-            world.create_group(group_nodes(g)[0], group_id(g), spec.config_for(g));
-        }
-        // One global staggered timetable, interleaved across the
-        // groups sharing the Ethernet (the scenario runner's schedule;
-        // simultaneous joins overflow the sequencers' receive rings).
-        // Staggering also makes member-id assignment deterministic —
-        // member j of every group is node j of that group, matching
-        // the live backend's sequential joins — where simultaneous
-        // joins would race for admission order.
-        let widest = spec.members.max(spec.meta_members);
-        let mut at = 0u64;
-        for j in 1..widest {
-            for g in 0..groups_total {
-                let nodes = group_nodes(g);
-                if let Some(&n) = nodes.get(j) {
-                    at += 1_000 + 17 * j as u64;
-                    world.join_group_at(n, group_id(g), spec.config_for(g), at);
-                }
-            }
-        }
-        world.run_until_ready();
-
-        let map = spec.initial_map();
-        let board = new_board(map.clone());
-        let (meta, meta_apps) = build_meta_group(&spec, &map, &board);
-        for (j, app) in meta_apps.into_iter().enumerate() {
-            world.set_app(meta.nodes[j], app);
-        }
-        let mut groups = Vec::new();
-        let mut ports = BTreeMap::new();
-        for g in 0..spec.data_groups() {
-            let (group, apps) = build_data_group(&spec, g, &map);
-            for (j, app) in apps.into_iter().enumerate() {
-                world.set_app(group.nodes[j], app);
-            }
-            ports.insert(group.id, group.port.clone());
-            groups.push(group);
+        let Assembly { board, meta, groups, router, apps, formation } = assemble(&spec);
+        let mut world =
+            SimWorld::formed(spec.seed, spec.total_nodes(), Admission::Staggered, &formation);
+        for (n, app) in apps.into_iter().enumerate() {
+            world.set_app(n, app);
         }
         world.kick();
-        let router = Router::new(board.clone(), ports);
         SimCluster { world, spec, board, meta, groups, router, quantum: SimDuration::from_millis(1) }
     }
 
@@ -414,29 +389,13 @@ impl LiveCluster {
     /// Same, over an already-built runtime — e.g. one speaking real
     /// UDP sockets via `Amoeba::over_transport` (DESIGN.md §12).
     pub fn with_amoeba(spec: ShardSpec, amoeba: Amoeba) -> Self {
-        let map = spec.initial_map();
-        let board = new_board(map.clone());
-        let (meta, mut apps) = build_meta_group(&spec, &map, &board);
-        let mut handles =
-            form_group(&amoeba, GroupId(META_GROUP_ID), &spec.config_for(0), spec.meta_members);
-        let mut groups = Vec::new();
-        let mut ports = BTreeMap::new();
-        for g in 0..spec.data_groups() {
-            let (group, group_apps) = build_data_group(&spec, g, &map);
-            handles.extend(form_group(
-                &amoeba,
-                GroupId(group.id),
-                &spec.config_for(g + 1),
-                spec.members,
-            ));
-            apps.extend(group_apps);
-            ports.insert(group.id, group.port.clone());
-            groups.push(group);
-        }
-
+        let Assembly { board, meta, groups, router, apps, formation } = assemble(&spec);
+        let handles: Vec<_> = formation
+            .into_iter()
+            .flat_map(|(id, nodes, config)| form_group(&amoeba, id, &config, nodes.len()))
+            .collect();
         // Every member formed; now start the apps.
         let pumps = pump_apps(handles, apps);
-        let router = Router::new(board.clone(), ports);
         LiveCluster { spec, board, meta, groups, router, pumps }
     }
 }

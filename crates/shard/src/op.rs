@@ -108,10 +108,16 @@ pub enum Reply {
     TxAborted { tx: u64, attempt: u64 },
 }
 
+/// The longest key or value, in bytes, the op text format carries.
+pub const MAX_TOKEN: usize = 512;
+
 /// Keys and values travel in a pipe/semicolon/equals-delimited text
-/// format, so they must avoid those delimiters.
+/// format, so they must avoid those delimiters (and be at most
+/// [`MAX_TOKEN`] bytes long). The router refuses any other.
 pub fn token_ok(s: &str) -> bool {
-    !s.is_empty() && s.len() <= 512 && s.bytes().all(|b| !matches!(b, b'|' | b';' | b'=' | b'\n'))
+    !s.is_empty()
+        && s.len() <= MAX_TOKEN
+        && s.bytes().all(|b| !matches!(b, b'|' | b';' | b'=' | b'\n'))
 }
 
 fn encode_entries(entries: &[(String, String)]) -> String {

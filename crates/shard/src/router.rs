@@ -33,7 +33,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crate::gateway::GatewayPort;
 use crate::map::{key_hash, MapBoard, ShardMap};
-use crate::op::{NackReason, Reply, ShardOp};
+use crate::op::{token_ok, NackReason, Reply, ShardOp};
 
 /// Routing and retry counters.
 #[derive(Debug, Default, Clone)]
@@ -170,27 +170,48 @@ impl Router {
     /// Submits a write; returns its operation id. Unless the key is
     /// busy, its body is in the gateway's inbox on return; the gateway
     /// is woken for it by the next [`pump`](Self::pump).
+    ///
+    /// # Panics
+    ///
+    /// If `key` or `value` fails [`token_ok`]: the op text format
+    /// cannot carry it, and replicas would drop or misread its body.
     pub fn put(&mut self, key: &str, value: &str) -> u64 {
+        assert_tokens([key, value]);
         self.submit(Pending::Put { key: key.to_string(), value: value.to_string() })
     }
 
     /// Submits a read; returns its operation id. Handed over like a
     /// [`put`](Self::put).
+    ///
+    /// # Panics
+    ///
+    /// If `key` fails [`token_ok`].
     pub fn get(&mut self, key: &str) -> u64 {
+        assert_tokens([key]);
         self.submit(Pending::Get { key: key.to_string() })
     }
 
     /// Submits a cross-shard fence read over `keys`.
+    ///
+    /// # Panics
+    ///
+    /// If `keys` is empty, or one fails [`token_ok`].
     pub fn fence(&mut self, keys: Vec<String>) -> u64 {
         assert!(!keys.is_empty());
+        assert_tokens(keys.iter().map(String::as_str));
         let (owners, parts) = (BTreeMap::new(), BTreeMap::new());
         self.submit(Pending::Fence { keys, attempt: 0, owners, parts })
     }
 
     /// Submits a cross-shard transactional write (2PC over the
     /// involved groups' gateways).
+    ///
+    /// # Panics
+    ///
+    /// If `writes` is empty, or a key or value fails [`token_ok`].
     pub fn cross_put(&mut self, writes: Vec<(String, String)>) -> u64 {
         assert!(!writes.is_empty());
+        assert_tokens(writes.iter().flat_map(|(k, v)| [k.as_str(), v.as_str()]));
         let waits = BTreeMap::new();
         self.submit(Pending::Tx { writes, attempt: 0, waits, phase: TxPhase::Preparing })
     }
@@ -616,6 +637,15 @@ fn claim_keys(op: &Pending) -> impl Iterator<Item = &String> + Clone {
     one.into_iter().chain(writes.iter().map(|(k, _)| k))
 }
 
+/// Panics on a key or value the op text format cannot carry
+/// ([`token_ok`]): its body would be dropped by every replica, or split
+/// into bodies the gateway never numbered.
+fn assert_tokens<'a>(tokens: impl IntoIterator<Item = &'a str>) {
+    for token in tokens {
+        assert!(token_ok(token), "the op text format cannot carry {token:?} (op::token_ok)");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -660,6 +690,24 @@ mod tests {
             attempt,
             values: vec![(key.to_string(), Some(value.to_string()))],
         }
+    }
+
+    /// A value over `token_ok`'s 512 bytes: every replica's `decode`
+    /// would refuse the body, and the put would never be acked.
+    #[test]
+    #[should_panic(expected = "op text format cannot carry")]
+    fn a_value_longer_than_a_token_is_refused_at_submission() {
+        let (mut r, _p1, _p2, _board) = setup();
+        r.put("k", &"x".repeat(600));
+    }
+
+    /// A key holding the frame's separators: framed, it would split
+    /// into two bodies, the second a put the gateway never numbered.
+    #[test]
+    #[should_panic(expected = "op text format cannot carry")]
+    fn a_key_with_separators_cannot_forge_a_second_body() {
+        let (mut r, _p1, _p2, _board) = setup();
+        r.put("x|1\nP|7|y", "z");
     }
 
     #[test]

@@ -4,22 +4,18 @@
 //! calibration, these fail before EXPERIMENTS.md goes stale.
 
 use amoeba::core::{GroupConfig, GroupId, Method};
-use amoeba::kernel::{CostModel, SimWorld, Workload};
+use amoeba::kernel::{Admission, CostModel, SimWorld, Workload};
 use amoeba::sim::SimDuration;
 
 fn delay_world(members: usize, method: Method, resilience: u32, seed: u64) -> SimWorld {
-    let config = GroupConfig { method, resilience, ..GroupConfig::paper() };
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
-    let group = GroupId(1);
-    for _ in 0..members {
-        w.add_node();
-    }
-    w.create_group(0, group, config.clone());
-    for n in 1..members {
-        w.join_group(n, group, config.clone());
-    }
-    w.run_until_ready();
-    w
+    formed(members, &GroupConfig { method, resilience, ..GroupConfig::paper() }, seed)
+}
+
+/// One group of `members` nodes on the paper's testbed, node 0 its
+/// founder and sequencer.
+fn formed(members: usize, config: &GroupConfig, seed: u64) -> SimWorld {
+    let group = [(GroupId(1), (0..members).collect(), config.clone())];
+    SimWorld::formed(seed, members, Admission::Immediate, &group)
 }
 
 fn mean_delay(members: usize, size: u32, method: Method, r: u32, sends: u64) -> f64 {
@@ -81,24 +77,11 @@ fn anchor_each_ack_adds_about_600us() {
 #[test]
 fn anchor_peak_throughput_near_815() {
     let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), 9);
-    let group = GroupId(1);
-    for _ in 0..8 {
-        w.add_node();
-    }
-    w.create_group(0, group, config.clone());
-    for n in 1..8 {
-        w.join_group(n, group, config.clone());
-    }
-    w.run_until_ready();
+    let mut w = formed(8, &config, 9);
     for n in 0..8 {
         w.set_workload(n, Workload::Sender { size: 0, remaining: u64::MAX });
     }
-    w.kick();
-    w.run_for(SimDuration::from_secs(1));
-    let before = w.snapshot_sends();
-    w.run_for(SimDuration::from_secs(3));
-    let rate = (w.snapshot_sends() - before) as f64 / 3.0;
+    let rate = w.measure_window(SimDuration::from_secs(1), SimDuration::from_secs(3)).rate;
     assert!(
         (700.0..950.0).contains(&rate),
         "paper: 815 broadcasts/s peak; got {rate:.0}"
@@ -108,24 +91,11 @@ fn anchor_peak_throughput_near_815() {
 /// Measures 0-byte PB throughput at group size 8 under `config`,
 /// returning the rate and the finished world (for stats inspection).
 fn throughput_g8(config: &GroupConfig, seed: u64) -> (f64, SimWorld) {
-    let mut w = SimWorld::new(CostModel::mc68030_ether10(), seed);
-    let group = GroupId(1);
-    for _ in 0..8 {
-        w.add_node();
-    }
-    w.create_group(0, group, config.clone());
-    for n in 1..8 {
-        w.join_group(n, group, config.clone());
-    }
-    w.run_until_ready();
+    let mut w = formed(8, config, seed);
     for n in 0..8 {
         w.set_workload(n, Workload::Sender { size: 0, remaining: u64::MAX });
     }
-    w.kick();
-    w.run_for(SimDuration::from_secs(1));
-    let before = w.snapshot_sends();
-    w.run_for(SimDuration::from_secs(2));
-    let rate = (w.snapshot_sends() - before) as f64 / 2.0;
+    let rate = w.measure_window(SimDuration::from_secs(1), SimDuration::from_secs(2)).rate;
     (rate, w)
 }
 
@@ -171,24 +141,11 @@ fn batching_off_keeps_the_seed_wire_behavior() {
 fn anchor_lance_overflow_collapses_4kb_throughput() {
     let measure = |senders: usize, size: u32| {
         let config = GroupConfig { method: Method::Pb, ..GroupConfig::paper() };
-        let mut w = SimWorld::new(CostModel::mc68030_ether10(), 11);
-        let group = GroupId(1);
-        for _ in 0..senders {
-            w.add_node();
-        }
-        w.create_group(0, group, config.clone());
-        for n in 1..senders {
-            w.join_group(n, group, config.clone());
-        }
-        w.run_until_ready();
+        let mut w = formed(senders, &config, 11);
         for n in 0..senders {
             w.set_workload(n, Workload::Sender { size, remaining: u64::MAX });
         }
-        w.kick();
-        w.run_for(SimDuration::from_secs(1));
-        let before = w.snapshot_sends();
-        w.run_for(SimDuration::from_secs(3));
-        (w.snapshot_sends() - before) as f64 / 3.0
+        w.measure_window(SimDuration::from_secs(1), SimDuration::from_secs(3)).rate
     };
     let few = measure(2, 4_096);
     let many = measure(14, 4_096);
