@@ -23,7 +23,8 @@
 //! describe a sharded serving cluster (DESIGN.md §11) — shard shape,
 //! routed workload, online reshard steps, crash and partition faults —
 //! validated by [`ShardPlan::parse`] and executed by
-//! [`run_shard_plan`]. Use [`is_shard_scenario`] to dispatch.
+//! [`run_shard_plan`]. The `[shard]` section picks the schema: the
+//! binary tests the parsed [`toml::Doc`], [`is_shard_scenario`] the text.
 //!
 //! The chaos explorer (`crates/chaos`) is a generator of both plan
 //! types: it has no runner of its own, and a failing case is written
@@ -33,6 +34,7 @@
 
 pub mod plan;
 pub mod run;
+mod schema;
 pub mod shard;
 pub mod toml;
 

@@ -12,7 +12,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use amoeba_scenario::{is_shard_scenario, run_plan, run_shard_plan, ScenarioPlan, ShardPlan};
+use amoeba_scenario::{run_plan, run_shard_plan, toml, Error, ScenarioPlan, ShardPlan};
 
 fn main() -> ExitCode {
     let mut check_only = false;
@@ -34,68 +34,62 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     for file in &files {
-        let text = match std::fs::read_to_string(file) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                failed = true;
-                continue;
-            }
-        };
-        // Shard scenarios ([shard] section) take the sharding schema
-        // and runner; everything else takes the classic one.
-        if is_shard_scenario(&text) {
-            let plan = match ShardPlan::parse(&text) {
-                Ok(p) => p,
+        match std::fs::read_to_string(file) {
+            Ok(text) => match scenario(file, &text, check_only) {
+                Ok(true) => {}
+                Ok(false) => failed = true,
                 Err(e) => {
                     eprintln!("{file}:{e}");
                     failed = true;
-                    continue;
                 }
-            };
-            if check_only {
-                println!(
-                    "{file}: ok ({} shard(s) × {} member(s), {} reshard(s), {} fault(s))",
-                    plan.shards,
-                    plan.members,
-                    plan.reshards.len(),
-                    plan.faults.len()
-                );
-                continue;
-            }
-            let t0 = Instant::now();
-            let out = run_shard_plan(&plan);
-            let wall = t0.elapsed().as_secs_f64();
-            println!(
-                "{}: digest {:016x}, sim t = {:.3} s, {:.2} s wall",
-                out.name,
-                out.digest,
-                out.now_us as f64 / 1_000_000.0,
-                wall
-            );
-            println!(
-                "  {} op(s) acked, {} retried, {} map refresh(es), {} final range(s)",
-                out.acked, out.retries, out.map_refreshes, out.final_ranges
-            );
-            for v in &out.violations {
-                println!("  violation: {v}");
-            }
-            for f in &out.expect_failures {
-                println!("  EXPECT FAILED: {f}");
-            }
-            if !out.expect_failures.is_empty() {
-                failed = true;
-            }
-            continue;
-        }
-        let plan = match ScenarioPlan::parse(&text) {
-            Ok(p) => p,
+            },
             Err(e) => {
-                eprintln!("{file}:{e}");
+                eprintln!("{file}: {e}");
                 failed = true;
-                continue;
             }
-        };
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Parses one file, then checks or runs it and prints the outcome:
+/// whether every `[expect]` assertion held.
+fn scenario(file: &str, text: &str, check_only: bool) -> Result<bool, Error> {
+    let doc = toml::parse(text)?;
+    // Shard scenarios ([shard] section) take the sharding schema and
+    // runner; everything else takes the classic one.
+    let (violations, failures) = if doc.table("shard").is_some() {
+        let plan = ShardPlan::from_doc(&doc)?;
+        if check_only {
+            println!(
+                "{file}: ok ({} shard(s) × {} member(s), {} reshard(s), {} fault(s))",
+                plan.shards,
+                plan.members,
+                plan.reshards.len(),
+                plan.faults.len()
+            );
+            return Ok(true);
+        }
+        let t0 = Instant::now();
+        let out = run_shard_plan(&plan);
+        println!(
+            "{}: digest {:016x}, sim t = {:.3} s, {:.2} s wall",
+            out.name,
+            out.digest,
+            out.now_us as f64 / 1_000_000.0,
+            t0.elapsed().as_secs_f64()
+        );
+        println!(
+            "  {} op(s) acked, {} retried, {} map refresh(es), {} final range(s)",
+            out.acked, out.retries, out.map_refreshes, out.final_ranges
+        );
+        (out.violations, out.expect_failures)
+    } else {
+        let plan = ScenarioPlan::from_doc(&doc)?;
         if check_only {
             println!(
                 "{file}: ok ({} nodes, {} group(s), {} workload(s), {} fault(s))",
@@ -104,18 +98,17 @@ fn main() -> ExitCode {
                 plan.workloads.len(),
                 plan.faults.len()
             );
-            continue;
+            return Ok(true);
         }
         let t0 = Instant::now();
         let out = run_plan(&plan);
-        let wall = t0.elapsed().as_secs_f64();
         println!(
             "{}: digest {:016x}, {} events, sim t = {:.3} s, {:.2} s wall",
             out.name,
             out.digest,
             out.events,
             out.now_us as f64 / 1_000_000.0,
-            wall
+            t0.elapsed().as_secs_f64()
         );
         println!(
             "  sends {} ok / {} err, {} delivered, {} live member(s)",
@@ -131,19 +124,13 @@ fn main() -> ExitCode {
                 c.dropped, c.duplicated, c.reordered, c.partitioned
             );
         }
-        for v in &out.violations {
-            println!("  violation: {v}");
-        }
-        for f in &out.expect_failures {
-            println!("  EXPECT FAILED: {f}");
-        }
-        if !out.expect_failures.is_empty() {
-            failed = true;
-        }
+        (out.violations, out.expect_failures)
+    };
+    for v in &violations {
+        println!("  violation: {v}");
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    for f in &failures {
+        println!("  EXPECT FAILED: {f}");
     }
+    Ok(failures.is_empty())
 }

@@ -2,22 +2,29 @@
 //! runnable [`ScenarioPlan`], and the canonical serializer back to the
 //! file format.
 //!
-//! The schema layer is deliberately strict (DESIGN.md §10): every key
+//! The schema layer is deliberately strict (DESIGN.md §9.1): every key
 //! is checked against the known set, every member/seqno/window against
 //! its valid range, and every rejection names the offending **line**.
 //! A scenario file is a test artifact — a typo that silently changed
 //! nothing would be a test that silently stopped testing.
 //!
+//! A group's knobs are one table, `KNOBS`: parsing, range checks and
+//! their errors, printing and [`GroupSpec::config`] all walk it.
+//!
 //! [`ScenarioPlan::to_toml`] emits a canonical document (resolved
 //! defaults spelled out, contiguous member sets as `"a..b"` ranges)
 //! that parses back to an equal plan; the round-trip property tests in
-//! `tests/parser_roundtrip.rs` hold the two directions together.
+//! `tests/plan_roundtrip.rs` hold the two directions together.
+
+use std::fmt::{self, Formatter};
 
 use amoeba_core::{BatchPolicy, GroupConfig, Method};
 use amoeba_kernel::Admission;
 use amoeba_shard::fault_tolerant_config;
 
-use crate::toml::{self, Doc, Entry, Table, Value};
+use crate::schema::Kind::{self, Bool, Choice, Uint};
+use crate::schema::{header, in_range, kv, within, Keys, Quoted};
+use crate::toml::{self, Doc};
 use crate::Error;
 
 /// Hard cap on world size (the simulator's event lanes and per-node
@@ -30,34 +37,19 @@ pub const MAX_MESSAGES: u64 = 100_000;
 /// Hard cap on payload bytes (beyond fragmentation sizes there is
 /// nothing new to exercise, only wall clock to burn).
 pub const MAX_PAYLOAD: u32 = 60_000;
+/// Hard cap on a group's `history_cap` (entries): far above what any
+/// scenario's message budget can fill, and low enough that the
+/// high-water mark (¾ of it) and the core's arithmetic on it cannot
+/// overflow.
+pub const MAX_HISTORY: u64 = 1 << 20;
 
-/// Broadcast method selection (mirrors [`amoeba_core::Method`], which
-/// does not itself know scenario-file spellings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MethodSpec {
-    /// PB: point-to-point to the sequencer, sequencer multicasts.
-    Pb,
-    /// BB: sender multicasts, sequencer multicasts an accept.
-    Bb,
-    /// Per-message choice by payload size.
-    Dynamic {
-        /// Payload size (bytes) at which BB takes over.
-        bb_threshold: u32,
-    },
-}
-
-impl MethodSpec {
-    fn to_method(self) -> Method {
-        match self {
-            MethodSpec::Pb => Method::Pb,
-            MethodSpec::Bb => Method::Bb,
-            MethodSpec::Dynamic { bb_threshold } => Method::Dynamic { bb_threshold },
-        }
-    }
-}
+/// A group's broadcast method: the core's, spelled `method = "pb"`,
+/// `"bb"` or `"dynamic"` (with `bb_threshold`) in a file.
+pub type MethodSpec = Method;
 
 /// Optional [`GroupConfig`] overrides a group may set. `None` keeps
-/// the base (default or scale-derived) value.
+/// the base (default or scale-derived) value. Each field is one row of
+/// the knob table, which parses, checks, prints and applies it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Knobs {
     /// Broadcast method.
@@ -120,48 +112,15 @@ impl GroupSpec {
     /// the world's group count and `g` this group's index — both feed
     /// the scale policy (wire sharing, timer de-phasing).
     pub fn config(&self, groups: usize, g: usize, admission: Admission) -> GroupConfig {
-        let k = &self.knobs;
         let mut c = match self.base {
             ConfigBase::Paper => GroupConfig::paper(),
             ConfigBase::Scaled => GroupConfig::scaled_for_world(self.members.len(), groups),
             ConfigBase::FaultTolerant => fault_tolerant_config(self.members.len(), groups, 1),
         };
-        if let Some(m) = k.method {
-            c.method = m.to_method();
-        }
-        if let Some(r) = k.resilience {
-            c.resilience = r;
-        }
-        if let Some(w) = k.send_window {
-            c.send_window = w;
-        }
-        if k.batching.unwrap_or(false) {
-            c.batch = BatchPolicy::On {
-                max_batch: k.batch_max.unwrap_or(8),
-                flush_us: k.batch_flush_us.unwrap_or(200),
-            };
-        }
-        if let Some(rr) = k.robust_repair {
-            c.robust_repair = rr;
-        }
-        if let Some(v) = k.sync_interval_us {
-            c.sync_interval_us = v;
-        }
-        if let Some(v) = k.sync_round_us {
-            c.sync_round_us = v;
-        }
-        if let Some(v) = k.status_stagger_us {
-            c.status_stagger_us = v;
-        }
-        if let Some(v) = k.history_cap {
-            c.history_cap = v;
-            c.history_high_water = v * 3 / 4;
-        }
-        if let Some(v) = k.auto_reset {
-            c.auto_reset = v;
-        }
-        if let Some(v) = k.auto_reset_min_members {
-            c.auto_reset_min_members = v;
+        for Knob(_, _, _, field) in KNOBS {
+            if let Some(v) = (field.get)(&self.knobs) {
+                (field.apply)(&mut c, v);
+            }
         }
         if admission == Admission::Staggered { c.dephased(g) } else { c }
     }
@@ -295,225 +254,32 @@ pub struct ScenarioPlan {
 }
 
 // ---------------------------------------------------------------------
-// Typed extraction with unknown-key rejection
-// ---------------------------------------------------------------------
-
-/// A [`Table`] reader that tracks which keys were consumed so the
-/// leftovers can be rejected by name and line. Shared with the shard
-/// scenario schema (`crate::shard`).
-pub(crate) struct Keys<'a> {
-    section: &'a str,
-    table: &'a Table,
-    used: Vec<bool>,
-}
-
-impl<'a> Keys<'a> {
-    pub(crate) fn new(section: &'a str, table: &'a Table) -> Self {
-        Keys { section, table, used: vec![false; table.keys.len()] }
-    }
-
-    fn take(&mut self, key: &str) -> Option<&'a Entry> {
-        for (i, (k, e)) in self.table.keys.iter().enumerate() {
-            if k == key {
-                self.used[i] = true;
-                return Some(e);
-            }
-        }
-        None
-    }
-
-    fn type_err(&self, key: &str, e: &Entry, want: &str) -> Error {
-        Error::at(
-            e.line,
-            format!("`{key}` in {} must be {want}, got {}", self.section, e.value.kind()),
-        )
-    }
-
-    fn int(&mut self, key: &str) -> Result<Option<(i64, usize)>, Error> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                Value::Int(n) => Ok(Some((n, e.line))),
-                _ => Err(self.type_err(key, e, "an integer")),
-            },
-        }
-    }
-
-    /// A non-negative integer fitting `u64`.
-    pub(crate) fn uint(&mut self, key: &str) -> Result<Option<(u64, usize)>, Error> {
-        match self.int(key)? {
-            None => Ok(None),
-            Some((n, line)) if n >= 0 => Ok(Some((n as u64, line))),
-            Some((n, line)) => {
-                Err(Error::at(line, format!("`{key}` in {} must be ≥ 0, got {n}", self.section)))
-            }
-        }
-    }
-
-    fn float(&mut self, key: &str) -> Result<Option<(f64, usize)>, Error> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                Value::Float(f) => Ok(Some((f, e.line))),
-                Value::Int(n) => Ok(Some((n as f64, e.line))),
-                _ => Err(self.type_err(key, e, "a number")),
-            },
-        }
-    }
-
-    pub(crate) fn boolean(&mut self, key: &str) -> Result<Option<(bool, usize)>, Error> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(e) => match e.value {
-                Value::Bool(b) => Ok(Some((b, e.line))),
-                _ => Err(self.type_err(key, e, "a boolean")),
-            },
-        }
-    }
-
-    pub(crate) fn string(&mut self, key: &str) -> Result<Option<(&'a str, usize)>, Error> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(e) => match &e.value {
-                Value::Str(s) => Ok(Some((s.as_str(), e.line))),
-                _ => Err(self.type_err(key, e, "a string")),
-            },
-        }
-    }
-
-    /// A node set: either a `"a..b"` half-open range string or an
-    /// explicit integer list. Bounds-checked against `nodes`.
-    fn node_set(&mut self, key: &str, nodes: usize) -> Result<Option<(Vec<usize>, usize)>, Error> {
-        let Some(e) = self.take(key) else { return Ok(None) };
-        let line = e.line;
-        let set = match &e.value {
-            Value::Str(s) => {
-                let (a, b) = s
-                    .split_once("..")
-                    .ok_or_else(|| Error::at(line, format!("`{key}`: range must look like \"0..8\"")))?;
-                let a: usize = a.trim().parse().map_err(|_| {
-                    Error::at(line, format!("`{key}`: bad range start `{}`", a.trim()))
-                })?;
-                let b: usize = b.trim().parse().map_err(|_| {
-                    Error::at(line, format!("`{key}`: bad range end `{}`", b.trim()))
-                })?;
-                if a >= b {
-                    return Err(Error::at(line, format!("`{key}`: empty range {a}..{b}")));
-                }
-                (a..b).collect()
-            }
-            Value::List(items) => {
-                let mut set = Vec::with_capacity(items.len());
-                for item in items {
-                    match item {
-                        Value::Int(n) if *n >= 0 => set.push(*n as usize),
-                        _ => {
-                            return Err(Error::at(
-                                line,
-                                format!("`{key}`: list entries must be non-negative integers"),
-                            ))
-                        }
-                    }
-                }
-                if set.is_empty() {
-                    return Err(Error::at(line, format!("`{key}`: empty node list")));
-                }
-                set
-            }
-            _ => return Err(self.type_err(key, e, "a \"a..b\" range or an integer list")),
-        };
-        for &n in &set {
-            if n >= nodes {
-                return Err(Error::at(
-                    line,
-                    format!("`{key}`: node {n} out of range (topology has {nodes} nodes)"),
-                ));
-            }
-        }
-        let mut dedup = set.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        if dedup.len() != set.len() {
-            return Err(Error::at(line, format!("`{key}`: duplicate node")));
-        }
-        Ok(Some((set, line)))
-    }
-
-    /// Rejects any key not consumed by the schema.
-    pub(crate) fn finish(self) -> Result<(), Error> {
-        for (i, (k, e)) in self.table.keys.iter().enumerate() {
-            if !self.used[i] {
-                return Err(Error::at(e.line, format!("unknown key `{k}` in {}", self.section)));
-            }
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
 // Document → plan
 // ---------------------------------------------------------------------
 
 impl ScenarioPlan {
     /// Parses and validates a scenario file.
     pub fn parse(text: &str) -> Result<ScenarioPlan, Error> {
-        let doc = toml::parse(text)?;
-        Self::from_doc(&doc)
+        Self::from_doc(&toml::parse(text)?)
     }
 
-    fn from_doc(doc: &Doc) -> Result<ScenarioPlan, Error> {
-        // Only known sections may appear.
-        for (name, t) in &doc.tables {
-            if !matches!(name.as_str(), "topology" | "run" | "expect") {
-                return Err(Error::at(t.line, format!("unknown section `[{name}]`")));
-            }
-        }
-        for (name, t) in &doc.arrays {
-            if !matches!(name.as_str(), "group" | "workload" | "fault") {
-                return Err(Error::at(t.line, format!("unknown section `[[{name}]]`")));
-            }
-        }
-
-        let mut root = Keys::new("the top level", &doc.root);
-        let (name, name_line) = root
-            .string("name")?
-            .map(|(s, l)| (s.to_string(), l))
-            .ok_or_else(|| Error::at(1, "missing required key `name`"))?;
-        if name.is_empty() {
-            return Err(Error::at(name_line, "`name` must be non-empty"));
-        }
-        let seed = root.uint("seed")?.ok_or_else(|| Error::at(1, "missing required key `seed`"))?.0;
-        root.finish()?;
+    /// Validates a parsed document (one without a `[shard]` section).
+    pub fn from_doc(doc: &Doc) -> Result<ScenarioPlan, Error> {
+        let (name, seed) =
+            header(doc, &["topology", "run", "expect"], &["group", "workload", "fault"])?;
 
         // [topology]
         let topo = doc.table("topology").ok_or_else(|| Error::at(1, "missing [topology] section"))?;
         let mut t = Keys::new("[topology]", topo);
-        let (nodes, nodes_line) =
-            t.uint("nodes")?.ok_or_else(|| Error::at(topo.line, "[topology] needs `nodes`"))?;
+        let (nodes, _) = t
+            .uint_in("nodes", (1, MAX_NODES as u64), in_range)?
+            .ok_or_else(|| t.missing("nodes"))?;
         let nodes = nodes as usize;
-        if nodes == 0 || nodes > MAX_NODES {
-            return Err(Error::at(
-                nodes_line,
-                format!("`nodes` must be in 1..={MAX_NODES}, got {nodes}"),
-            ));
-        }
-        let admission = match t.string("admission")? {
-            None => {
-                if nodes > 64 {
-                    Admission::Staggered
-                } else {
-                    Admission::Immediate
-                }
-            }
-            Some(("immediate", _)) => Admission::Immediate,
-            Some(("staggered", _)) => Admission::Staggered,
-            Some((other, line)) => {
-                return Err(Error::at(
-                    line,
-                    format!("`admission` must be \"immediate\" or \"staggered\", got \"{other}\""),
-                ))
-            }
+        let staggered = match t.choice("admission", &["immediate", "staggered"])? {
+            None => nodes > 64,
+            Some((i, _)) => i == 1,
         };
+        let admission = if staggered { Admission::Staggered } else { Admission::Immediate };
         t.finish()?;
 
         // [[group]]
@@ -525,17 +291,15 @@ impl ScenarioPlan {
         let mut owner = vec![usize::MAX; nodes];
         for gt in &group_tables {
             let mut g = Keys::new("[[group]]", gt);
-            let (id, id_line) =
-                g.uint("id")?.ok_or_else(|| Error::at(gt.line, "[[group]] needs `id`"))?;
+            let (id, id_line) = g.uint("id")?.ok_or_else(|| g.missing("id"))?;
             if id == 0 {
                 return Err(Error::at(id_line, "group `id` must be ≥ 1"));
             }
             if groups.iter().any(|p| p.id == id) {
                 return Err(Error::at(id_line, format!("duplicate group id {id}")));
             }
-            let (members, members_line) = g
-                .node_set("members", nodes)?
-                .ok_or_else(|| Error::at(gt.line, "[[group]] needs `members`"))?;
+            let (members, members_line) =
+                g.node_set("members", nodes)?.ok_or_else(|| g.missing("members"))?;
             for &m in &members {
                 if owner[m] != usize::MAX {
                     return Err(Error::at(
@@ -545,18 +309,8 @@ impl ScenarioPlan {
                 }
                 owner[m] = groups.len();
             }
-            let fault_tolerant = match g.string("config")? {
-                None | Some(("default", _)) => false,
-                Some(("fault_tolerant", _)) => true,
-                Some((other, line)) => {
-                    return Err(Error::at(
-                        line,
-                        format!(
-                            "`config` must be \"default\" or \"fault_tolerant\", got \"{other}\""
-                        ),
-                    ))
-                }
-            };
+            let fault_tolerant =
+                g.choice("config", &["default", "fault_tolerant"])?.is_some_and(|(i, _)| i == 1);
             let base = match g.boolean("scaled")? {
                 Some((true, line)) if fault_tolerant => {
                     return Err(Error::at(
@@ -590,63 +344,39 @@ impl ScenarioPlan {
         let mut tagged = false;
         for wt in &doc.array("workload") {
             let mut w = Keys::new("[[workload]]", wt);
-            let (gid, gid_line) =
-                w.uint("group")?.ok_or_else(|| Error::at(wt.line, "[[workload]] needs `group`"))?;
+            let (gid, gid_line) = w.uint("group")?.ok_or_else(|| w.missing("group"))?;
             let group = groups
                 .iter()
                 .find(|g| g.id == gid)
                 .ok_or_else(|| Error::at(gid_line, format!("no group with id {gid}")))?;
-            let (senders, senders_line) = w
-                .node_set("senders", nodes)?
-                .ok_or_else(|| Error::at(wt.line, "[[workload]] needs `senders`"))?;
-            for &s in &senders {
-                if !group.members.contains(&s) {
-                    return Err(Error::at(
-                        senders_line,
-                        format!("sender {s} is not a member of group {gid}"),
-                    ));
-                }
-            }
-            let (messages, messages_line) = w
-                .uint("messages")?
-                .ok_or_else(|| Error::at(wt.line, "[[workload]] needs `messages`"))?;
-            if messages > MAX_MESSAGES {
+            let (senders, senders_line) =
+                w.node_set("senders", nodes)?.ok_or_else(|| w.missing("senders"))?;
+            if let Some(s) = senders.iter().find(|s| !group.members.contains(s)) {
                 return Err(Error::at(
-                    messages_line,
-                    format!("`messages` out of range: {messages} > {MAX_MESSAGES} (seqno budget)"),
+                    senders_line,
+                    format!("sender {s} is not a member of group {gid}"),
                 ));
             }
-            if messages == 0 {
-                continuous = true;
-            } else {
-                tagged = true;
-            }
-            let payload = match w.uint("payload")? {
-                None => 0,
-                Some((p, line)) => {
-                    if p > MAX_PAYLOAD as u64 {
-                        return Err(Error::at(
-                            line,
-                            format!("`payload` out of range: {p} > {MAX_PAYLOAD}"),
-                        ));
-                    }
-                    p as u32
-                }
-            };
+            let (messages, _) = w
+                .uint_in("messages", (0, MAX_MESSAGES), |k, v, _, hi| {
+                    format!("`{k}` out of range: {v} > {hi} (seqno budget)")
+                })?
+                .ok_or_else(|| w.missing("messages"))?;
+            continuous |= messages == 0;
+            tagged |= messages > 0;
+            let payload = w
+                .uint_in("payload", (0, MAX_PAYLOAD as u64), |k, v, _, hi| {
+                    format!("`{k}` out of range: {v} > {hi}")
+                })?
+                .map_or(0, |(p, _)| p as u32);
             let late = match w.uint("late")? {
                 None => None,
-                Some((l, line)) => {
-                    if messages == 0 {
-                        return Err(Error::at(line, "`late` needs a bounded workload"));
-                    }
-                    if l > messages {
-                        return Err(Error::at(
-                            line,
-                            format!("`late` = {l} exceeds `messages` = {messages}"),
-                        ));
-                    }
-                    Some(l)
+                Some((_, line)) if messages == 0 => {
+                    return Err(Error::at(line, "`late` needs a bounded workload"))
                 }
+                Some(got) => Some(within("late", got, (0, messages), |k, l, _, m| {
+                    format!("`{k}` = {l} exceeds `messages` = {m}")
+                })?),
             };
             w.finish()?;
             workloads.push(WorkloadSpec { group: gid, senders, messages, payload, late });
@@ -665,20 +395,15 @@ impl ScenarioPlan {
         let mut noise_window: Option<(u64, u64, usize)> = None;
         for ft in &doc.array("fault") {
             let mut f = Keys::new("[[fault]]", ft);
-            let (kind, kind_line) =
-                f.string("kind")?.ok_or_else(|| Error::at(ft.line, "[[fault]] needs `kind`"))?;
+            let kind = f.kind("fault", &["crash", "restart", "partition", "noise"])?;
             let fault = match kind {
                 "crash" | "restart" => {
                     let (node, node_line) = f
-                        .uint("node")?
+                        .uint_in("node", (0, nodes as u64 - 1), |k, n, _, hi| {
+                            format!("`{k}` {n} out of range (topology has {} nodes)", hi + 1)
+                        })?
                         .ok_or_else(|| Error::at(ft.line, format!("{kind} needs `node`")))?;
                     let node = node as usize;
-                    if node >= nodes {
-                        return Err(Error::at(
-                            node_line,
-                            format!("`node` {node} out of range (topology has {nodes} nodes)"),
-                        ));
-                    }
                     if owner[node] == usize::MAX {
                         return Err(Error::at(
                             node_line,
@@ -729,7 +454,7 @@ impl ScenarioPlan {
                             "`side_a` must be a proper subset of the topology",
                         ));
                     }
-                    let (from_ms, until_ms, until_line) = fault_window(&mut f, ft.line)?;
+                    let (from_ms, until_ms, until_line) = f.window()?;
                     for &(pf, pu, pline) in &partitions {
                         if from_ms < pu && pf < until_ms {
                             return Err(Error::at(
@@ -745,7 +470,7 @@ impl ScenarioPlan {
                     FaultSpec::Partition { side_a, from_ms, until_ms }
                 }
                 "noise" => {
-                    let (from_ms, until_ms, until_line) = fault_window(&mut f, ft.line)?;
+                    let (from_ms, until_ms, until_line) = f.window()?;
                     if let Some((nf, nu, nline)) = noise_window {
                         return Err(Error::at(
                             until_line,
@@ -760,23 +485,18 @@ impl ScenarioPlan {
                     let prob = |f: &mut Keys, key: &str| -> Result<f64, Error> {
                         match f.float(key)? {
                             None => Ok(0.0),
-                            Some((p, line)) => {
-                                if !(0.0..=1.0).contains(&p) {
-                                    return Err(Error::at(
-                                        line,
-                                        format!("`{key}` must be a probability in 0..=1, got {p}"),
-                                    ));
-                                }
-                                Ok(p)
-                            }
+                            Some((p, line)) if !(0.0..=1.0).contains(&p) => Err(Error::at(
+                                line,
+                                format!("`{key}` must be a probability in 0..=1, got {p}"),
+                            )),
+                            Some((p, _)) => Ok(p),
                         }
                     };
                     let drop = prob(&mut f, "drop")?;
                     let duplicate = prob(&mut f, "duplicate")?;
                     let reorder = prob(&mut f, "reorder")?;
-                    let reorder_min_us = f.uint("reorder_min_us")?.map(|(v, _)| v).unwrap_or(200);
-                    let reorder_max_us =
-                        f.uint("reorder_max_us")?.map(|(v, _)| v).unwrap_or(10_000);
+                    let reorder_min_us = f.uint("reorder_min_us")?.map_or(200, |(v, _)| v);
+                    let reorder_max_us = f.uint("reorder_max_us")?.map_or(10_000, |(v, _)| v);
                     if reorder_max_us < reorder_min_us {
                         return Err(Error::at(
                             ft.line,
@@ -793,14 +513,7 @@ impl ScenarioPlan {
                         until_ms,
                     }
                 }
-                other => {
-                    return Err(Error::at(
-                        kind_line,
-                        format!(
-                            "unknown fault kind \"{other}\" (crash, restart, partition, noise)"
-                        ),
-                    ))
-                }
+                _ => unreachable!("`Keys::kind` checked the spelling"),
             };
             f.finish()?;
             faults.push(fault);
@@ -812,7 +525,7 @@ impl ScenarioPlan {
             None => (RunSpec { limit_ms: 60_000, warmup_ms: None, window_ms: None }, 1),
             Some(rt) => {
                 let mut r = Keys::new("[run]", rt);
-                let limit_ms = r.uint("limit_ms")?.map(|(v, _)| v).unwrap_or(60_000);
+                let limit_ms = r.uint("limit_ms")?.map_or(60_000, |(v, _)| v);
                 let warmup_ms = r.uint("warmup_ms")?.map(|(v, _)| v);
                 let window_ms = r.uint("window_ms")?.map(|(v, _)| v);
                 r.finish()?;
@@ -859,7 +572,7 @@ impl ScenarioPlan {
                     }
                     Some((b, _)) => b,
                 };
-                let all_sends_ok = e.boolean("all_sends_ok")?.map(|(b, _)| b).unwrap_or(false);
+                let all_sends_ok = e.boolean("all_sends_ok")?.is_some_and(|(b, _)| b);
                 let min_delivered = e.uint("min_delivered")?;
                 let live_members = e.uint("live_members")?;
                 let min_rate = match e.float("min_rate")? {
@@ -867,12 +580,10 @@ impl ScenarioPlan {
                     Some((_, line)) if !continuous => {
                         return Err(Error::at(line, "`min_rate` needs a continuous workload"))
                     }
-                    Some((r, line)) => {
-                        if r < 0.0 {
-                            return Err(Error::at(line, "`min_rate` must be ≥ 0"));
-                        }
-                        Some(r)
+                    Some((r, line)) if r < 0.0 => {
+                        return Err(Error::at(line, "`min_rate` must be ≥ 0"))
                     }
+                    Some((r, _)) => Some(r),
                 };
                 // A delivery ceiling: every member of a workload's
                 // group delivers each message at most once.
@@ -887,24 +598,20 @@ impl ScenarioPlan {
                         w.messages * w.senders.len() as u64 * members
                     })
                     .sum();
-                if let Some((m, line)) = min_delivered {
-                    if !continuous && m > ceiling {
-                        return Err(Error::at(
-                            line,
-                            format!(
-                                "`min_delivered` = {m} exceeds the {ceiling} deliveries this \
-                                 scenario can produce"
-                            ),
-                        ));
-                    }
+                if let Some((m, line)) = min_delivered.filter(|&(m, _)| !continuous && m > ceiling)
+                {
+                    return Err(Error::at(
+                        line,
+                        format!(
+                            "`min_delivered` = {m} exceeds the {ceiling} deliveries this \
+                             scenario can produce"
+                        ),
+                    ));
                 }
-                if let Some((l, line)) = live_members {
-                    if l as usize > nodes {
-                        return Err(Error::at(
-                            line,
-                            format!("`live_members` = {l} exceeds the {nodes}-node topology"),
-                        ));
-                    }
+                if let Some(got) = live_members {
+                    within("live_members", got, (0, nodes as u64), |k, l, _, n| {
+                        format!("`{k}` = {l} exceeds the {n}-node topology")
+                    })?;
                 }
                 e.finish()?;
                 Expect {
@@ -944,105 +651,64 @@ impl ScenarioPlan {
     /// defaults spelled out, contiguous node sets as ranges, sections
     /// in schema order. `parse(to_toml(p)) == p`.
     pub fn to_toml(&self) -> String {
-        let mut s = String::new();
-        let p = &mut s;
-        use std::fmt::Write;
-        writeln!(p, "name = \"{}\"", toml::escape(&self.name)).unwrap();
-        writeln!(p, "seed = {}", self.seed).unwrap();
-        writeln!(p).unwrap();
-        writeln!(p, "[topology]").unwrap();
-        writeln!(p, "nodes = {}", self.nodes).unwrap();
+        self.to_string()
+    }
+}
+
+/// The canonical scenario file ([`ScenarioPlan::to_toml`]).
+impl fmt::Display for ScenarioPlan {
+    fn fmt(&self, f: &mut Formatter) -> fmt::Result {
+        kv(f, "name", Quoted(&self.name))?;
+        kv(f, "seed", self.seed)?;
+        writeln!(f, "\n[topology]")?;
+        kv(f, "nodes", self.nodes)?;
         let admission = match self.admission {
             Admission::Immediate => "immediate",
             Admission::Staggered => "staggered",
         };
-        writeln!(p, "admission = \"{admission}\"").unwrap();
+        kv(f, "admission", Quoted(admission))?;
         for g in &self.groups {
-            writeln!(p).unwrap();
-            writeln!(p, "[[group]]").unwrap();
-            writeln!(p, "id = {}", g.id).unwrap();
-            writeln!(p, "members = {}", node_set(&g.members)).unwrap();
-            writeln!(p, "scaled = {}", g.base == ConfigBase::Scaled).unwrap();
+            writeln!(f, "\n[[group]]")?;
+            kv(f, "id", g.id)?;
+            kv(f, "members", node_set(&g.members))?;
+            kv(f, "scaled", g.base == ConfigBase::Scaled)?;
             if g.base == ConfigBase::FaultTolerant {
-                writeln!(p, "config = \"fault_tolerant\"").unwrap();
+                kv(f, "config", Quoted("fault_tolerant"))?;
             }
-            let k = &g.knobs;
-            if let Some(m) = k.method {
-                match m {
-                    MethodSpec::Pb => writeln!(p, "method = \"pb\"").unwrap(),
-                    MethodSpec::Bb => writeln!(p, "method = \"bb\"").unwrap(),
-                    MethodSpec::Dynamic { bb_threshold } => {
-                        writeln!(p, "method = \"dynamic\"").unwrap();
-                        writeln!(p, "bb_threshold = {bb_threshold}").unwrap();
-                    }
+            for Knob(key, kind, _, field) in KNOBS {
+                if let Some(v) = (field.get)(&g.knobs) {
+                    kind.write(f, key, v)?;
                 }
-            }
-            let mut num = |key: &str, v: Option<u64>| {
-                if let Some(v) = v {
-                    writeln!(p, "{key} = {v}").unwrap();
-                }
-            };
-            num("resilience", k.resilience.map(u64::from));
-            num("send_window", k.send_window.map(|v| v as u64));
-            if let Some(b) = k.batching {
-                writeln!(p, "batching = {b}").unwrap();
-            }
-            let mut num = |key: &str, v: Option<u64>| {
-                if let Some(v) = v {
-                    writeln!(p, "{key} = {v}").unwrap();
-                }
-            };
-            num("batch_max", k.batch_max.map(|v| v as u64));
-            num("batch_flush_us", k.batch_flush_us);
-            if let Some(b) = k.robust_repair {
-                writeln!(p, "robust_repair = {b}").unwrap();
-            }
-            let mut num = |key: &str, v: Option<u64>| {
-                if let Some(v) = v {
-                    writeln!(p, "{key} = {v}").unwrap();
-                }
-            };
-            num("sync_interval_us", k.sync_interval_us);
-            num("sync_round_us", k.sync_round_us);
-            num("status_stagger_us", k.status_stagger_us);
-            num("history_cap", k.history_cap.map(|v| v as u64));
-            if let Some(b) = k.auto_reset {
-                writeln!(p, "auto_reset = {b}").unwrap();
-            }
-            if let Some(v) = k.auto_reset_min_members {
-                writeln!(p, "auto_reset_min_members = {v}").unwrap();
             }
         }
         for w in &self.workloads {
-            writeln!(p).unwrap();
-            writeln!(p, "[[workload]]").unwrap();
-            writeln!(p, "group = {}", w.group).unwrap();
-            writeln!(p, "senders = {}", node_set(&w.senders)).unwrap();
-            writeln!(p, "messages = {}", w.messages).unwrap();
-            writeln!(p, "payload = {}", w.payload).unwrap();
+            writeln!(f, "\n[[workload]]")?;
+            kv(f, "group", w.group)?;
+            kv(f, "senders", node_set(&w.senders))?;
+            kv(f, "messages", w.messages)?;
+            kv(f, "payload", w.payload)?;
             if let Some(l) = w.late {
-                writeln!(p, "late = {l}").unwrap();
+                kv(f, "late", l)?;
             }
         }
-        for f in &self.faults {
-            writeln!(p).unwrap();
-            writeln!(p, "[[fault]]").unwrap();
-            match f {
+        for fault in &self.faults {
+            writeln!(f, "\n[[fault]]")?;
+            match fault {
                 FaultSpec::Crash { node, at_ms } => {
-                    writeln!(p, "kind = \"crash\"").unwrap();
-                    writeln!(p, "node = {node}").unwrap();
-                    writeln!(p, "at_ms = {at_ms}").unwrap();
+                    kv(f, "kind", Quoted("crash"))?;
+                    kv(f, "node", node)?;
+                    kv(f, "at_ms", at_ms)?;
                 }
                 FaultSpec::Restart { node, at_ms } => {
-                    writeln!(p, "kind = \"restart\"").unwrap();
-                    writeln!(p, "node = {node}").unwrap();
-                    writeln!(p, "at_ms = {at_ms}").unwrap();
+                    kv(f, "kind", Quoted("restart"))?;
+                    kv(f, "node", node)?;
+                    kv(f, "at_ms", at_ms)?;
                 }
                 FaultSpec::Partition { side_a, from_ms, until_ms } => {
-                    writeln!(p, "kind = \"partition\"").unwrap();
-                    writeln!(p, "side_a = {}", node_set(side_a)).unwrap();
-                    writeln!(p, "from_ms = {from_ms}").unwrap();
-                    writeln!(p, "until_ms = {until_ms}").unwrap();
+                    kv(f, "kind", Quoted("partition"))?;
+                    kv(f, "side_a", node_set(side_a))?;
+                    kv(f, "from_ms", from_ms)?;
+                    kv(f, "until_ms", until_ms)?;
                 }
                 FaultSpec::Noise {
                     drop,
@@ -1053,172 +719,205 @@ impl ScenarioPlan {
                     from_ms,
                     until_ms,
                 } => {
-                    writeln!(p, "kind = \"noise\"").unwrap();
-                    writeln!(p, "drop = {drop:?}").unwrap();
-                    writeln!(p, "duplicate = {duplicate:?}").unwrap();
-                    writeln!(p, "reorder = {reorder:?}").unwrap();
-                    writeln!(p, "reorder_min_us = {reorder_min_us}").unwrap();
-                    writeln!(p, "reorder_max_us = {reorder_max_us}").unwrap();
-                    writeln!(p, "from_ms = {from_ms}").unwrap();
-                    writeln!(p, "until_ms = {until_ms}").unwrap();
+                    kv(f, "kind", Quoted("noise"))?;
+                    kv(f, "drop", format_args!("{drop:?}"))?;
+                    kv(f, "duplicate", format_args!("{duplicate:?}"))?;
+                    kv(f, "reorder", format_args!("{reorder:?}"))?;
+                    kv(f, "reorder_min_us", reorder_min_us)?;
+                    kv(f, "reorder_max_us", reorder_max_us)?;
+                    kv(f, "from_ms", from_ms)?;
+                    kv(f, "until_ms", until_ms)?;
                 }
             }
         }
-        writeln!(p).unwrap();
-        writeln!(p, "[run]").unwrap();
-        writeln!(p, "limit_ms = {}", self.run.limit_ms).unwrap();
+        writeln!(f, "\n[run]")?;
+        kv(f, "limit_ms", self.run.limit_ms)?;
         if let Some(v) = self.run.warmup_ms {
-            writeln!(p, "warmup_ms = {v}").unwrap();
+            kv(f, "warmup_ms", v)?;
         }
         if let Some(v) = self.run.window_ms {
-            writeln!(p, "window_ms = {v}").unwrap();
+            kv(f, "window_ms", v)?;
         }
-        writeln!(p).unwrap();
-        writeln!(p, "[expect]").unwrap();
-        writeln!(p, "audit = {}", self.expect.audit).unwrap();
-        writeln!(p, "all_sends_ok = {}", self.expect.all_sends_ok).unwrap();
+        writeln!(f, "\n[expect]")?;
+        kv(f, "audit", self.expect.audit)?;
+        kv(f, "all_sends_ok", self.expect.all_sends_ok)?;
         if let Some(v) = self.expect.min_delivered {
-            writeln!(p, "min_delivered = {v}").unwrap();
+            kv(f, "min_delivered", v)?;
         }
         if let Some(v) = self.expect.live_members {
-            writeln!(p, "live_members = {v}").unwrap();
+            kv(f, "live_members", v)?;
         }
         if let Some(v) = self.expect.min_rate {
-            writeln!(p, "min_rate = {v:?}").unwrap();
+            kv(f, "min_rate", format_args!("{v:?}"))?;
         }
-        s
+        Ok(())
     }
 }
 
-/// Parses a fault's `from_ms`/`until_ms` window.
-pub(crate) fn fault_window(f: &mut Keys, section_line: usize) -> Result<(u64, u64, usize), Error> {
-    let (from_ms, _) =
-        f.uint("from_ms")?.ok_or_else(|| Error::at(section_line, "fault window needs `from_ms`"))?;
-    let (until_ms, until_line) = f
-        .uint("until_ms")?
-        .ok_or_else(|| Error::at(section_line, "fault window needs `until_ms`"))?;
-    if until_ms <= from_ms {
-        return Err(Error::at(
-            until_line,
-            format!("empty fault window: until_ms = {until_ms} ≤ from_ms = {from_ms}"),
-        ));
-    }
-    Ok((from_ms, until_ms, until_line))
+// ---------------------------------------------------------------------
+// The knob table
+// ---------------------------------------------------------------------
+
+/// One `[[group]]` knob: its key, its kind (a range sees the group's
+/// member count), the setting it needs made first, and its [`Field`].
+struct Knob(&'static str, Kind<u64>, Option<Needs>, Field);
+
+/// A setting a knob needs made first: as its error names it, and the
+/// test for it.
+type Needs = (&'static str, fn(&Knobs) -> bool);
+
+/// A knob's value on the group's [`Knobs`] (`None` when unset), and
+/// how it applies to the [`GroupConfig`] the group runs with.
+struct Field {
+    get: fn(&Knobs) -> Option<u64>,
+    set: fn(&mut Knobs, u64),
+    apply: fn(&mut GroupConfig, u64),
 }
 
+/// The [`Field`] of a knob kept as `Knobs::$f`, applied as it is to
+/// `GroupConfig::$f` or else by `$apply`.
+macro_rules! field {
+    ($f:ident) => {
+        field!($f, |c, v| c.$f = v as _)
+    };
+    ($f:ident, $apply:expr) => {
+        Field { get: |k| k.$f.map(|v| v as u64), set: |k, v| k.$f = Some(v as _), apply: $apply }
+    };
+    (bool $f:ident) => {
+        Field {
+            get: |k| k.$f.map(u64::from),
+            set: |k, v| k.$f = Some(v != 0),
+            apply: |c, v| c.$f = v != 0,
+        }
+    };
+}
+
+const BATCHING: Needs = ("batching = true", |k| k.batching == Some(true));
+const DYNAMIC: Needs =
+    ("method = \"dynamic\"", |k| matches!(k.method, Some(Method::Dynamic { .. })));
+const POSITIVE: Kind<u64> = Uint(|_| (1, u64::MAX), positive);
+
+/// The `[[group]]` knobs, in canonical print order. Parsing, range
+/// checks, printing and [`GroupSpec::config`] all walk this table: a
+/// knob is one [`Knobs`] field and one row here.
+const KNOBS: &[Knob] = &[
+    Knob("method", Choice(&["pb", "bb", "dynamic"]), None, METHOD),
+    Knob("bb_threshold", Uint(|_| (0, MAX_PAYLOAD as u64), out_of_range), Some(DYNAMIC), THRESHOLD),
+    Knob("resilience", Uint(|&m| (0, m - 1), needs_members), None, field!(resilience)),
+    Knob("send_window", Uint(|_| (1, 64), in_range), None, field!(send_window)),
+    Knob("batching", Bool, None, BATCH),
+    Knob(
+        "batch_max",
+        Uint(|_| (2, 64), in_range),
+        Some(BATCHING),
+        field!(batch_max, |c, v| {
+            if let BatchPolicy::On { max_batch, .. } = &mut c.batch {
+                *max_batch = v as usize;
+            }
+        }),
+    ),
+    Knob(
+        "batch_flush_us",
+        POSITIVE,
+        Some(BATCHING),
+        field!(batch_flush_us, |c, v| {
+            if let BatchPolicy::On { flush_us, .. } = &mut c.batch {
+                *flush_us = v;
+            }
+        }),
+    ),
+    Knob("robust_repair", Bool, None, field!(bool robust_repair)),
+    Knob("sync_interval_us", POSITIVE, None, field!(sync_interval_us)),
+    Knob("sync_round_us", POSITIVE, None, field!(sync_round_us)),
+    Knob("status_stagger_us", POSITIVE, None, field!(status_stagger_us)),
+    Knob(
+        "history_cap",
+        Uint(|_| (16, MAX_HISTORY), at_least_at_most),
+        None,
+        field!(history_cap, |c, v| {
+            c.history_cap = v as usize;
+            c.history_high_water = c.history_cap * 3 / 4;
+        }),
+    ),
+    Knob("auto_reset", Bool, None, field!(bool auto_reset)),
+    Knob(
+        "auto_reset_min_members",
+        Uint(|&m| (1, m), in_range),
+        None,
+        field!(auto_reset_min_members),
+    ),
+];
+
+/// The methods in the order `method` spells them. A dynamic method
+/// starts at the default threshold, which `bb_threshold` sets.
+const METHODS: [Method; 3] = [Method::Pb, Method::Bb, Method::Dynamic { bb_threshold: 256 }];
+
+/// `method`: the index of its spelling.
+const METHOD: Field = Field {
+    get: |k| {
+        k.method.map(|m| match m {
+            Method::Pb => 0,
+            Method::Bb => 1,
+            Method::Dynamic { .. } => 2,
+        })
+    },
+    set: |k, i| k.method = Some(METHODS[i as usize]),
+    apply: |c, i| c.method = METHODS[i as usize],
+};
+
+/// `bb_threshold`: kept inside a dynamic method.
+const THRESHOLD: Field = Field {
+    get: |k| match k.method {
+        Some(Method::Dynamic { bb_threshold }) => Some(bb_threshold.into()),
+        _ => None,
+    },
+    set: |k, v| k.method = Some(Method::Dynamic { bb_threshold: v as u32 }),
+    apply: |c, v| c.method = Method::Dynamic { bb_threshold: v as u32 },
+};
+
+/// `batching`: on is an 8-message batch flushed after 200 µs, which
+/// `batch_max` and `batch_flush_us` change; off keeps the base's.
+const BATCH: Field = Field {
+    get: |k| k.batching.map(u64::from),
+    set: |k, on| k.batching = Some(on != 0),
+    apply: |c, on| {
+        if on != 0 {
+            c.batch = BatchPolicy::On { max_batch: 8, flush_us: 200 };
+        }
+    },
+};
+
+fn positive(key: &str, _: u64, _: u64, _: u64) -> String {
+    format!("`{key}` must be > 0")
+}
+
+fn out_of_range(key: &str, v: u64, _: u64, _: u64) -> String {
+    format!("`{key}` out of range: {v}")
+}
+
+fn needs_members(key: &str, r: u64, _: u64, hi: u64) -> String {
+    format!("`{key}` = {r} needs at least {} members, group has {}", r + 1, hi + 1)
+}
+
+fn at_least_at_most(key: &str, v: u64, lo: u64, hi: u64) -> String {
+    if v < lo {
+        format!("`{key}` must be ≥ {lo}, got {v}")
+    } else {
+        format!("`{key}` must be ≤ {hi}, got {v}")
+    }
+}
+
+/// Reads the knobs a `[[group]]` of `members` sets, row by row: a
+/// value's type, then what it needs set first, then its range.
 fn parse_knobs(g: &mut Keys, members: usize) -> Result<Knobs, Error> {
     let mut k = Knobs::default();
-    let bb_threshold = g.uint("bb_threshold")?;
-    k.method = match g.string("method")? {
-        None => {
-            if let Some((_, line)) = bb_threshold {
-                return Err(Error::at(line, "`bb_threshold` needs `method = \"dynamic\"`"));
-            }
-            None
+    for Knob(key, kind, needs, field) in KNOBS {
+        let Some((v, line)) = kind.read(g, key)? else { continue };
+        if let Some((what, _)) = needs.filter(|(_, holds)| !holds(&k)) {
+            return Err(Error::at(line, format!("`{key}` needs `{what}`")));
         }
-        Some(("pb", line)) | Some(("bb", line)) if bb_threshold.is_some() => {
-            let _ = line;
-            return Err(Error::at(
-                bb_threshold.expect("checked").1,
-                "`bb_threshold` needs `method = \"dynamic\"`",
-            ));
-        }
-        Some(("pb", _)) => Some(MethodSpec::Pb),
-        Some(("bb", _)) => Some(MethodSpec::Bb),
-        Some(("dynamic", _)) => Some(MethodSpec::Dynamic {
-            bb_threshold: match bb_threshold {
-                None => 256,
-                Some((t, line)) => {
-                    if t > MAX_PAYLOAD as u64 {
-                        return Err(Error::at(line, format!("`bb_threshold` out of range: {t}")));
-                    }
-                    t as u32
-                }
-            },
-        }),
-        Some((other, line)) => {
-            return Err(Error::at(
-                line,
-                format!("`method` must be \"pb\", \"bb\" or \"dynamic\", got \"{other}\""),
-            ))
-        }
-    };
-    k.resilience = match g.uint("resilience")? {
-        None => None,
-        Some((r, line)) => {
-            if r as usize >= members {
-                return Err(Error::at(
-                    line,
-                    format!("`resilience` = {r} needs at least {} members, group has {members}", r + 1),
-                ));
-            }
-            Some(r as u32)
-        }
-    };
-    k.send_window = match g.uint("send_window")? {
-        None => None,
-        Some((w, line)) => {
-            if w == 0 || w > 64 {
-                return Err(Error::at(line, format!("`send_window` must be in 1..=64, got {w}")));
-            }
-            Some(w as usize)
-        }
-    };
-    k.batching = g.boolean("batching")?.map(|(b, _)| b);
-    k.batch_max = match g.uint("batch_max")? {
-        None => None,
-        Some((v, line)) => {
-            if k.batching != Some(true) {
-                return Err(Error::at(line, "`batch_max` needs `batching = true`"));
-            }
-            if !(2..=64).contains(&v) {
-                return Err(Error::at(line, format!("`batch_max` must be in 2..=64, got {v}")));
-            }
-            Some(v as usize)
-        }
-    };
-    k.batch_flush_us = match g.uint("batch_flush_us")? {
-        None => None,
-        Some((v, line)) => {
-            if k.batching != Some(true) {
-                return Err(Error::at(line, "`batch_flush_us` needs `batching = true`"));
-            }
-            Some(v)
-        }
-    };
-    k.robust_repair = g.boolean("robust_repair")?.map(|(b, _)| b);
-    let positive = |field: Option<(u64, usize)>, key: &str| -> Result<Option<u64>, Error> {
-        match field {
-            None => Ok(None),
-            Some((0, line)) => Err(Error::at(line, format!("`{key}` must be > 0"))),
-            Some((v, _)) => Ok(Some(v)),
-        }
-    };
-    k.sync_interval_us = positive(g.uint("sync_interval_us")?, "sync_interval_us")?;
-    k.sync_round_us = positive(g.uint("sync_round_us")?, "sync_round_us")?;
-    k.status_stagger_us = positive(g.uint("status_stagger_us")?, "status_stagger_us")?;
-    k.history_cap = match g.uint("history_cap")? {
-        None => None,
-        Some((v, line)) => {
-            if v < 16 {
-                return Err(Error::at(line, format!("`history_cap` must be ≥ 16, got {v}")));
-            }
-            Some(v as usize)
-        }
-    };
-    k.auto_reset = g.boolean("auto_reset")?.map(|(b, _)| b);
-    k.auto_reset_min_members = match g.uint("auto_reset_min_members")? {
-        None => None,
-        Some((v, line)) => {
-            if v == 0 || v as usize > members {
-                return Err(Error::at(
-                    line,
-                    format!("`auto_reset_min_members` must be in 1..={members}, got {v}"),
-                ));
-            }
-            Some(v as usize)
-        }
-    };
+        (field.set)(&mut k, kind.check(key, (v, line), &(members as u64))?);
+    }
     Ok(k)
 }
 
@@ -1232,5 +931,85 @@ fn node_set(set: &[usize]) -> String {
     } else {
         let items: Vec<String> = set.iter().map(|n| n.to_string()).collect();
         format!("[{}]", items.join(", "))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::tests::ends;
+
+    /// A one-group scenario over eight nodes, `lines` closing its
+    /// `[[group]]`, and the line number of the last one.
+    fn group_with(lines: &[&str]) -> (String, usize) {
+        let mut text =
+            String::from("name = \"walk\"\nseed = 1\n[topology]\nnodes = 8\n[[group]]\nid = 1\nmembers = \"0..8\"\n");
+        for line in lines {
+            text.push_str(line);
+            text.push('\n');
+        }
+        let last = text.lines().count();
+        (text, last)
+    }
+
+    /// Every knob reaches the configuration its group runs with.
+    #[test]
+    fn every_knob_applies_to_the_group_config() {
+        let (text, _) = group_with(&[
+            "method = \"dynamic\"",
+            "bb_threshold = 999",
+            "resilience = 3",
+            "send_window = 5",
+            "batching = true",
+            "batch_max = 7",
+            "batch_flush_us = 333",
+            "robust_repair = true",
+            "sync_interval_us = 123456",
+            "sync_round_us = 23456",
+            "status_stagger_us = 77",
+            "history_cap = 400",
+            "auto_reset = true",
+            "auto_reset_min_members = 2",
+        ]);
+        let plan = ScenarioPlan::parse(&text).expect("every knob set");
+        let c = plan.groups[0].config(1, 0, Admission::Immediate);
+        assert_eq!(c.method, Method::Dynamic { bb_threshold: 999 });
+        assert_eq!((c.resilience, c.send_window), (3, 5));
+        assert_eq!(c.batch, BatchPolicy::On { max_batch: 7, flush_us: 333 });
+        assert!(c.robust_repair && c.auto_reset);
+        assert_eq!((c.sync_interval_us, c.sync_round_us, c.status_stagger_us), (123456, 23456, 77));
+        assert_eq!((c.history_cap, c.history_high_water), (400, 300));
+        assert_eq!(c.auto_reset_min_members, 2);
+        let base = plan.groups[0].clone();
+        let off = GroupSpec { knobs: Knobs { batching: Some(false), ..Knobs::default() }, ..base };
+        assert_eq!(off.config(1, 0, Admission::Immediate).batch, BatchPolicy::Off);
+    }
+
+    /// Every knob of the table, at each end of its range (every
+    /// spelling, both booleans), survives parse → `to_toml` → parse
+    /// with its value, and a value just outside the range is rejected
+    /// on the knob's own line.
+    #[test]
+    fn every_knob_round_trips_at_its_ends_and_is_rejected_past_them() {
+        for Knob(key, kind, needs, field) in KNOBS {
+            let first = needs.map(|(what, _)| what);
+            let (fit, past) = ends(kind, &8);
+            for (v, code) in fit {
+                let line = format!("{key} = {v}");
+                let (text, _) = group_with(&[first.unwrap_or(""), &line]);
+                let p1 = ScenarioPlan::parse(&text).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!((field.get)(&p1.groups[0].knobs), Some(code), "{line}");
+                let canon = p1.to_toml();
+                assert!(canon.contains(&format!("\n{line}\n")), "{line} not printed:\n{canon}");
+                let p2 = ScenarioPlan::parse(&canon).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(p1, p2, "{line}: the round trip changed the plan:\n{canon}");
+            }
+            for v in past {
+                let line = format!("{key} = {v}");
+                let (text, last) = group_with(&[first.unwrap_or(""), &line]);
+                let err = ScenarioPlan::parse(&text).expect_err(&line);
+                assert_eq!(err.line, last, "{line}: {err}");
+            }
+        }
     }
 }

@@ -55,8 +55,12 @@ use amoeba_shard::{
     ShardSpec, SimCluster,
 };
 
-use crate::plan::{fault_window, Keys, MAX_MESSAGES, MAX_NODES};
+use std::fmt::{self, Formatter};
+
+use crate::plan::{MAX_MESSAGES, MAX_NODES};
 use crate::run::Fnv;
+use crate::schema::Kind::{self, Choice, Uint};
+use crate::schema::{header, in_range, kv, within, Keys, Quoted};
 use crate::toml::{self, Doc};
 use crate::Error;
 
@@ -207,120 +211,148 @@ pub struct ShardOutcome {
     pub expect_failures: Vec<String>,
 }
 
-/// Whether `text` is a shard scenario (has a `[shard]` section). Used
-/// by the binary and the golden suite to dispatch between schemas;
-/// syntax errors answer `false` and surface from the chosen parser.
+/// Whether `text` is a shard scenario (has a `[shard]` section). The
+/// golden suite dispatches between schemas with it; syntax errors
+/// answer `false` and surface from the chosen parser.
 pub fn is_shard_scenario(text: &str) -> bool {
     toml::parse(text).map(|doc| doc.table("shard").is_some()).unwrap_or(false)
+}
+
+/// One `[shard]` key: its name, its kind (a range sees the plan as
+/// read so far, so `keys` and `value_len` are bounded by `ops`), its
+/// default (`None`: the key is required), and its field on
+/// [`ShardPlan`].
+struct ShardKey(&'static str, Kind<ShardPlan>, Option<fn(&ShardPlan) -> u64>, Access);
+
+/// Reads and writes one [`ShardPlan`] field as a `u64`.
+type Access = (fn(&ShardPlan) -> u64, fn(&mut ShardPlan, u64));
+
+/// The [`Access`] of the integer field `ShardPlan::$f`.
+macro_rules! access {
+    ($f:ident) => {
+        (|p| p.$f as u64, |p, v| p.$f = v as _)
+    };
+}
+
+/// The `[shard]` keys, in canonical print order: parsing, range checks
+/// and printing all walk this table.
+const SHARD_KEYS: &[ShardKey] = &[
+    ShardKey("shards", Uint(|_| (1, 64), in_range), None, access!(shards)),
+    ShardKey("members", Uint(|_| (1, 256), in_range), None, access!(members)),
+    ShardKey("meta_members", Uint(|_| (1, 9), in_range), Some(|_| 3), access!(meta_members)),
+    ShardKey("spares", Uint(|_| (0, 63), in_range), Some(|_| 0), access!(spares)),
+    ShardKey(
+        "config",
+        Choice(&["default", "fault_tolerant"]),
+        Some(|_| 0),
+        (
+            |p| p.config as u64,
+            |p, i| p.config = [ShardConfig::Default, ShardConfig::FaultTolerant][i as usize],
+        ),
+    ),
+    ShardKey(
+        "ops",
+        Uint(|_| (1, MAX_MESSAGES), |k, _, lo, hi| format!("`{k}` must be in {lo}..={hi}")),
+        None,
+        access!(ops),
+    ),
+    ShardKey("keys", Uint(|p| (1, p.ops), in_range), Some(|p| p.ops.min(64)), access!(keys)),
+    ShardKey("value_len", Uint(value_lens, in_range), Some(|_| 8), access!(value_len)),
+    ShardKey("window", Uint(|_| (1, 64), in_range), Some(|_| 8), access!(window)),
+];
+
+/// The pads a value may take: the longest value written is `v{ops −
+/// 1}-` and the pad, and the router refuses one the op text format
+/// cannot carry.
+fn value_lens(p: &ShardPlan) -> (u64, u64) {
+    (1, (op::MAX_TOKEN - format!("v{}-", p.ops - 1).len()) as u64)
+}
+
+/// The wording of a `group`/`to` that names no data group.
+fn not_a_data_group(key: &str, v: u64, lo: u64, hi: u64) -> String {
+    format!("`{key}` = {v} is not a data group ({lo}..={hi})")
+}
+
+/// The wording of an op count past the scenario's `ops`.
+fn exceeds_ops(key: &str, v: u64, _: u64, ops: u64) -> String {
+    format!("`{key}` = {v} exceeds `ops` = {ops}")
 }
 
 impl ShardPlan {
     /// Parses and validates a shard scenario file.
     pub fn parse(text: &str) -> Result<ShardPlan, Error> {
-        let doc = toml::parse(text)?;
-        Self::from_doc(&doc)
+        Self::from_doc(&toml::parse(text)?)
     }
 
-    fn from_doc(doc: &Doc) -> Result<ShardPlan, Error> {
-        for (name, t) in &doc.tables {
-            if !matches!(name.as_str(), "shard" | "run" | "expect") {
-                return Err(Error::at(t.line, format!("unknown section `[{name}]`")));
-            }
-        }
-        for (name, t) in &doc.arrays {
-            if !matches!(name.as_str(), "reshard" | "fault") {
-                return Err(Error::at(t.line, format!("unknown section `[[{name}]]`")));
-            }
-        }
-
-        let mut root = Keys::new("the top level", &doc.root);
-        let (name, name_line) = root
-            .string("name")?
-            .map(|(s, l)| (s.to_string(), l))
-            .ok_or_else(|| Error::at(1, "missing required key `name`"))?;
-        if name.is_empty() {
-            return Err(Error::at(name_line, "`name` must be non-empty"));
-        }
-        let seed = root.uint("seed")?.ok_or_else(|| Error::at(1, "missing required key `seed`"))?.0;
-        root.finish()?;
+    /// Validates a parsed document with a `[shard]` section.
+    pub fn from_doc(doc: &Doc) -> Result<ShardPlan, Error> {
+        let (name, seed) = header(doc, &["shard", "run", "expect"], &["reshard", "fault"])?;
+        let mut plan = ShardPlan {
+            name,
+            seed,
+            shards: 0,
+            members: 0,
+            meta_members: 0,
+            spares: 0,
+            config: ShardConfig::Default,
+            ops: 0,
+            keys: 0,
+            value_len: 0,
+            window: 0,
+            reshards: Vec::new(),
+            faults: Vec::new(),
+            limit_ms: 60_000,
+            expect: ShardExpect { audit: true, min_acked: 0, final_shards: None },
+        };
 
         // [shard]
         let st = doc.table("shard").ok_or_else(|| Error::at(1, "missing [shard] section"))?;
         let mut s = Keys::new("[shard]", st);
-        let shards =
-            s.uint("shards")?.ok_or_else(|| Error::at(st.line, "[shard] needs `shards`"))?;
-        let shards = bounded(Some(shards), "shards", 1, 64, 0)? as usize;
-        let members =
-            s.uint("members")?.ok_or_else(|| Error::at(st.line, "[shard] needs `members`"))?;
-        let members = bounded(Some(members), "members", 1, 256, 0)? as usize;
-        let meta_members = bounded(s.uint("meta_members")?, "meta_members", 1, 9, 3)? as usize;
-        let spares = bounded(s.uint("spares")?, "spares", 0, 63, 0)? as usize;
-        if shards + spares > 64 {
+        for ShardKey(key, kind, default, (_, set)) in SHARD_KEYS {
+            let v = match kind.read(&mut s, key)? {
+                Some(got) => kind.check(key, got, &plan)?,
+                None => match default {
+                    Some(default) => default(&plan),
+                    None => return Err(s.missing(key)),
+                },
+            };
+            set(&mut plan, v);
+        }
+        let (shards, members, ops) = (plan.shards, plan.members, plan.ops);
+        if shards + plan.spares > 64 {
             return Err(Error::at(st.line, "`shards` + `spares` must be ≤ 64"));
         }
-        let total = meta_members + (shards + spares) * members;
+        let total = plan.meta_members + (shards + plan.spares) * members;
         if total > MAX_NODES {
             return Err(Error::at(
                 st.line,
                 format!("topology would have {total} nodes, the cap is {MAX_NODES}"),
             ));
         }
-        let (config, config_line) = match s.string("config")? {
-            None => (ShardConfig::Default, st.line),
-            Some(("default", line)) => (ShardConfig::Default, line),
-            Some(("fault_tolerant", line)) => (ShardConfig::FaultTolerant, line),
-            Some((other, line)) => {
-                return Err(Error::at(
-                    line,
-                    format!("`config` must be \"default\" or \"fault_tolerant\", got \"{other}\""),
-                ))
-            }
-        };
-        let (ops, ops_line) =
-            s.uint("ops")?.ok_or_else(|| Error::at(st.line, "[shard] needs `ops`"))?;
-        if ops == 0 || ops > MAX_MESSAGES {
-            return Err(Error::at(ops_line, format!("`ops` must be in 1..={MAX_MESSAGES}")));
-        }
-        let keys = bounded(s.uint("keys")?, "keys", 1, ops.max(1), ops.min(64))?;
-        // The longest value written is `v{ops − 1}-` and the pad, and
-        // the router refuses one the op text format cannot carry.
-        let max_pad = (op::MAX_TOKEN - format!("v{}-", ops - 1).len()) as u64;
-        let value_len = bounded(s.uint("value_len")?, "value_len", 1, max_pad, 8)? as usize;
-        let window = bounded(s.uint("window")?, "window", 1, 64, 8)? as usize;
         s.finish()?;
 
         // [[reshard]]
-        let data_groups = (shards + spares) as u64;
-        let mut reshards = Vec::new();
+        let data_groups = (shards + plan.spares) as u64;
         for rt in &doc.array("reshard") {
             let mut r = Keys::new("[[reshard]]", rt);
-            let (kind, kind_line) =
-                r.string("kind")?.ok_or_else(|| Error::at(rt.line, "[[reshard]] needs `kind`"))?;
+            let kind = r.kind("reshard", &["split", "rebalance", "merge"])?;
             let (shard, shard_line) = r
-                .uint("shard")?
-                .ok_or_else(|| Error::at(rt.line, "[[reshard]] needs `shard`"))?;
-            if shard as usize >= shards {
-                return Err(Error::at(
-                    shard_line,
-                    format!("`shard` = {shard} out of range (initial map has {shards} ranges)"),
-                ));
-            }
+                .uint_in("shard", (0, shards as u64 - 1), |k, v, _, hi| {
+                    format!("`{k}` = {v} out of range (initial map has {} ranges)", hi + 1)
+                })?
+                .ok_or_else(|| r.missing("shard"))?;
+            let shard = shard as usize;
             let to = r.uint("to")?;
             let goal = match kind {
                 "split" | "rebalance" => {
-                    let (to, to_line) = to.ok_or_else(|| {
+                    let to = to.ok_or_else(|| {
                         Error::at(rt.line, format!("reshard kind \"{kind}\" needs `to`"))
                     })?;
-                    if to == 0 || to > data_groups {
-                        return Err(Error::at(
-                            to_line,
-                            format!("`to` = {to} is not a data group (1..={data_groups})"),
-                        ));
-                    }
+                    let to = within("to", to, (1, data_groups), not_a_data_group)?;
                     if kind == "split" {
-                        ReshardGoalSpec::Split { shard: shard as usize, to }
+                        ReshardGoalSpec::Split { shard, to }
                     } else {
-                        ReshardGoalSpec::Rebalance { shard: shard as usize, to }
+                        ReshardGoalSpec::Rebalance { shard, to }
                     }
                 }
                 "merge" => {
@@ -333,59 +365,28 @@ impl ShardPlan {
                             "cannot merge range 0 (it has no predecessor on the ring)",
                         ));
                     }
-                    ReshardGoalSpec::Merge { shard: shard as usize }
+                    ReshardGoalSpec::Merge { shard }
                 }
-                other => {
-                    return Err(Error::at(
-                        kind_line,
-                        format!("unknown reshard kind \"{other}\" (split, rebalance, merge)"),
-                    ))
-                }
+                _ => unreachable!("`Keys::kind` checked the spelling"),
             };
-            let at_op = match r.uint("at_op")? {
-                None => 0,
-                Some((v, line)) => {
-                    if v > ops {
-                        return Err(Error::at(line, format!("`at_op` = {v} exceeds `ops` = {ops}")));
-                    }
-                    v
-                }
-            };
+            let at_op = r.uint_in("at_op", (0, ops), exceeds_ops)?.map_or(0, |(v, _)| v);
             r.finish()?;
-            reshards.push(ReshardStep { goal, at_op });
+            plan.reshards.push(ReshardStep { goal, at_op });
         }
 
         // [[fault]]
-        let mut faults = Vec::new();
         for ft in &doc.array("fault") {
             let mut f = Keys::new("[[fault]]", ft);
-            let (kind, kind_line) =
-                f.string("kind")?.ok_or_else(|| Error::at(ft.line, "[[fault]] needs `kind`"))?;
-            if kind != "crash" && kind != "partition" {
-                return Err(Error::at(
-                    kind_line,
-                    format!("unknown fault kind \"{kind}\" (crash, partition)"),
-                ));
-            }
-            let (group, group_line) = f
-                .uint("group")?
+            let kind = f.kind("fault", &["crash", "partition"])?;
+            let (group, _) = f
+                .uint_in("group", (1, data_groups), not_a_data_group)?
                 .ok_or_else(|| Error::at(ft.line, format!("{kind} needs `group`")))?;
-            if group == 0 || group > data_groups {
-                return Err(Error::at(
-                    group_line,
-                    format!("`group` = {group} is not a data group (1..={data_groups})"),
-                ));
-            }
             let (member, member_line) = f
-                .uint("member")?
+                .uint_in("member", (0, members as u64 - 1), |k, v, _, hi| {
+                    format!("`{k}` = {v} out of range (groups have {} members)", hi + 1)
+                })?
                 .ok_or_else(|| Error::at(ft.line, format!("{kind} needs `member`")))?;
             let member = member as usize;
-            if member >= members {
-                return Err(Error::at(
-                    member_line,
-                    format!("`member` = {member} out of range (groups have {members} members)"),
-                ));
-            }
             if member == ShardSpec::gateway_member(members) {
                 return Err(Error::at(
                     member_line,
@@ -393,94 +394,50 @@ impl ShardPlan {
                 ));
             }
             let fault = if kind == "partition" {
-                let (from_ms, until_ms, _) = fault_window(&mut f, ft.line)?;
+                let (from_ms, until_ms, _) = f.window()?;
                 ShardFault::Partition { group, member, from_ms, until_ms }
             } else {
-                if config != ShardConfig::FaultTolerant {
+                if plan.config != ShardConfig::FaultTolerant {
                     return Err(Error::at(
                         ft.line,
                         "crashes need `config = \"fault_tolerant\"` (the stock timers take ~13 \
                          simulated seconds to give up on a dead member)",
                     ));
                 }
-                let at_op = match f.uint("at_op")? {
-                    None => 0,
-                    Some((v, line)) => {
-                        if v > ops {
-                            return Err(Error::at(
-                                line,
-                                format!("`at_op` = {v} exceeds `ops` = {ops}"),
-                            ));
-                        }
-                        v
-                    }
-                };
+                let at_op = f.uint_in("at_op", (0, ops), exceeds_ops)?.map_or(0, |(v, _)| v);
                 ShardFault::Crash { group, member, at_op }
             };
             f.finish()?;
-            faults.push(fault);
+            plan.faults.push(fault);
         }
 
         // [run]
-        let limit_ms = match doc.table("run") {
-            None => 60_000,
-            Some(rt) => {
-                let mut r = Keys::new("[run]", rt);
-                let v = bounded(r.uint("limit_ms")?, "limit_ms", 1, 600_000, 60_000)?;
-                r.finish()?;
-                v
-            }
-        };
+        if let Some(rt) = doc.table("run") {
+            let mut r = Keys::new("[run]", rt);
+            plan.limit_ms =
+                r.uint_in("limit_ms", (1, 600_000), in_range)?.map_or(60_000, |(v, _)| v);
+            r.finish()?;
+        }
 
         // [expect]
-        let expect = match doc.table("expect") {
-            None => ShardExpect { audit: true, min_acked: ops, final_shards: None },
-            Some(et) => {
-                let mut e = Keys::new("[expect]", et);
-                let audit = e.boolean("audit")?.map(|(b, _)| b).unwrap_or(true);
-                let min_acked = match e.uint("min_acked")? {
-                    None => ops,
-                    Some((v, line)) => {
-                        if v > ops {
-                            return Err(Error::at(
-                                line,
-                                format!("`min_acked` = {v} exceeds `ops` = {ops}"),
-                            ));
-                        }
-                        v
-                    }
-                };
-                let final_shards = match e.uint("final_shards")? {
-                    None => None,
-                    Some((0, line)) => {
-                        return Err(Error::at(line, "`final_shards` must be ≥ 1"))
-                    }
-                    Some((v, _)) => Some(v as usize),
-                };
-                e.finish()?;
-                ShardExpect { audit, min_acked, final_shards }
-            }
-        };
+        plan.expect.min_acked = ops;
+        if let Some(et) = doc.table("expect") {
+            let mut e = Keys::new("[expect]", et);
+            plan.expect.audit = e.boolean("audit")?.is_none_or(|(b, _)| b);
+            plan.expect.min_acked =
+                e.uint_in("min_acked", (0, ops), exceeds_ops)?.map_or(ops, |(v, _)| v);
+            plan.expect.final_shards = match e.uint("final_shards")? {
+                None => None,
+                Some((0, line)) => return Err(Error::at(line, "`final_shards` must be ≥ 1")),
+                Some((v, _)) => Some(v as usize),
+            };
+            e.finish()?;
+        }
 
-        let plan = ShardPlan {
-            name,
-            seed,
-            shards,
-            members,
-            meta_members,
-            spares,
-            config,
-            ops,
-            keys,
-            value_len,
-            window,
-            reshards,
-            faults,
-            limit_ms,
-            expect,
-        };
         // The shape picks every group's configuration (base, scaling,
         // de-phasing): each must be one the core accepts.
+        let config_line =
+            st.keys.iter().find(|(k, _)| k == "config").map_or(st.line, |(_, e)| e.line);
         let spec = plan.shard_spec();
         for g in 0..=spec.data_groups() {
             spec.config_for(g)
@@ -493,77 +450,7 @@ impl ShardPlan {
     /// Serializes the plan as a canonical shard scenario file:
     /// `parse(to_toml(p)) == p`.
     pub fn to_toml(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let p = &mut s;
-        writeln!(p, "name = \"{}\"", toml::escape(&self.name)).unwrap();
-        writeln!(p, "seed = {}", self.seed).unwrap();
-        writeln!(p).unwrap();
-        writeln!(p, "[shard]").unwrap();
-        writeln!(p, "shards = {}", self.shards).unwrap();
-        writeln!(p, "members = {}", self.members).unwrap();
-        writeln!(p, "meta_members = {}", self.meta_members).unwrap();
-        writeln!(p, "spares = {}", self.spares).unwrap();
-        let config = match self.config {
-            ShardConfig::Default => "default",
-            ShardConfig::FaultTolerant => "fault_tolerant",
-        };
-        writeln!(p, "config = \"{config}\"").unwrap();
-        writeln!(p, "ops = {}", self.ops).unwrap();
-        writeln!(p, "keys = {}", self.keys).unwrap();
-        writeln!(p, "value_len = {}", self.value_len).unwrap();
-        writeln!(p, "window = {}", self.window).unwrap();
-        for r in &self.reshards {
-            writeln!(p).unwrap();
-            writeln!(p, "[[reshard]]").unwrap();
-            match r.goal {
-                ReshardGoalSpec::Split { shard, to } => {
-                    writeln!(p, "kind = \"split\"").unwrap();
-                    writeln!(p, "shard = {shard}").unwrap();
-                    writeln!(p, "to = {to}").unwrap();
-                }
-                ReshardGoalSpec::Rebalance { shard, to } => {
-                    writeln!(p, "kind = \"rebalance\"").unwrap();
-                    writeln!(p, "shard = {shard}").unwrap();
-                    writeln!(p, "to = {to}").unwrap();
-                }
-                ReshardGoalSpec::Merge { shard } => {
-                    writeln!(p, "kind = \"merge\"").unwrap();
-                    writeln!(p, "shard = {shard}").unwrap();
-                }
-            }
-            writeln!(p, "at_op = {}", r.at_op).unwrap();
-        }
-        for f in &self.faults {
-            writeln!(p).unwrap();
-            writeln!(p, "[[fault]]").unwrap();
-            match *f {
-                ShardFault::Crash { group, member, at_op } => {
-                    writeln!(p, "kind = \"crash\"").unwrap();
-                    writeln!(p, "group = {group}").unwrap();
-                    writeln!(p, "member = {member}").unwrap();
-                    writeln!(p, "at_op = {at_op}").unwrap();
-                }
-                ShardFault::Partition { group, member, from_ms, until_ms } => {
-                    writeln!(p, "kind = \"partition\"").unwrap();
-                    writeln!(p, "group = {group}").unwrap();
-                    writeln!(p, "member = {member}").unwrap();
-                    writeln!(p, "from_ms = {from_ms}").unwrap();
-                    writeln!(p, "until_ms = {until_ms}").unwrap();
-                }
-            }
-        }
-        writeln!(p).unwrap();
-        writeln!(p, "[run]").unwrap();
-        writeln!(p, "limit_ms = {}", self.limit_ms).unwrap();
-        writeln!(p).unwrap();
-        writeln!(p, "[expect]").unwrap();
-        writeln!(p, "audit = {}", self.expect.audit).unwrap();
-        writeln!(p, "min_acked = {}", self.expect.min_acked).unwrap();
-        if let Some(v) = self.expect.final_shards {
-            writeln!(p, "final_shards = {v}").unwrap();
-        }
-        s
+        self.to_string()
     }
 
     fn shard_spec(&self) -> ShardSpec {
@@ -578,18 +465,56 @@ impl ShardPlan {
     }
 }
 
-/// A parsed value clamped to `lo..=hi`, or `default` when absent.
-fn bounded(
-    v: Option<(u64, usize)>,
-    key: &str,
-    lo: u64,
-    hi: u64,
-    default: u64,
-) -> Result<u64, Error> {
-    match v {
-        None => Ok(default),
-        Some((n, _)) if (lo..=hi).contains(&n) => Ok(n),
-        Some((n, line)) => Err(Error::at(line, format!("`{key}` must be in {lo}..={hi}, got {n}"))),
+/// The canonical shard scenario file ([`ShardPlan::to_toml`]).
+impl fmt::Display for ShardPlan {
+    fn fmt(&self, f: &mut Formatter) -> fmt::Result {
+        kv(f, "name", Quoted(&self.name))?;
+        kv(f, "seed", self.seed)?;
+        writeln!(f, "\n[shard]")?;
+        for ShardKey(key, kind, _, (get, _)) in SHARD_KEYS {
+            kind.write(f, key, get(self))?;
+        }
+        for r in &self.reshards {
+            writeln!(f, "\n[[reshard]]")?;
+            let (kind, shard, to) = match r.goal {
+                ReshardGoalSpec::Split { shard, to } => ("split", shard, Some(to)),
+                ReshardGoalSpec::Rebalance { shard, to } => ("rebalance", shard, Some(to)),
+                ReshardGoalSpec::Merge { shard } => ("merge", shard, None),
+            };
+            kv(f, "kind", Quoted(kind))?;
+            kv(f, "shard", shard)?;
+            if let Some(to) = to {
+                kv(f, "to", to)?;
+            }
+            kv(f, "at_op", r.at_op)?;
+        }
+        for fault in &self.faults {
+            writeln!(f, "\n[[fault]]")?;
+            match *fault {
+                ShardFault::Crash { group, member, at_op } => {
+                    kv(f, "kind", Quoted("crash"))?;
+                    kv(f, "group", group)?;
+                    kv(f, "member", member)?;
+                    kv(f, "at_op", at_op)?;
+                }
+                ShardFault::Partition { group, member, from_ms, until_ms } => {
+                    kv(f, "kind", Quoted("partition"))?;
+                    kv(f, "group", group)?;
+                    kv(f, "member", member)?;
+                    kv(f, "from_ms", from_ms)?;
+                    kv(f, "until_ms", until_ms)?;
+                }
+            }
+        }
+        writeln!(f, "\n[run]")?;
+        kv(f, "limit_ms", self.limit_ms)?;
+        writeln!(f, "\n[expect]")?;
+        kv(f, "audit", self.expect.audit)?;
+        kv(f, "min_acked", self.expect.min_acked)?;
+        if let Some(v) = self.expect.final_shards {
+            kv(f, "final_shards", v)?;
+        }
+        Ok(())
     }
 }
 
@@ -780,4 +705,49 @@ pub fn run_shard_plan(plan: &ShardPlan) -> ShardOutcome {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schema::tests::ends;
+
+    /// A one-shard, three-member, 32-op scenario whose `[shard]` ends
+    /// with `key = v`, and the line number of that key.
+    fn shard_with(key: &str, v: &str) -> (String, usize) {
+        let mut text = String::from("name = \"walk\"\nseed = 1\n[shard]\n");
+        for (k, base) in [("shards", "1"), ("members", "3"), ("ops", "32")] {
+            if k != key {
+                text.push_str(&format!("{k} = {base}\n"));
+            }
+        }
+        text.push_str(&format!("{key} = {v}\n"));
+        let last = text.lines().count();
+        (text, last)
+    }
+
+    /// Every `[shard]` key of the table, at each end of its range
+    /// (ranges that depend on `ops` see 32), survives parse →
+    /// `to_toml` → parse with its value, and a value just outside the
+    /// range is rejected on the key's own line.
+    #[test]
+    fn every_shard_key_round_trips_at_its_ends_and_is_rejected_past_them() {
+        let base = ShardPlan::parse(&shard_with("window", "8").0).expect("the base parses");
+        for ShardKey(key, kind, _, (get, _)) in SHARD_KEYS {
+            let (fit, past) = ends(kind, &base);
+            for (v, code) in fit {
+                let (text, _) = shard_with(key, &v);
+                let p1 = ShardPlan::parse(&text).unwrap_or_else(|e| panic!("{key} = {v}: {e}"));
+                assert_eq!(get(&p1), code, "{key} = {v}");
+                let canon = p1.to_toml();
+                let p2 = ShardPlan::parse(&canon).unwrap_or_else(|e| panic!("{key} = {v}: {e}"));
+                assert_eq!(p1, p2, "{key} = {v}: the round trip changed the plan:\n{canon}");
+            }
+            for v in past {
+                let (text, last) = shard_with(key, &v);
+                let err = ShardPlan::parse(&text).expect_err(&format!("{key} = {v}"));
+                assert_eq!(err.line, last, "{key} = {v}: {err}");
+            }
+        }
+    }
 }

@@ -299,3 +299,31 @@ fn shard_values_must_fit_the_op_text_format() {
     let ok = format!("{HEADER}[shard]\nshards = 2\nmembers = 3\nops = 32\nvalue_len = 508\n");
     amoeba_scenario::ShardPlan::parse(&ok).expect("a 512-byte value fits");
 }
+
+/// `history_cap` has an upper bound, `MAX_HISTORY`: the high-water mark
+/// is ¾ of it, and an unbounded cap overflowed that product.
+#[test]
+fn history_cap_past_its_bound_is_rejected_on_its_line() {
+    rejected(
+        &format!(
+            "{HEADER}[topology]\nnodes = 2\n[[group]]\nid = 1\nmembers = \"0..2\"\n\
+             history_cap = 9000000000000000000\n"
+        ),
+        8,
+        "`history_cap` must be ≤ 1048576",
+    );
+}
+
+/// A zero flush timer is refused on its own line, in the wording of
+/// the other µs knobs, not on the `[[group]]` header in the core's.
+#[test]
+fn zero_batch_flush_is_rejected_on_its_line() {
+    rejected(
+        &format!(
+            "{HEADER}[topology]\nnodes = 2\n[[group]]\nid = 1\nmembers = \"0..2\"\n\
+             batching = true\nbatch_flush_us = 0\n"
+        ),
+        9,
+        "`batch_flush_us` must be > 0",
+    );
+}

@@ -249,3 +249,38 @@ fn chaos_generated_plans_round_trip_and_replay_bit_equal() {
         }
     }
 }
+
+/// The identity + fixpoint property over every checked-in scenario
+/// file, both schemas, open findings included.
+#[test]
+fn every_checked_in_scenario_round_trips() {
+    use amoeba_scenario::{is_shard_scenario, ShardPlan};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut seen = 0;
+    for dir in [root.clone(), root.join("findings")] {
+        for entry in std::fs::read_dir(&dir).expect("scenario directory") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_none_or(|e| e != "toml") {
+                continue;
+            }
+            seen += 1;
+            let name = path.display();
+            let text = std::fs::read_to_string(&path).expect("read scenario");
+            let (canon, again) = if is_shard_scenario(&text) {
+                let p1 = ShardPlan::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let p2 = ShardPlan::parse(&p1.to_toml())
+                    .unwrap_or_else(|e| panic!("{name}: canonical form must re-parse: {e}"));
+                assert_eq!(p1, p2, "{name}: round-trip changed the plan");
+                (p1.to_toml(), p2.to_toml())
+            } else {
+                let p1 = ScenarioPlan::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let p2 = ScenarioPlan::parse(&p1.to_toml())
+                    .unwrap_or_else(|e| panic!("{name}: canonical form must re-parse: {e}"));
+                assert_eq!(p1, p2, "{name}: round-trip changed the plan");
+                (p1.to_toml(), p2.to_toml())
+            };
+            assert_eq!(canon, again, "{name}: to_toml is not a fixpoint");
+        }
+    }
+    assert!(seen >= 19, "expected every scenario file, found {seen}");
+}
